@@ -1,7 +1,8 @@
 """Command-line front end: verify, sweep, rearrange, maximize.
 
 Exit codes: 0 success, 1 contract violation (the headline finding), 2 usage
-or input error.  With ``--no-timestamp`` identical configurations produce
+or input error, 3 internal error (an unexpected exception; its traceback goes
+to stderr).  With ``--no-timestamp`` identical configurations produce
 byte-identical output.
 """
 
@@ -11,6 +12,7 @@ import argparse
 import hashlib
 import json
 import sys
+import traceback
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -225,6 +227,9 @@ def main(argv=None) -> int:
     except HardyLabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception:  # a bug, not a finding: keep it apart from exit code 1
+        traceback.print_exc()
+        return 3
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -35,11 +35,9 @@ from .config import default_tolerance
 from .errors import DivergentIntegralError, InvalidParameterError, ZeroDenominatorError
 from .grid import (DEFAULT_QUAD_ORDER, StepFunction, check_exponent,
                    integrate_weighted_power, p_norm)
-from .grid import _cap_interval_ratio, _gauss_legendre  # shared quadrature helpers
+from .grid import _cap_interval_ratio, _cell_cuts, _estimate, _gauss_legendre  # shared helpers
 from .operators import cumulative, double_cumulative, inner_cumulative, supmin_branches
 from .rearrange import decreasing_rearrangement
-
-_EPS = float(np.finfo(float).eps)
 
 SHARP_KINDS = ("hardy", "new_hardy", "hardy_rellich_int", "rellich_p", "rellich_chain")
 
@@ -130,10 +128,6 @@ def _nonzero_mass(f: StepFunction, p: float) -> float:
     return den
 
 
-def _estimate(fine: float, coarse: float) -> float:
-    return abs(fine - coarse) + 32.0 * _EPS * (abs(fine) + abs(coarse))
-
-
 def _build(kind: str, p: float, numerator: float, denominator: float, sharp: float,
            quad_order: int, estimate: float, middle: float | None = None) -> RatioReport:
     ratio = numerator / denominator
@@ -206,42 +200,32 @@ def _supmin_rows(f: StepFunction):
 
     Within cell ``i`` the transform is ``max(prefix/r, |F(r)|/r, suffix)``;
     cells are split wherever two branches cross or ``F`` changes sign, so
-    every interval carries a single analytic formula.  Returns the interval
+    every interval carries a single analytic formula.  The breakpoint
+    formulas are evaluated for all cells at once and those strictly inside
+    their cell join the edges in one capped cut array.  Returns the interval
     arrays together with the global peak of ``|F|`` (tail coefficient) and
     ``F(r_n)``.
     """
     F_edges, prefix, suffix = supmin_branches(f)
     edges = f.grid.edges
-    vals = f.values
-    rows: list[tuple[float, float, float, float, float, float, float]] = []
-    for i in range(f.grid.n_cells):
-        a = float(edges[i])
-        b = float(edges[i + 1])
-        u = float(F_edges[i])
-        v = float(vals[i])
-        mp = float(prefix[i])
-        sb = float(suffix[i])
-        cuts = [a, b]
-
-        def add(r: float) -> None:
-            if a < r < b:
-                cuts.append(r)
-
-        if v != 0.0:
-            add(a - u / v)                  # zero of F: kink of |F|
-            add(a + (mp - u) / v)           # |F(r)| overtakes the past peak
-            add(a + (-mp - u) / v)
-        if sb > 0.0:
-            add(mp / sb)                    # past-peak branch meets the future one
-            for target in (sb, -sb):        # F(r) = +-(future branch) * r
-                d = v - target
-                if d != 0.0:
-                    add((v * a - u) / d)
-        cuts = _cap_interval_ratio(sorted(set(cuts)))
-        for lo, hi in zip(cuts[:-1], cuts[1:]):
-            rows.append((lo, hi, a, u, v, mp, sb))
-    arrays = tuple(np.asarray(col) for col in zip(*rows))
-    return arrays, float(prefix[-1]), float(F_edges[-1])
+    a = edges[:-1]
+    u, v, mp, sb = F_edges[:-1], f.values, prefix[:-1], suffix
+    # a division by zero gives inf or NaN, which _cell_cuts drops
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        cand = np.stack((
+            a - u / v,                      # zero of F: kink of |F|
+            a + (mp - u) / v,               # |F(r)| overtakes the past peak
+            a + (-mp - u) / v,
+            mp / sb,                        # past-peak branch meets the future one
+            (v * a - u) / (v - sb),         # F(r) = +-(future branch) * r
+            (v * a - u) / (v - -sb),
+        ))
+    cand[3:, sb <= 0.0] = np.nan  # no future branch to meet
+    cuts = _cap_interval_ratio(_cell_cuts(edges, cand))
+    lo, hi = cuts[:-1], cuts[1:]
+    cell = np.searchsorted(edges, lo, side="right") - 1
+    rows = (lo, hi, a[cell], u[cell], v[cell], mp[cell], sb[cell])
+    return rows, float(prefix[-1]), float(F_edges[-1])
 
 
 def _supmin_integrals(rows, peak: float, F_end: float, R: float, p: float,

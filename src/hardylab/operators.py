@@ -22,6 +22,7 @@ import numpy as np
 
 from .errors import InvalidParameterError
 from .grid import Grid, PiecewisePoly, StepFunction, check_exponent
+from .grid import _cell_cuts, _sorted_unique
 
 
 def cumulative(f: StepFunction) -> PiecewisePoly:
@@ -63,7 +64,7 @@ def supmin_candidates(f: StepFunction, r: float) -> list[tuple[float, float]]:
     r = _check_radius(r)
     F = cumulative(f)
     edges = f.grid.edges
-    s = np.unique(np.concatenate([edges[1:], [r]]))
+    s = _sorted_unique(np.concatenate([edges[1:], [r]]))
     vals = np.abs(F.evaluate(s)) / np.maximum(s, r)
     return list(zip(s.tolist(), vals.tolist()))
 
@@ -160,34 +161,26 @@ def inner_cumulative(f: StepFunction) -> PiecewisePoly:
     — piecewise affine with at most one branch crossing per cell.  Crossing
     radii become extra grid edges, making the returned quadratic-piece
     polynomial exact; beyond the support the slope is the total mass of |f|.
+    All pieces are built at once; the running integral is a ``cumsum``,
+    which adds in the same order as a loop over the pieces would.
     """
     absf = abs(f)
     F_edges, _, suffix = supmin_branches(absf)
     edges = absf.grid.edges
-    vals = absf.values
-    new_edges = [0.0]
-    coeffs: list[tuple[float, float, float]] = []
-    g = 0.0
-    for i in range(absf.grid.n_cells):
-        a = float(edges[i])
-        b = float(edges[i + 1])
-        u = float(F_edges[i])
-        v = float(vals[i])
-        sb = float(suffix[i])
-        cuts = [a, b]
-        if v != sb:
-            t = (v * a - u) / (v - sb)
-            if a < t < b:
-                cuts.append(t)
-        cuts = sorted(set(cuts))
-        for lo, hi in zip(cuts[:-1], cuts[1:]):
-            mid = 0.5 * (lo + hi)
-            if u + v * (mid - a) >= sb * mid:
-                w0, w1 = u + v * (lo - a), v
-            else:
-                w0, w1 = sb * lo, sb
-            new_edges.append(hi)
-            coeffs.append((g, w0, 0.5 * w1))
-            g += (w0 + 0.5 * w1 * (hi - lo)) * (hi - lo)
-    return PiecewisePoly(Grid(np.asarray(new_edges)), np.asarray(coeffs),
-                         tail_value=g, tail_slope=float(F_edges[-1]))
+    a, u, v = edges[:-1], F_edges[:-1], absf.values
+    # branch crossing; v == suffix gives inf or NaN, which _cell_cuts drops
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        t = (v * a - u) / (v - suffix)
+    cuts = _cell_cuts(edges, t)
+    lo, hi = cuts[:-1], cuts[1:]
+    cell = np.searchsorted(edges, lo, side="right") - 1
+    a, u, v, sb = a[cell], u[cell], v[cell], suffix[cell]
+    mid = 0.5 * (lo + hi)
+    local = u + v * (mid - a) >= sb * mid
+    w0 = np.where(local, u + v * (lo - a), sb * lo)
+    w1 = np.where(local, v, sb)
+    width = hi - lo
+    g = np.cumsum(np.concatenate(([0.0], (w0 + 0.5 * w1 * width) * width)))
+    return PiecewisePoly(Grid(np.concatenate(([0.0], hi))),
+                         np.column_stack((g[:-1], w0, 0.5 * w1)),
+                         tail_value=g[-1], tail_slope=float(F_edges[-1]))

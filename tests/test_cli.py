@@ -2,13 +2,14 @@
 
 Each test drives ``python -m hardylab`` as a subprocess, checking output
 formats, determinism, and the exit-code contract (0 ok, 1 violation, 2
-usage/input error).
+usage/input error, 3 internal error).
 """
 
 import json
 import os
 import subprocess
 import sys
+import textwrap
 from datetime import datetime
 from pathlib import Path
 
@@ -137,6 +138,19 @@ def test_bad_parameters_exit_2(args):
 def test_usage_errors_exit_2(args):
     res = run_cli(*args)
     assert res.returncode == 2, f"{args}: rc={res.returncode}"
+
+
+def test_internal_error_exits_3(monkeypatch, capsys):
+    def broken_evaluator(kind, p, quad_order):
+        def evaluate(f):
+            raise RuntimeError("simulated bug")
+        return evaluate
+
+    monkeypatch.setattr(cli, "ratio_evaluator", broken_evaluator)
+    rc = cli.main(["verify", "--kind", "hardy", "--p", "2", "--count", "1"])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "Traceback" in err and "RuntimeError: simulated bug" in err
 
 
 def test_malformed_csv_input_exits_2(tmp_path):
@@ -277,6 +291,24 @@ def test_default_tolerance_env_override(monkeypatch):
     monkeypatch.setenv("HARDYLAB_DEFAULT_TOL", "-1")
     with pytest.raises(InvalidParameterError):
         default_tolerance()
+
+
+def test_runs_do_not_import_numpy_ma():
+    """``numpy.ma`` costs about 10 ms and 1.7 MB at start-up; nothing needs it."""
+    code = textwrap.dedent("""
+        import contextlib, io, sys
+        from hardylab import cli
+        from hardylab.inequalities import REPORT_KINDS
+        with contextlib.redirect_stdout(io.StringIO()):
+            for kind in REPORT_KINDS:
+                cli.main(["verify", "--kind", kind, "--p", "2", "--count", "20"])
+            cli.main(["sweep", "--kind", "rellich_chain", "--p", "2"])
+        print("numpy.ma" in sys.modules)
+    """)
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=child_env())
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "False"
 
 
 def test_main_is_callable_in_process(capsys):
