@@ -19,9 +19,9 @@ from pathlib import Path
 from .config import default_tolerance
 from .errors import HardyLabError, InvalidParameterError
 from .generator import make_rng, random_step_function
-from .grid import (DEFAULT_QUAD_ORDER, check_exponent, read_step_csv,
-                   step_csv_text, write_step_csv)
+from .grid import StepBatch, check_exponent, read_step_csv, step_csv_text, write_step_csv
 from .inequalities import REPORT_KINDS, ratio_evaluator
+from .quadrature import DEFAULT_QUAD_ORDER
 from .rearrange import check_norm_preservation, decreasing_rearrangement
 from .sharpness import (CUTOFF_KINDS, DEFAULT_EPS_LIST, DEFAULT_SWEEP_RESOLUTION,
                         SWEEP_KINDS, CutoffSpec, ratio_maximize, sharpness_sweep)
@@ -127,8 +127,10 @@ def cmd_verify(args) -> int:
     timestamp = None if args.no_timestamp else _timestamp()
     rows = []
     exit_code = 0
-    for index, f in enumerate(cases):
-        report = evaluator(f)
+    # one evaluator call for all cases; a case's report does not depend on
+    # the batch it is evaluated in
+    reports = evaluator(StepBatch.of(cases))
+    for index, (f, report) in enumerate(zip(cases, reports)):
         violations = report.violations(tol)
         rows.append(_case_row(index, f, report, violations, timestamp))
         if violations:

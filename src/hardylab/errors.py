@@ -20,6 +20,11 @@ class DivergentIntegralError(HardyLabError, ArithmeticError):
     large float."""
 
 
+class DoubleRangeError(HardyLabError, ArithmeticError):
+    """A computed value left the double-precision range (overflow).  The
+    input needs rescaling; this says nothing about divergence."""
+
+
 class ZeroDenominatorError(HardyLabError, ArithmeticError):
     """A ratio was requested for an identically vanishing function."""
 

@@ -7,30 +7,22 @@ vanishes identically beyond ``r_n``.  Antiderivatives of step functions are
 piecewise polynomials of degree <= 2 with an affine closed-form tail, which
 is what :class:`PiecewisePoly` stores.
 
-The central quadrature routine is :func:`integrate_weighted_power`, which
-evaluates ``\\int_0^\\infty r^alpha |P(r)|^p dr`` for a piecewise polynomial
-``P``.  The integrand is singular at the origin and algebraically decaying at
-infinity, so the implementation splits cells at the roots of ``P`` (the only
-kinks of ``|P|^p``), refines the first cell geometrically when ``alpha < 0``,
-and integrates the tail after the substitution ``u = r_n / r``.  To dodge
-overflow for radii far below 1 the integrand is always evaluated in the
-fused form ``(|P(r)| * r^(alpha/p))^p``.
-
-The quadrature intervals are built with whole-array numpy operations, not a
-loop over cells: the roots of all cells at once, one sorted cut array over
-the whole grid, and one ``searchsorted`` to find each interval's cell.  The
-intervals equal, bit for bit, those of the per-cell loop kept in
-``tests/interval_loops.py``.
+Many functions are evaluated together as a batch (:class:`StepBatch`,
+:class:`PolyBatch`): their edges, values and coefficients concatenated, plus
+per-function offsets.  A single function is a batch of one.  Per-function
+running sums use padded rows and per-function totals one ``fsum`` each, so a
+function's results do not depend on the batch it is in.  Weighted-power
+quadrature lives in :mod:`hardylab.quadrature`.
 
 Index
 -----
 check_exponent            validate a Lebesgue exponent ``1 < p < inf``
 Grid, StepFunction        the basic data model
 PiecewisePoly             degree <= 2 pieces + affine tail, exact evaluation
+GridBatch, StepBatch, PolyBatch, as_batch   many functions in ragged form
 make_graded_grid          uniform or geometrically graded partitions
 step_function             convenience constructor from plain sequences
 p_norm                    ``\\int |f|^p`` (p-th power mass) for step functions
-integrate_weighted_power  weighted p-th power integral of a PiecewisePoly
 read_step_csv, write_step_csv   round-trippable `edge,value` serialisation
 """
 
@@ -38,22 +30,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import wraps
 from pathlib import Path
 from typing import Iterable
 
 import numpy as np
 
-from .errors import DivergentIntegralError, InvalidParameterError, MalformedCSVError
-
-DEFAULT_QUAD_ORDER = 16
-
-# Geometric refinement of the leading cell (and of the tail in u-coordinates):
-# 16 sub-cells with ratio 2 tame the r^alpha singularity for Gauss-Legendre.
-_ORIGIN_SUBCELLS = 16
-
-_EPS = float(np.finfo(float).eps)
-
+from .errors import DoubleRangeError, InvalidParameterError, MalformedCSVError
 
 def check_exponent(p: float) -> float:
     """Validate and return the Lebesgue exponent ``p`` (finite, ``p > 1``)."""
@@ -197,6 +180,185 @@ class PiecewisePoly:
         return float(out[0]) if scalar else out
 
 
+# --------------------------------------------------------------------------
+# Batches: many functions in ragged form
+# --------------------------------------------------------------------------
+
+
+class GridBatch:
+    """The grids of several functions, concatenated.
+
+    ``edges`` holds each grid's edges in turn, every grid starting at 0, and
+    function ``k`` owns the cells ``offsets[k]:offsets[k + 1]``.  It is
+    built from grids that were already validated, so it checks nothing.
+    ``left``, ``right`` and ``ends`` index ``edges`` (and any array laid out
+    like it) at each cell's left and right edge and at each function's last
+    edge: slices for a single grid, which cost nothing and give views, and
+    index arrays for several.
+    """
+
+    __slots__ = ("edges", "offsets", "left", "right", "ends")
+
+    def __init__(self, edges: np.ndarray, offsets: np.ndarray):
+        self.edges = edges
+        self.offsets = offsets
+        if offsets.size == 2:
+            self.left, self.right, self.ends = slice(0, -1), slice(1, None), slice(-1, None)
+        else:
+            counts = np.diff(offsets)
+            self.left = np.arange(offsets[-1]) + np.repeat(np.arange(counts.size), counts)
+            self.right = self.left + 1
+            self.ends = offsets[1:] + np.arange(counts.size)
+
+    @classmethod
+    def from_intervals(cls, lo, hi, bounds) -> "GridBatch":
+        """The grids whose cells are the intervals ``(lo, hi)`` of each function."""
+        grid = cls(np.empty(lo.size + bounds.size - 1), bounds)
+        grid.edges[grid.left] = lo
+        grid.edges[grid.right] = hi
+        return grid
+
+    def __len__(self) -> int:
+        return self.offsets.size - 1
+
+    @property
+    def n_cells(self) -> int:
+        return int(self.offsets[-1])
+
+    @property
+    def a(self) -> np.ndarray:
+        """Left edge of each cell."""
+        return self.edges[self.left]
+
+    @property
+    def b(self) -> np.ndarray:
+        """Right edge of each cell."""
+        return self.edges[self.right]
+
+    @property
+    def widths(self) -> np.ndarray:
+        return self.b - self.a
+
+
+class StepBatch:
+    """Several step functions: one :class:`GridBatch` and all cell values in turn.
+
+    A :class:`StepFunction` is a batch of one; the public numeric functions
+    accept either and answer a batch with one result per function.
+    """
+
+    __slots__ = ("grid", "values")
+
+    def __init__(self, grid: GridBatch, values: np.ndarray):
+        self.grid = grid
+        self.values = values
+
+    @classmethod
+    def of(cls, functions: Iterable[StepFunction]) -> "StepBatch":
+        functions = list(functions)
+        if not functions:
+            raise InvalidParameterError("a batch needs at least one function")
+        offsets = np.cumsum([0] + [f.grid.n_cells for f in functions])
+        return cls(GridBatch(np.concatenate([f.grid.edges for f in functions]), offsets),
+                   np.concatenate([f.values for f in functions]))
+
+    def __len__(self) -> int:
+        return len(self.grid)
+
+    def __getitem__(self, index: slice) -> "StepBatch":
+        """The functions ``start:stop`` as a batch of their own."""
+        start, stop, _ = index.indices(len(self))
+        lo, hi = self.grid.offsets[start], self.grid.offsets[stop]
+        return StepBatch(GridBatch(self.grid.edges[lo + start:hi + stop],
+                                   self.grid.offsets[start:stop + 1] - lo),
+                         self.values[lo:hi])
+
+    def __abs__(self) -> "StepBatch":
+        return StepBatch(self.grid, np.abs(self.values))
+
+    def groups(self, max_cells: int):
+        """Consecutive sub-batches of at most ``max_cells`` cells each; a
+        function larger than that forms a group of its own."""
+        counts = np.diff(self.grid.offsets).tolist()
+        start, cells = 0, 0
+        for k, n in enumerate(counts):
+            if k > start and cells + n > max_cells:
+                yield self[start:k]
+                start, cells = k, 0
+            cells += n
+        yield self[start:]
+
+
+class PolyBatch:
+    """Several piecewise polynomials (see :class:`PiecewisePoly`) in ragged
+    form: coefficients of shape ``(n_cells, 3)``, and one tail value and
+    slope per function."""
+
+    __slots__ = ("grid", "coeffs", "tail_value", "tail_slope")
+
+    def __init__(self, grid: GridBatch, coeffs: np.ndarray, tail_value: np.ndarray,
+                 tail_slope: np.ndarray):
+        self.grid = grid
+        self.coeffs = coeffs
+        self.tail_value = tail_value
+        self.tail_slope = tail_slope
+
+    def one(self, grid: Grid) -> PiecewisePoly:
+        """The single polynomial of a batch of one, on ``grid`` (its edges)."""
+        return PiecewisePoly(grid, self.coeffs, float(self.tail_value[0]),
+                             float(self.tail_slope[0]))
+
+
+def as_batch(x):
+    """``x`` as a batch: a :class:`StepFunction` or :class:`PiecewisePoly`
+    becomes a batch of one; a batch is returned as it is."""
+    if isinstance(x, (StepBatch, PolyBatch)):
+        return x
+    grid = GridBatch(x.grid.edges, np.array([0, x.grid.n_cells]))
+    if isinstance(x, StepFunction):
+        return StepBatch(grid, x.values)
+    return PolyBatch(grid, x.coeffs, np.array([x.tail_value]), np.array([x.tail_slope]))
+
+
+def _rows(x: np.ndarray, offsets: np.ndarray, fill: float):
+    """Ragged ``x`` (function ``k`` owns ``x[offsets[k]:offsets[k + 1]]``) as a
+    matrix with one row per function, padded at the end with ``fill``, and
+    the mask of its real entries."""
+    counts = np.diff(offsets)
+    mask = np.arange(counts.max()) < counts[:, None]
+    rows = np.full(mask.shape, fill)
+    rows[mask] = x
+    return rows, mask
+
+
+def _running_sum(x: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Each function's ``[0, x_0, x_0 + x_1, ...]``, concatenated.
+
+    The sums run along padded rows, so each restarts at its function and
+    adds in the same order as for that function alone (a single function is
+    its own row).
+    """
+    if offsets.size == 2:
+        return np.concatenate(([0.0], np.cumsum(x)))
+    rows, mask = _rows(x, offsets, 0.0)
+    out = np.zeros((rows.shape[0], rows.shape[1] + 1))
+    np.cumsum(rows, axis=1, out=out[:, 1:])
+    return out[np.column_stack((np.ones(mask.shape[0], dtype=bool), mask))]
+
+
+def _running_max(x: np.ndarray, offsets: np.ndarray, reverse: bool = False) -> np.ndarray:
+    """Each function's running maximum of ``x``, from its start or (reverse)
+    from its end."""
+    if offsets.size == 2:
+        return np.maximum.accumulate(x[::-1])[::-1] if reverse else np.maximum.accumulate(x)
+    rows, mask = _rows(x, offsets, -np.inf)
+    if reverse:
+        rows = np.maximum.accumulate(rows[:, ::-1], axis=1)[:, ::-1]
+    else:
+        rows = np.maximum.accumulate(rows, axis=1)
+    return rows[mask]
+
+
 def make_graded_grid(R: float, n_cells: int, grading: str = "uniform",
                      r_min: float | None = None) -> Grid:
     """Partition ``[0, R]`` into ``n_cells`` cells.
@@ -234,24 +396,33 @@ def make_graded_grid(R: float, n_cells: int, grading: str = "uniform",
     return Grid(edges)
 
 
-def p_norm(f: StepFunction, p: float) -> float:
-    """``\\int_0^\\infty |f|^p dr`` — the p-th power mass, exact for step functions."""
+def _in_double_range(fn):
+    """Run ``fn`` with numpy overflow raising, and report any overflow as a
+    :class:`DoubleRangeError` instead of a warning followed by inf or by a
+    raw ``OverflowError``."""
+    @wraps(fn)
+    def wrapper(*args, **kwargs):
+        try:
+            with np.errstate(over="raise"):
+                return fn(*args, **kwargs)
+        except (FloatingPointError, OverflowError):
+            raise DoubleRangeError(
+                "values leave the double-precision range (overflow); rescale the input"
+            ) from None
+    return wrapper
+
+
+@_in_double_range
+def p_norm(f, p: float):
+    """``\\int_0^\\infty |f|^p dr`` — the p-th power mass, exact for step functions.
+
+    A float for one function, a list with one float per function for a
+    :class:`StepBatch`.
+    """
     p = check_exponent(p)
-    terms = np.abs(f.values) ** p * f.grid.widths
-    return math.fsum(terms.tolist())
-
-
-# --------------------------------------------------------------------------
-# Weighted p-th power quadrature
-# --------------------------------------------------------------------------
-
-
-@lru_cache(maxsize=None)
-def _gauss_legendre(order: int):
-    x, w = np.polynomial.legendre.leggauss(order)
-    x.flags.writeable = False
-    w.flags.writeable = False
-    return x, w
+    batch = as_batch(f)
+    out = _fsums((np.abs(batch.values) ** p * batch.grid.widths).tolist(), batch.grid.offsets)
+    return out if batch is f else out[0]
 
 
 def _sorted_unique(values: np.ndarray) -> np.ndarray:
@@ -264,173 +435,11 @@ def _sorted_unique(values: np.ndarray) -> np.ndarray:
     return values[np.concatenate(([True], values[1:] != values[:-1]))]
 
 
-def _cell_cuts(edges: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """Sorted cut array: the grid edges plus every point strictly inside its cell.
+def _fsums(terms: list[float], bounds: np.ndarray) -> list[float]:
+    """Each function's ``fsum`` of its own terms ``terms[bounds[k]:bounds[k + 1]]``."""
+    b = bounds.tolist()
+    return [math.fsum(terms[s:e]) for s, e in zip(b[:-1], b[1:])]
 
-    ``points`` holds candidate breakpoints with one column per cell (shape
-    ``(k, n_cells)`` or ``(n_cells,)``); points outside their cell, inf and
-    NaN are dropped.  A kept point lies strictly inside its own cell, so one
-    sort over the whole grid gives every cell's cuts, in order.
-    """
-    a, b = edges[:-1], edges[1:]
-    return _sorted_unique(np.concatenate((edges, points[(a < points) & (points < b)])))
-
-
-def _cap_interval_ratio(cuts: np.ndarray) -> np.ndarray:
-    """Insert geometric points so no interval has hi/lo > 2 (for lo > 0).
-
-    Gauss-Legendre accuracy on an interval near the r = 0 singularity is
-    governed by hi/lo; capping the ratio keeps every interval spectrally
-    resolved regardless of how coarse the caller's grid is.  Each interval
-    ``(lo, hi)`` gains the points ``lo * 2^j`` (j = 1, 2, ...) below
-    ``hi * (1 - 1e-12)``.  Doubling is exact, and the number of points is
-    read off the binary exponents: ``log2(hi / lo)`` would overflow for
-    ``lo`` below about 1e-308.
-    """
-    lo, hi = cuts[:-1], cuts[1:]
-    m_lo, e_lo = np.frexp(lo)
-    m_thr, e_thr = np.frexp(hi * (1.0 - 1e-12))
-    # lo * 2^j < thr  <=>  e_lo + j < e_thr, or e_lo + j == e_thr and m_lo < m_thr
-    k = np.where(lo > 0.0, np.maximum(e_thr - e_lo - (m_lo >= m_thr), 0), 0)
-    reps = k + 1
-    interval = np.repeat(np.arange(lo.size), reps)
-    j = np.arange(interval.size) - np.repeat(np.cumsum(reps) - reps, reps)
-    out = hi[interval]
-    inserted = j < k[interval]
-    out[inserted] = np.ldexp(lo[interval[inserted]], j[inserted] + 1)
-    return np.concatenate((cuts[:1], out))
-
-
-def _cell_intervals(P: PiecewisePoly, alpha: float):
-    """Quadrature intervals (lo, hi, x0, coefs) covering (0, r_n].
-
-    Cells are split at interior roots of P (kinks of |P|^p), the first cell
-    is refined geometrically towards the origin when alpha < 0, and interval
-    edge ratios are capped near the singularity.  The roots of all cells
-    are computed at once; each interval then finds its cell with one
-    ``searchsorted``.
-    """
-    edges = P.grid.edges
-    c0, c1, c2 = P.coeffs.T
-    # Real roots of c0 + c1 t + c2 t^2 in the numerically stable form.  No
-    # root (c1 = c2 = 0, or a negative discriminant) and a division by a
-    # zero q come out as inf or NaN, which never lie strictly inside a cell.
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        sq = np.sqrt(c1 * c1 - 4.0 * c2 * c0)
-        q = -0.5 * (c1 + np.where(c1 != 0.0, np.copysign(sq, c1), sq))
-        linear = c2 == 0.0
-        roots = edges[:-1] + np.stack((np.where(linear, -c0 / c1, q / c2),
-                                       np.where(linear, np.nan, c0 / q)))
-    cuts = _cell_cuts(edges, roots)
-    if alpha < 0.0:
-        # geometric refinement of the leading piece towards r = 0
-        sub = cuts[1] * 2.0 ** np.arange(-(_ORIGIN_SUBCELLS - 1), 1.0)
-        cuts = _cap_interval_ratio(np.concatenate(([0.0], sub, cuts[2:])))
-    lo, hi = cuts[:-1], cuts[1:]
-    cell = np.searchsorted(edges, lo, side="right") - 1
-    return lo, hi, edges[cell], P.coeffs[cell]
-
-
-def _integrate_intervals(lo, hi, x0, coefs, alpha: float, p: float, order: int) -> float:
-    x, w = _gauss_legendre(order)
-    half = 0.5 * (hi - lo)
-    mid = 0.5 * (hi + lo)
-    r = mid[:, None] + half[:, None] * x[None, :]
-    loc = r - x0[:, None]
-    vals = coefs[:, 0, None] + loc * (coefs[:, 1, None] + loc * coefs[:, 2, None])
-    # fused form: r^alpha |P|^p == (|P| * r^(alpha/p))^p, safe far below r = 1
-    t = np.abs(vals) * r ** (alpha / p)
-    contrib = (t ** p) @ w * half
-    return math.fsum(contrib.tolist())
-
-
-def _tail_integral(R: float, t0: float, t1: float, alpha: float, p: float,
-                   order: int) -> float:
-    """``\\int_R^\\infty r^alpha |t0 + t1 (r - R)|^p dr`` (closed tail)."""
-    if t0 == 0.0 and t1 == 0.0:
-        return 0.0
-    deg = 1 if t1 != 0.0 else 0
-    if alpha + p * deg >= -1.0:
-        raise DivergentIntegralError(
-            f"tail integrand decays like r^{alpha + p * deg:g}, not integrable near infinity"
-        )
-    if t1 == 0.0:
-        return abs(t0) ** p * R ** (alpha + 1.0) / (-(alpha + 1.0))
-    # substitute u = R / r:  integral = R^(alpha+1) *
-    #   \int_0^1 u^(-alpha-p-2) |t0 u + t1 R (1-u)|^p du
-    beta = -alpha - p - 2.0
-    cuts = np.concatenate([[0.0], 2.0 ** np.arange(-(_ORIGIN_SUBCELLS - 1), 1.0)])
-    lin0 = t1 * R              # affine integrand factor: lin0 + (t0 - lin0) * u
-    lin1 = t0 - lin0
-    if lin1 != 0.0:
-        u_root = -lin0 / lin1
-        if 0.0 < u_root < 1.0:
-            cuts = _sorted_unique(np.concatenate([cuts, [u_root]]))
-    x, w = _gauss_legendre(order)
-    lo = cuts[:-1]
-    hi = cuts[1:]
-    half = 0.5 * (hi - lo)
-    mid = 0.5 * (hi + lo)
-    u = mid[:, None] + half[:, None] * x[None, :]
-    t = np.abs(lin0 + lin1 * u) * u ** (beta / p)
-    contrib = (t ** p) @ w * half
-    return R ** (alpha + 1.0) * math.fsum(contrib.tolist())
-
-
-def _check_origin_convergence(P: PiecewisePoly, alpha: float, p: float) -> None:
-    c0, c1, c2 = (float(c) for c in P.coeffs[0])
-    if c0 != 0.0:
-        vanishing = 0
-    elif c1 != 0.0:
-        vanishing = 1
-    elif c2 != 0.0:
-        vanishing = 2
-    else:
-        return  # P vanishes identically near the origin
-    if alpha + p * vanishing <= -1.0:
-        raise DivergentIntegralError(
-            f"integrand behaves like r^{alpha + p * vanishing:g} near 0, not integrable"
-        )
-
-
-def _estimate(fine: float, coarse: float) -> float:
-    """Error indicator: fine against coarse value, floored at 32 ulps of both."""
-    return abs(fine - coarse) + 32.0 * _EPS * (abs(fine) + abs(coarse))
-
-
-def _quad_value(P: PiecewisePoly, intervals, alpha: float, p: float, order: int) -> float:
-    body = _integrate_intervals(*intervals, alpha, p, order)
-    tail = _tail_integral(P.grid.support_end, P.tail_value, P.tail_slope, alpha, p, order)
-    total = body + tail
-    if not math.isfinite(total):
-        raise DivergentIntegralError("quadrature produced a non-finite value")
-    return total
-
-
-def integrate_weighted_power(P: PiecewisePoly, alpha: float, p: float,
-                             quad_order: int = DEFAULT_QUAD_ORDER, *,
-                             return_estimate: bool = False):
-    """``\\int_0^\\infty r^alpha |P(r)|^p dr``.
-
-    Divergence at either end raises :class:`DivergentIntegralError`.  With
-    ``return_estimate=True`` the result is a pair ``(value, estimate)`` where
-    ``estimate`` compares the value against a half-order recomputation; it is
-    an observed error indicator, not a rigorous bound.
-    """
-    p = check_exponent(p)
-    alpha = float(alpha)
-    if not math.isfinite(alpha):
-        raise InvalidParameterError(f"weight exponent must be finite, got {alpha}")
-    quad_order = int(quad_order)
-    if quad_order < 2:
-        raise InvalidParameterError(f"quadrature order must be >= 2, got {quad_order}")
-    _check_origin_convergence(P, alpha, p)
-    intervals = _cell_intervals(P, alpha)
-    value = _quad_value(P, intervals, alpha, p, quad_order)
-    if not return_estimate:
-        return value
-    coarse = _quad_value(P, intervals, alpha, p, max(2, quad_order // 2))
-    return value, _estimate(value, coarse)
 
 
 # --------------------------------------------------------------------------
@@ -444,10 +453,8 @@ def write_step_csv(f: StepFunction, path) -> None:
 
 
 def step_csv_text(f: StepFunction) -> str:
-    lines = ["edge,value", "0,"]
-    for e, v in zip(f.grid.edges[1:], f.values):
-        lines.append(f"{e:.17g},{v:.17g}")
-    return "\n".join(lines) + "\n"
+    rows = map("{:.17g},{:.17g}\n".format, f.grid.edges[1:].tolist(), f.values.tolist())
+    return "edge,value\n0,\n" + "".join(rows)
 
 
 def read_step_csv(path) -> StepFunction:

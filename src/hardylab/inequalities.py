@@ -27,15 +27,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import wraps
 from typing import Callable
 
 import numpy as np
 
 from .config import default_tolerance
-from .errors import DivergentIntegralError, InvalidParameterError, ZeroDenominatorError
-from .grid import (DEFAULT_QUAD_ORDER, StepFunction, check_exponent,
-                   integrate_weighted_power, p_norm)
-from .grid import _cap_interval_ratio, _cell_cuts, _estimate, _gauss_legendre  # shared helpers
+from .errors import (DivergentIntegralError, HardyLabError, InvalidParameterError,
+                     ZeroDenominatorError)
+from .grid import StepBatch, StepFunction, _in_double_range, as_batch, check_exponent, p_norm
+from .quadrature import DEFAULT_QUAD_ORDER, integrate_weighted_power
+from .quadrature import (_cap_interval_ratio, _estimate, _gauss_legendre, _quadrature,  # shared
+                         _split_cells)
 from .operators import cumulative, double_cumulative, inner_cumulative, supmin_branches
 from .rearrange import decreasing_rearrangement
 
@@ -45,6 +48,10 @@ SHARP_KINDS = ("hardy", "new_hardy", "hardy_rellich_int", "rellich_p", "rellich_
 # forms are reported under their own names but share the sharp constant 4)
 REPORT_KINDS = ("hardy", "new_hardy", "hardy_rellich_int", "improved_hardy_rellich",
                 "rellich_p", "rellich_chain")
+
+# A batch is evaluated in groups of consecutive functions holding at most this
+# many cells: larger groups save little time and hold more memory.
+MAX_GROUP_CELLS = 1024
 
 
 def sharp_constant(kind: str, p: float) -> float:
@@ -121,29 +128,65 @@ class RatioReport:
         return msgs
 
 
-def _nonzero_mass(f: StepFunction, p: float) -> float:
+def _nonzero_mass(f: StepBatch, p: float) -> list[float]:
     den = p_norm(f, p)
-    if den <= 0.0:
+    if min(den) <= 0.0:
         raise ZeroDenominatorError("input function vanishes identically")
     return den
 
 
-def _build(kind: str, p: float, numerator: float, denominator: float, sharp: float,
-           quad_order: int, estimate: float, middle: float | None = None) -> RatioReport:
-    ratio = numerator / denominator
-    return RatioReport(kind=kind, p=float(p), numerator=float(numerator),
-                       middle=None if middle is None else float(middle),
-                       denominator=float(denominator), sharp=float(sharp),
-                       ratio=float(ratio), slack=float(sharp - ratio),
-                       quad_order=int(quad_order), refinement_estimate=float(estimate))
+def _build(kind: str, p: float, numerator: list, denominator: list, sharp: float,
+           quad_order: int, estimate: list, middle: list | None = None) -> list[RatioReport]:
+    reports = []
+    for k, (num, den, est) in enumerate(zip(numerator, denominator, estimate)):
+        ratio = num / den
+        reports.append(RatioReport(kind=kind, p=float(p), numerator=num,
+                                   middle=None if middle is None else middle[k],
+                                   denominator=den, sharp=float(sharp), ratio=ratio,
+                                   slack=float(sharp - ratio), quad_order=int(quad_order),
+                                   refinement_estimate=est))
+    return reports
+
+
+def _batched(evaluate):
+    """Let ``evaluate(batch, ...) -> list of reports`` take one function or a batch.
+
+    One :class:`StepFunction` is a batch of one and gets its report back.  A
+    :class:`StepBatch` is evaluated in groups of consecutive functions
+    holding at most ``MAX_GROUP_CELLS`` cells (a larger function forms a
+    group of its own) and gets a list of reports.  When a group fails, its
+    functions are evaluated one at a time, so the error raised is the one
+    the lowest-index failing function raises alone.
+    """
+    evaluate = _in_double_range(evaluate)
+
+    @wraps(evaluate)
+    def run(f, *args, **kwargs):
+        if not isinstance(f, StepBatch):
+            return evaluate(as_batch(f), *args, **kwargs)[0]
+        reports: list[RatioReport] = []
+        for group in f.groups(MAX_GROUP_CELLS):
+            try:
+                reports += evaluate(group, *args, **kwargs)
+            except HardyLabError:
+                if len(group) == 1:
+                    raise
+                for k in range(len(group)):
+                    reports += evaluate(group[k:k + 1], *args, **kwargs)
+        return reports
+    return run
 
 
 # --------------------------------------------------------------------------
 # Classical Hardy and the Rellich pair via the generic quadrature
 # --------------------------------------------------------------------------
+#
+# Each evaluator below takes one StepFunction (and returns its RatioReport)
+# or a StepBatch (and returns one report per function).
 
 
-def hardy_ratio(f: StepFunction, p: float, quad_order: int = DEFAULT_QUAD_ORDER) -> RatioReport:
+@_batched
+def hardy_ratio(f, p: float, quad_order: int = DEFAULT_QUAD_ORDER):
     """``\\int |F(r)/r|^p dr`` against ``(p/(p-1))^p \\int |f|^p dr``."""
     p = check_exponent(p)
     den = _nonzero_mass(f, p)
@@ -151,8 +194,8 @@ def hardy_ratio(f: StepFunction, p: float, quad_order: int = DEFAULT_QUAD_ORDER)
     return _build("hardy", p, num, den, sharp_constant("hardy", p), quad_order, est)
 
 
-def hardy_rellich_int_ratio(gprime: StepFunction,
-                            quad_order: int = DEFAULT_QUAD_ORDER) -> RatioReport:
+@_batched
+def hardy_rellich_int_ratio(gprime, quad_order: int = DEFAULT_QUAD_ORDER):
     """The p = 2 Hardy bound read as a second-order inequality (sharp 4)."""
     den = _nonzero_mass(gprime, 2.0)
     num, est = integrate_weighted_power(cumulative(gprime), -2.0, 2.0, quad_order,
@@ -160,8 +203,8 @@ def hardy_rellich_int_ratio(gprime: StepFunction,
     return _build("hardy_rellich_int", 2.0, num, den, 4.0, quad_order, est)
 
 
-def rellich_p_ratio(f: StepFunction, p: float,
-                    quad_order: int = DEFAULT_QUAD_ORDER) -> RatioReport:
+@_batched
+def rellich_p_ratio(f, p: float, quad_order: int = DEFAULT_QUAD_ORDER):
     """``\\int r^{-2p} D(r)^p dr`` against its sharp multiple of ``\\int |f|^p``."""
     p = check_exponent(p)
     den = _nonzero_mass(f, p)
@@ -170,8 +213,8 @@ def rellich_p_ratio(f: StepFunction, p: float,
     return _build("rellich_p", p, num, den, sharp_constant("rellich_p", p), quad_order, est)
 
 
-def rellich_chain(f: StepFunction, p: float,
-                  quad_order: int = DEFAULT_QUAD_ORDER) -> RatioReport:
+@_batched
+def rellich_chain(f, p: float, quad_order: int = DEFAULT_QUAD_ORDER):
     """Rellich bound with the intermediate sup-min term reported as ``middle``.
 
     numerator = ``\\int r^{-2p} D(r)^p`` with ``D`` the double cumulative of
@@ -187,7 +230,7 @@ def rellich_chain(f: StepFunction, p: float,
     G = inner_cumulative(absf)
     mid, est_mid = integrate_weighted_power(G, -2.0 * p, p, quad_order, return_estimate=True)
     return _build("rellich_chain", p, num, den, sharp_constant("rellich_chain", p),
-                  quad_order, est_num + est_mid, middle=mid)
+                  quad_order, [a + b for a, b in zip(est_num, est_mid)], middle=mid)
 
 
 # --------------------------------------------------------------------------
@@ -195,22 +238,23 @@ def rellich_chain(f: StepFunction, p: float,
 # --------------------------------------------------------------------------
 
 
-def _supmin_rows(f: StepFunction):
+def _supmin_rows(f):
     """Quadrature intervals on which the sup-min integrand is smooth.
 
     Within cell ``i`` the transform is ``max(prefix/r, |F(r)|/r, suffix)``;
     cells are split wherever two branches cross or ``F`` changes sign, so
     every interval carries a single analytic formula.  The breakpoint
     formulas are evaluated for all cells at once and those strictly inside
-    their cell join the edges in one capped cut array.  Returns the interval
-    arrays together with the global peak of ``|F|`` (tail coefficient) and
-    ``F(r_n)``.
+    their cell split it; interval ratios are then capped.  Returns the
+    interval arrays, the per-function interval offsets, and per function the
+    global peak of ``|F|`` (tail coefficient) and ``F(r_n)``.
     """
+    f = as_batch(f)
     F_edges, prefix, suffix = supmin_branches(f)
-    edges = f.grid.edges
-    a = edges[:-1]
-    u, v, mp, sb = F_edges[:-1], f.values, prefix[:-1], suffix
-    # a division by zero gives inf or NaN, which _cell_cuts drops
+    grid = f.grid
+    a = grid.a
+    u, v, mp, sb = F_edges[grid.left], f.values, prefix[grid.left], suffix
+    # a division by zero gives inf or NaN, which _split_cells drops
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         cand = np.stack((
             a - u / v,                      # zero of F: kink of |F|
@@ -221,53 +265,61 @@ def _supmin_rows(f: StepFunction):
             (v * a - u) / (v - -sb),
         ))
     cand[3:, sb <= 0.0] = np.nan  # no future branch to meet
-    cuts = _cap_interval_ratio(_cell_cuts(edges, cand))
-    lo, hi = cuts[:-1], cuts[1:]
-    cell = np.searchsorted(edges, lo, side="right") - 1
+    lo, hi, cell, bounds = _cap_interval_ratio(*_split_cells(a, grid.b, grid.offsets, cand))
     rows = (lo, hi, a[cell], u[cell], v[cell], mp[cell], sb[cell])
-    return rows, float(prefix[-1]), float(F_edges[-1])
+    return rows, bounds, prefix[grid.ends].tolist(), F_edges[grid.ends].tolist()
 
 
-def _supmin_integrals(rows, peak: float, F_end: float, R: float, p: float,
-                      order: int) -> tuple[float, float, float]:
-    """(sup-min, classical, max-form) p-th power integrals over ``(0, inf)``.
+def _supmin_integrals(rows, bounds, peak, F_end, R, p: float, orders):
+    """(sup-min, classical, max-form) p-th power integrals over ``(0, inf)``,
+    per function, for each rule in ``orders``.
 
     All three share nodes: sup-min integrates ``(M f)^p``, classical
     ``(|F|/r)^p``, and max-form the two-branch maximum of the corollary —
     the latter two bracket the same object, so sharing nodes makes their
     expected identities hold to rounding.
     """
-    lo, hi, a, u, v, mp, sb = rows
-    x, w = _gauss_legendre(order)
-    half = 0.5 * (hi - lo)
-    mid = 0.5 * (hi + lo)
-    r = mid[:, None] + half[:, None] * x[None, :]
-    absF = np.abs(u[:, None] + v[:, None] * (r - a[:, None]))
-    classic = absF / r
-    m = np.maximum(np.maximum(mp[:, None] / r, classic), sb[:, None])
-    branch1 = (np.maximum(mp[:, None], absF) / r) ** p
-    branch2 = np.maximum(classic, sb[:, None]) ** p
-    supmin_val = math.fsum(((m ** p) @ w * half).tolist())
-    classic_val = math.fsum(((classic ** p) @ w * half).tolist())
-    maxform_val = math.fsum((np.maximum(branch1, branch2) @ w * half).tolist())
+    def integrand(r, a, u, v, mp, sb):
+        # in place where possible: the matrices are the large arrays
+        absF = r - a[:, None]
+        absF *= v[:, None]
+        absF += u[:, None]
+        np.abs(absF, out=absF)                                  # |F(r)|
+        classic = absF / r
+        supmin = np.divide(mp[:, None], r)
+        np.maximum(supmin, classic, out=supmin)
+        np.maximum(supmin, sb[:, None], out=supmin)             # M f(r)
+        branch2 = np.maximum(classic, sb[:, None])
+        branch2 **= p
+        branch1 = np.maximum(absF, mp[:, None], out=absF)
+        branch1 /= r
+        branch1 **= p
+        return [np.power(supmin, p, out=supmin), np.power(classic, p, out=classic),
+                np.maximum(branch1, branch2, out=branch1)]
+
+    lo, hi, *columns = rows
+    sums = _quadrature(integrand, lo, hi, bounds, orders, *columns)
     # beyond the support M f(r) = peak / r and F is constant
-    tail_scale = R ** (1.0 - p) / (p - 1.0)
-    supmin_tail = peak ** p * tail_scale
-    return (supmin_val + supmin_tail,
-            classic_val + abs(F_end) ** p * tail_scale,
-            maxform_val + supmin_tail)
+    tails = []
+    for radius, top, end in zip(R, peak, F_end):
+        tail_scale = radius ** (1.0 - p) / (p - 1.0)
+        tails.append((top ** p * tail_scale, abs(end) ** p * tail_scale))
+    return [[(s + t[0], c + t[1], x + t[0]) for s, c, x, t in zip(supmin, classic, maxform, tails)]
+            for supmin, classic, maxform in zip(*sums)]
 
 
-def _supmin_with_estimate(f: StepFunction, p: float, order: int):
-    rows, peak, F_end = _supmin_rows(f)
-    R = f.grid.support_end
-    fine = _supmin_integrals(rows, peak, F_end, R, p, order)
-    coarse = _supmin_integrals(rows, peak, F_end, R, p, max(2, order // 2))
-    return fine, _estimate(fine[0], coarse[0])
+def _supmin_with_estimate(f: StepBatch, p: float, order: int):
+    """Per function: the fine (sup-min, classical, max-form) triple and the
+    sup-min error estimate."""
+    rows, bounds, peak, F_end = _supmin_rows(f)
+    R = f.grid.edges[f.grid.ends].tolist()
+    fine, coarse = _supmin_integrals(rows, bounds, peak, F_end, R, p,
+                                     (order, max(2, order // 2)))
+    return fine, [_estimate(a[0], b[0]) for a, b in zip(fine, coarse)]
 
 
-def new_hardy_ratio(f: StepFunction, p: float,
-                    quad_order: int = DEFAULT_QUAD_ORDER) -> RatioReport:
+@_batched
+def new_hardy_ratio(f, p: float, quad_order: int = DEFAULT_QUAD_ORDER):
     """Hardy with ``|F(r)|/r`` replaced by the sup-min transform.
 
     Same sharp constant; the classical numerator on the same nodes is
@@ -275,20 +327,30 @@ def new_hardy_ratio(f: StepFunction, p: float,
     """
     p = check_exponent(p)
     den = _nonzero_mass(f, p)
-    (num, classic, _), est = _supmin_with_estimate(f, p, int(quad_order))
+    fine, est = _supmin_with_estimate(f, p, int(quad_order))
+    num, classic, _ = zip(*fine)
     return _build("new_hardy", p, num, den, sharp_constant("new_hardy", p),
                   quad_order, est, middle=classic)
 
 
-def improved_hardy_rellich_ratio(gprime: StepFunction,
-                                 quad_order: int = DEFAULT_QUAD_ORDER) -> RatioReport:
+@_batched
+def improved_hardy_rellich_ratio(gprime, quad_order: int = DEFAULT_QUAD_ORDER):
     """The p = 2 sup-min strengthening of the second-order bound (sharp 4)."""
     den = _nonzero_mass(gprime, 2.0)
-    (num, classic, _), est = _supmin_with_estimate(gprime, 2.0, int(quad_order))
+    fine, est = _supmin_with_estimate(gprime, 2.0, int(quad_order))
+    num, classic, _ = zip(*fine)
     return _build("improved_hardy_rellich", 2.0, num, den, 4.0, quad_order, est,
                   middle=classic)
 
 
+def _supmin_integral(f: StepFunction, p: float, quad_order: int, which: int) -> float:
+    rows, bounds, peak, F_end = _supmin_rows(f)
+    ((values,),) = _supmin_integrals(rows, bounds, peak, F_end, [f.grid.support_end], p,
+                                     (int(quad_order),))
+    return values[which]
+
+
+@_in_double_range
 def weighted_supmin_check(f: StepFunction, p: float,
                           quad_order: int = DEFAULT_QUAD_ORDER) -> tuple[float, float]:
     """``\\int (M f)^p dr`` against ``\\int |F*(r)/r|^p dr`` (rearranged side).
@@ -296,13 +358,13 @@ def weighted_supmin_check(f: StepFunction, p: float,
     The rearranged side dominates; both sides are 0 for ``f = 0``.
     """
     p = check_exponent(p)
-    rows, peak, F_end = _supmin_rows(f)
-    lhs = _supmin_integrals(rows, peak, F_end, f.grid.support_end, p, int(quad_order))[0]
+    lhs = _supmin_integral(f, p, quad_order, 0)
     fstar = decreasing_rearrangement(f).step
     rhs = integrate_weighted_power(cumulative(fstar), -p, p, quad_order)
     return lhs, rhs
 
 
+@_in_double_range
 def corollary_int_check(f: StepFunction, p: float,
                         quad_order: int = DEFAULT_QUAD_ORDER) -> tuple[float, float]:
     """Two-branch max form of the improved Hardy bound.
@@ -311,9 +373,8 @@ def corollary_int_check(f: StepFunction, p: float,
     (equal to the new_hardy numerator), rhs = ``(p/(p-1))^p \\int |f|^p``.
     """
     p = check_exponent(p)
-    den = _nonzero_mass(f, p)
-    rows, peak, F_end = _supmin_rows(f)
-    lhs = _supmin_integrals(rows, peak, F_end, f.grid.support_end, p, int(quad_order))[2]
+    (den,) = _nonzero_mass(as_batch(f), p)
+    lhs = _supmin_integral(f, p, quad_order, 2)
     rhs = sharp_constant("hardy", p) * den
     return lhs, rhs
 
@@ -417,6 +478,7 @@ def _running_average_maxform_integral(f: StepFunction, p: float, order: int) -> 
     return math.fsum(total_parts) + tail
 
 
+@_in_double_range
 def corollary_avg_check(f: StepFunction, p: float,
                         quad_order: int = DEFAULT_QUAD_ORDER) -> tuple[float, float]:
     """Running-average max-form bound for functions supported away from 0.
@@ -443,9 +505,9 @@ def corollary_avg_check(f: StepFunction, p: float,
 # --------------------------------------------------------------------------
 
 
-def ratio_evaluator(kind: str, p: float,
-                    quad_order: int = DEFAULT_QUAD_ORDER) -> Callable[[StepFunction], RatioReport]:
-    """A ``StepFunction -> RatioReport`` closure for the requested kind."""
+def ratio_evaluator(kind: str, p: float, quad_order: int = DEFAULT_QUAD_ORDER) -> Callable:
+    """An evaluator for the requested kind: ``StepFunction -> RatioReport``,
+    and ``StepBatch -> list[RatioReport]`` with one report per function."""
     p = check_exponent(p)
     if kind in ("hardy_rellich_int", "improved_hardy_rellich") and p != 2.0:
         raise InvalidParameterError(f"{kind} is stated for p = 2 only, got p = {p}")

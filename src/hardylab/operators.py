@@ -21,29 +21,43 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InvalidParameterError
-from .grid import Grid, PiecewisePoly, StepFunction, check_exponent
-from .grid import _cell_cuts, _sorted_unique
+from .grid import Grid, GridBatch, PolyBatch, StepBatch, StepFunction, as_batch, check_exponent
+from .grid import _running_max, _running_sum, _sorted_unique
+from .quadrature import _split_cells
 
 
-def cumulative(f: StepFunction) -> PiecewisePoly:
-    """``F(r) = \\int_0^r f(t) dt``: piecewise affine, constant beyond r_n."""
-    v = f.values
-    w = f.grid.widths
-    left = np.concatenate([[0.0], np.cumsum(v * w)])
-    coeffs = np.column_stack([left[:-1], v, np.zeros_like(v)])
-    return PiecewisePoly(f.grid, coeffs, tail_value=float(left[-1]), tail_slope=0.0)
+def _columns(*cols) -> np.ndarray:
+    """Polynomial coefficients ``(c0, c1, c2)`` per cell; missing ones are 0."""
+    coeffs = np.zeros((cols[0].size, 3))
+    for k, col in enumerate(cols):
+        coeffs[:, k] = col
+    return coeffs
 
 
-def double_cumulative(f: StepFunction) -> PiecewisePoly:
+def cumulative(f):
+    """``F(r) = \\int_0^r f(t) dt``: piecewise affine, constant beyond r_n.
+
+    A :class:`PiecewisePoly` for one function, a :class:`PolyBatch` for a
+    :class:`StepBatch`.
+    """
+    batch = as_batch(f)
+    grid, v = batch.grid, batch.values
+    left = _running_sum(v * grid.widths, grid.offsets)
+    out = PolyBatch(grid, _columns(left[grid.left], v), left[grid.ends], np.zeros(len(grid)))
+    return out if batch is f else out.one(f.grid)
+
+
+def double_cumulative(f):
     """``D(r) = \\int_0^r \\int_0^t f``: piecewise quadratic, affine beyond r_n."""
-    v = f.values
-    w = f.grid.widths
-    F_left = np.concatenate([[0.0], np.cumsum(v * w)])
-    cell_area = F_left[:-1] * w + 0.5 * v * w * w
-    D_left = np.concatenate([[0.0], np.cumsum(cell_area)])
-    coeffs = np.column_stack([D_left[:-1], F_left[:-1], 0.5 * v])
-    return PiecewisePoly(f.grid, coeffs,
-                         tail_value=float(D_left[-1]), tail_slope=float(F_left[-1]))
+    batch = as_batch(f)
+    grid, v = batch.grid, batch.values
+    w = grid.widths
+    F_left = _running_sum(v * w, grid.offsets)
+    F_a = F_left[grid.left]
+    D_left = _running_sum(F_a * w + 0.5 * v * w * w, grid.offsets)
+    out = PolyBatch(grid, _columns(D_left[grid.left], F_a, 0.5 * v),
+                    D_left[grid.ends], F_left[grid.ends])
+    return out if batch is f else out.one(f.grid)
 
 
 def _check_radius(r: float) -> float:
@@ -130,30 +144,35 @@ def supmin_pointwise_identity_check(f: StepFunction, r: float, p: float) -> tupl
 # --------------------------------------------------------------------------
 
 
-def supmin_branches(f: StepFunction):
+def supmin_branches(f):
     """Per-cell data describing ``M f`` on cell ``i = 0..n-1``.
 
     Returns ``(F_edges, prefix, suffix)`` where ``F_edges[j] = F(edges[j])``,
-    ``prefix[i] = max_{j <= i} |F_edges[j]|`` and
+    ``prefix[j] = max_{l <= j} |F_edges[l]|`` and
     ``suffix[i] = max_{j >= i+1} |F_edges[j]| / edges[j]``.  On cell ``i``
     (radii ``edges[i] < r <= edges[i+1]``) the transform is
 
         ``M f(r) = max( prefix[i] / r, |F(r)| / r, suffix[i] )``
 
     — past peak, local value, or best future edge — and beyond the support
-    ``M f(r) = prefix[n] / r``.
+    ``M f(r) = prefix[n] / r``.  ``F`` at the edges is read off the running
+    sums of :func:`cumulative` (its constant coefficients and tail value).
+    For a :class:`StepBatch` the arrays run over all functions in turn, per
+    edge (``F_edges``, ``prefix``) or per cell (``suffix``).
     """
-    F = cumulative(f)
-    edges = f.grid.edges
-    F_edges = F.evaluate(edges)
+    batch = as_batch(f)
+    F = cumulative(batch)
+    grid = batch.grid
+    F_edges = np.empty(grid.edges.size)
+    F_edges[grid.left] = F.coeffs[:, 0]
+    F_edges[grid.ends] = F.tail_value
     absF = np.abs(F_edges)
-    prefix = np.maximum.accumulate(absF)
-    ratios = absF[1:] / edges[1:]
-    suffix = np.maximum.accumulate(ratios[::-1])[::-1]
+    prefix = _running_max(absF, grid.offsets + np.arange(len(grid) + 1))
+    suffix = _running_max(absF[grid.right] / grid.b, grid.offsets, reverse=True)
     return F_edges, prefix, suffix
 
 
-def inner_cumulative(f: StepFunction) -> PiecewisePoly:
+def inner_cumulative(f):
     """Exact ``G(r) = \\int_0^r rellich_inner(f, tau) dtau``.
 
     For the non-negative ``|f|`` the cumulative ``F`` is non-decreasing, so
@@ -161,26 +180,25 @@ def inner_cumulative(f: StepFunction) -> PiecewisePoly:
     — piecewise affine with at most one branch crossing per cell.  Crossing
     radii become extra grid edges, making the returned quadratic-piece
     polynomial exact; beyond the support the slope is the total mass of |f|.
-    All pieces are built at once; the running integral is a ``cumsum``,
+    All pieces are built at once; the running integral is a running sum,
     which adds in the same order as a loop over the pieces would.
     """
-    absf = abs(f)
+    absf = abs(as_batch(f))
     F_edges, _, suffix = supmin_branches(absf)
-    edges = absf.grid.edges
-    a, u, v = edges[:-1], F_edges[:-1], absf.values
-    # branch crossing; v == suffix gives inf or NaN, which _cell_cuts drops
+    grid = absf.grid
+    a, u, v = grid.a, F_edges[grid.left], absf.values
+    # branch crossing; v == suffix gives inf or NaN, which _split_cells drops
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         t = (v * a - u) / (v - suffix)
-    cuts = _cell_cuts(edges, t)
-    lo, hi = cuts[:-1], cuts[1:]
-    cell = np.searchsorted(edges, lo, side="right") - 1
+    lo, hi, cell, bounds = _split_cells(a, grid.b, grid.offsets, t)
     a, u, v, sb = a[cell], u[cell], v[cell], suffix[cell]
     mid = 0.5 * (lo + hi)
     local = u + v * (mid - a) >= sb * mid
     w0 = np.where(local, u + v * (lo - a), sb * lo)
     w1 = np.where(local, v, sb)
     width = hi - lo
-    g = np.cumsum(np.concatenate(([0.0], (w0 + 0.5 * w1 * width) * width)))
-    return PiecewisePoly(Grid(np.concatenate(([0.0], hi))),
-                         np.column_stack((g[:-1], w0, 0.5 * w1)),
-                         tail_value=g[-1], tail_slope=float(F_edges[-1]))
+    g = _running_sum((w0 + 0.5 * w1 * width) * width, bounds)
+    pieces = GridBatch.from_intervals(lo, hi, bounds)
+    out = PolyBatch(pieces, _columns(g[pieces.left], w0, 0.5 * w1),
+                    g[pieces.ends], F_edges[grid.ends])
+    return out if isinstance(f, StepBatch) else out.one(Grid(pieces.edges))

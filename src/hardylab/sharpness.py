@@ -24,9 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FitDegenerateError, InvalidParameterError
-from .grid import (DEFAULT_QUAD_ORDER, StepFunction, check_exponent,
-                   make_graded_grid)
-from .grid import _gauss_legendre
+from .grid import StepFunction, check_exponent, make_graded_grid
+from .quadrature import DEFAULT_QUAD_ORDER, _gauss_legendre
 from .inequalities import RatioReport, ratio_evaluator, sharp_constant
 
 CUTOFF_KINDS = ("quintic_smoothstep", "linear")

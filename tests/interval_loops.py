@@ -9,7 +9,8 @@ import math
 
 import numpy as np
 
-from hardylab.grid import _ORIGIN_SUBCELLS, Grid, PiecewisePoly
+from hardylab.grid import Grid, PiecewisePoly
+from hardylab.quadrature import _ORIGIN_SUBCELLS
 from hardylab.operators import supmin_branches
 
 
@@ -43,7 +44,7 @@ def cap_interval_ratio(cuts):
 
 
 def cell_intervals(P: PiecewisePoly, alpha: float):
-    """Loop form of ``grid._cell_intervals``: (lo, hi, x0, coefs)."""
+    """Loop form of ``quadrature._cell_intervals``: (lo, hi, x0, coefs)."""
     edges = P.grid.edges
     lo_list, hi_list, x0_list, coef_list = [], [], [], []
     for i in range(P.grid.n_cells):

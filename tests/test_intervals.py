@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 
 import interval_loops as loops
 from hardylab import PiecewisePoly, StepFunction, make_graded_grid, make_rng, random_step_function
-from hardylab.grid import _cap_interval_ratio, _cell_intervals, step_function
+from hardylab.grid import step_function
+from hardylab.quadrature import _cap_interval_ratio, _cell_intervals
 from hardylab.inequalities import _supmin_rows
 from hardylab.operators import cumulative, double_cumulative, inner_cumulative
 from hardylab.sharpness import (_MAXIMIZE_R_MIN, DEFAULT_EPS_LIST, DEFAULT_SWEEP_RESOLUTION,
@@ -35,17 +36,25 @@ def assert_same_poly(got, want):
     assert_identical((got.tail_value, got.tail_slope), (want.tail_value, want.tail_slope))
 
 
+def cell_intervals(P, alpha):
+    """``_cell_intervals`` on one polynomial: its four interval arrays."""
+    *intervals, bounds = _cell_intervals(P, alpha)
+    assert bounds.tolist() == [0, intervals[0].size]
+    return intervals
+
+
 def check_function(f, p=2.0):
     """Every builder on ``f`` at the weights the ratio kinds use."""
     for P, alpha in ((cumulative(f), -p), (double_cumulative(abs(f)), -2.0 * p)):
-        assert_identical(_cell_intervals(P, alpha), loops.cell_intervals(P, alpha))
+        assert_identical(cell_intervals(P, alpha), loops.cell_intervals(P, alpha))
     G = inner_cumulative(f)
     assert_same_poly(G, loops.inner_cumulative(f))
-    assert_identical(_cell_intervals(G, -2.0 * p), loops.cell_intervals(G, -2.0 * p))
-    rows, peak, F_end = _supmin_rows(f)
+    assert_identical(cell_intervals(G, -2.0 * p), loops.cell_intervals(G, -2.0 * p))
+    rows, bounds, peak, F_end = _supmin_rows(f)
     want_rows, want_peak, want_F_end = loops.supmin_rows(f)
     assert_identical(rows, want_rows)
-    assert (peak, F_end) == (want_peak, want_F_end)
+    assert bounds.tolist() == [0, rows[0].size]
+    assert (peak, F_end) == ([want_peak], [want_F_end])
 
 
 def test_random_functions_match_loops():
@@ -78,7 +87,7 @@ def test_random_polynomials_match_loops():
         coeffs = rng.normal(size=(n, 3)) * rng.choice([0.0, 1.0], size=(n, 3))
         P = PiecewisePoly(f.grid, coeffs)
         for alpha in (-2.0, 0.0):
-            assert_identical(_cell_intervals(P, alpha), loops.cell_intervals(P, alpha))
+            assert_identical(cell_intervals(P, alpha), loops.cell_intervals(P, alpha))
 
 
 @pytest.mark.parametrize("coeffs", [
@@ -91,7 +100,7 @@ def test_random_polynomials_match_loops():
 @pytest.mark.parametrize("alpha", [-3.0, 0.0, 1.5])
 def test_hand_cases_match_loops(coeffs, alpha):
     P = PiecewisePoly(step_function([0.0, 1.0, 2.0], [0.0, 0.0]).grid, coeffs)
-    assert_identical(_cell_intervals(P, alpha), loops.cell_intervals(P, alpha))
+    assert_identical(cell_intervals(P, alpha), loops.cell_intervals(P, alpha))
 
 
 @pytest.mark.parametrize("edges, values", [
@@ -113,7 +122,7 @@ def test_refinement_and_cap_only_for_negative_alpha():
     assert _cell_intervals(P, 0.0)[0].tolist() == [0.0, 1e-300]
     lo = _cell_intervals(P, -1.0)[0]
     assert lo.size == 16 + 997  # origin sub-cells, then doublings of 1e-300 up to 1
-    assert_identical(_cell_intervals(P, -1.0), loops.cell_intervals(P, -1.0))
+    assert_identical(cell_intervals(P, -1.0), loops.cell_intervals(P, -1.0))
 
 
 # edges from the smallest subnormal up to 1e300; log2(hi / lo) overflows here.
@@ -132,5 +141,12 @@ def test_property_cap_matches_loop(edges, origin):
     cuts = ([0.0] if origin else []) + sorted(edges)
     if len(cuts) < 2:
         cuts = [cuts[0], 2.0 * cuts[0] + 1.0]
-    got = _cap_interval_ratio(np.array(cuts))
+    c = np.array(cuts)
+    lo, hi, parent, bounds = _cap_interval_ratio(c[:-1], c[1:], np.arange(c.size - 1),
+                                                 np.array([0, c.size - 1]))
+    got = np.concatenate((c[:1], hi))
     assert_identical((got,), (np.array(loops.cap_interval_ratio(cuts)),))
+    assert_identical((lo[1:],), (hi[:-1],))
+    assert bounds.tolist() == [0, hi.size]
+    # every interval lies in the input interval it came from
+    assert np.all((c[:-1][parent] <= lo) & (hi <= c[1:][parent]))

@@ -308,3 +308,13 @@ def test_supmin_branches_reproduce_transform():
         for r in (1.5 * edges[-1], 4.0 * edges[-1]):
             direct = supmin_transform(f, float(r))
             assert abs(peak / r - direct) <= 1e-12 * max(1.0, direct)
+
+
+def test_supmin_branches_take_F_from_the_running_sums():
+    # F at the edges is cumulative's constant coefficients plus its tail
+    # value; it must equal evaluating F on its own edges
+    rng = make_rng(2025)
+    for _ in range(300):
+        f = random_step_function(rng)
+        F_edges, _, _ = supmin_branches(f)
+        assert np.array_equal(F_edges, cumulative(f).evaluate(f.grid.edges))
