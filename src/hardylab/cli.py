@@ -13,6 +13,7 @@ import hashlib
 import json
 import sys
 import traceback
+from dataclasses import fields
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -20,14 +21,13 @@ from .config import default_tolerance
 from .errors import HardyLabError, InvalidParameterError
 from .generator import make_rng, random_step_function
 from .grid import StepBatch, check_exponent, read_step_csv, step_csv_text, write_step_csv
-from .inequalities import REPORT_KINDS, ratio_evaluator
+from .inequalities import REPORT_KINDS, RatioReport, ratio_evaluator
 from .quadrature import DEFAULT_QUAD_ORDER
 from .rearrange import check_norm_preservation, decreasing_rearrangement
 from .sharpness import (CUTOFF_KINDS, DEFAULT_EPS_LIST, DEFAULT_SWEEP_RESOLUTION,
                         SWEEP_KINDS, CutoffSpec, ratio_maximize, sharpness_sweep)
 
-REPORT_FIELDS = ("kind", "p", "numerator", "middle", "denominator", "sharp",
-                 "ratio", "slack", "quad_order", "refinement_estimate")
+REPORT_FIELDS = tuple(field.name for field in fields(RatioReport))
 
 
 def _input_hash(f) -> str:

@@ -17,6 +17,7 @@ quadrature lives in :mod:`hardylab.quadrature`.
 Index
 -----
 check_exponent            validate a Lebesgue exponent ``1 < p < inf``
+check_quad_order          validate a Gauss-Legendre order ``>= 2``
 Grid, StepFunction        the basic data model
 PiecewisePoly             degree <= 2 pieces + affine tail, exact evaluation
 GridBatch, StepBatch, PolyBatch, as_batch   many functions in ragged form
@@ -47,6 +48,14 @@ def check_exponent(p: float) -> float:
     if not math.isfinite(p) or p <= 1.0:
         raise InvalidParameterError(f"exponent must satisfy 1 < p < inf, got {p}")
     return p
+
+
+def check_quad_order(order: int) -> int:
+    """Validate and return a Gauss-Legendre order (an integer ``>= 2``)."""
+    order = int(order)
+    if order < 2:
+        raise InvalidParameterError(f"quadrature order must be >= 2, got {order}")
+    return order
 
 
 def _frozen_array(values, dtype=float) -> np.ndarray:

@@ -17,6 +17,9 @@ rellich_p               ``\\int r^{-2p} D(r)^p  <=  sharp * \\int |f|^p``
 rellich_chain           rellich_p together with the intermediate term built
                         from ``rellich_inner``, reported as ``middle``
 
+Each kind is one row of :data:`KINDS` (numerator, sharp constant, p = 2
+restriction, sweep flag); the per-kind functions ``hardy_ratio`` ...
+``improved_hardy_rellich_ratio`` are shorthands for :func:`ratio_evaluator`.
 For ``new_hardy`` and ``improved_hardy_rellich`` the ``middle`` field
 carries the classical numerator on the same quadrature nodes (it is a lower
 bound for the improved one); for ``rellich_chain`` it is the intermediate
@@ -28,6 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import wraps
+from itertools import repeat
 from typing import Callable
 
 import numpy as np
@@ -35,37 +39,33 @@ import numpy as np
 from .config import default_tolerance
 from .errors import (DivergentIntegralError, HardyLabError, InvalidParameterError,
                      ZeroDenominatorError)
-from .grid import StepBatch, StepFunction, _in_double_range, as_batch, check_exponent, p_norm
+from .grid import (StepBatch, StepFunction, _in_double_range, as_batch, check_exponent,
+                   check_quad_order, p_norm)
 from .quadrature import DEFAULT_QUAD_ORDER, integrate_weighted_power
-from .quadrature import (_cap_interval_ratio, _estimate, _gauss_legendre, _quadrature,  # shared
-                         _split_cells)
+from .quadrature import _cap_interval_ratio, _estimate, _quadrature, _split_cells  # shared
 from .operators import cumulative, double_cumulative, inner_cumulative, supmin_branches
 from .rearrange import decreasing_rearrangement
-
-SHARP_KINDS = ("hardy", "new_hardy", "hardy_rellich_int", "rellich_p", "rellich_chain")
-
-# kinds accepted by ratio_evaluator / the CLI (the two p = 2 strengthened
-# forms are reported under their own names but share the sharp constant 4)
-REPORT_KINDS = ("hardy", "new_hardy", "hardy_rellich_int", "improved_hardy_rellich",
-                "rellich_p", "rellich_chain")
 
 # A batch is evaluated in groups of consecutive functions holding at most this
 # many cells: larger groups save little time and hold more memory.
 MAX_GROUP_CELLS = 1024
 
 
-def sharp_constant(kind: str, p: float) -> float:
-    """The sharp constant of the requested inequality kind."""
-    p = check_exponent(p)
-    if kind in ("hardy", "new_hardy"):
-        return (p / (p - 1.0)) ** p
-    if kind == "hardy_rellich_int":
-        if p != 2.0:
-            raise InvalidParameterError(f"hardy_rellich_int is stated for p = 2 only, got p = {p}")
-        return 4.0
-    if kind in ("rellich_p", "rellich_chain"):
-        return p ** (2.0 * p) / ((p - 1.0) ** p * (2.0 * p - 1.0) ** p)
-    raise InvalidParameterError(f"unknown inequality kind {kind!r}")
+@dataclass(frozen=True)
+class Kind:
+    """One inequality kind.
+
+    ``numerator(f, p, quad_order)`` takes a :class:`StepBatch` and returns,
+    per function, the numerator, the ``middle`` term (``None`` instead of
+    the list for the plain kinds) and the error estimate; ``sharp(p)`` is
+    the sharp constant.  ``p2_only`` kinds are stated for p = 2 only;
+    ``sweep`` kinds have a minimizing family for :mod:`hardylab.sharpness`.
+    """
+
+    numerator: Callable
+    sharp: Callable[[float], float]
+    p2_only: bool = False
+    sweep: bool = False
 
 
 @dataclass(frozen=True)
@@ -91,18 +91,7 @@ class RatioReport:
     refinement_estimate: float
 
     def to_json_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "p": self.p,
-            "numerator": self.numerator,
-            "middle": self.middle,
-            "denominator": self.denominator,
-            "sharp": self.sharp,
-            "ratio": self.ratio,
-            "slack": self.slack,
-            "quad_order": self.quad_order,
-            "refinement_estimate": self.refinement_estimate,
-        }
+        return dict(vars(self))
 
     def violations(self, tol: float | None = None) -> list[str]:
         """Contract violations at relative tolerance ``tol`` (default config)."""
@@ -135,19 +124,6 @@ def _nonzero_mass(f: StepBatch, p: float) -> list[float]:
     return den
 
 
-def _build(kind: str, p: float, numerator: list, denominator: list, sharp: float,
-           quad_order: int, estimate: list, middle: list | None = None) -> list[RatioReport]:
-    reports = []
-    for k, (num, den, est) in enumerate(zip(numerator, denominator, estimate)):
-        ratio = num / den
-        reports.append(RatioReport(kind=kind, p=float(p), numerator=num,
-                                   middle=None if middle is None else middle[k],
-                                   denominator=den, sharp=float(sharp), ratio=ratio,
-                                   slack=float(sharp - ratio), quad_order=int(quad_order),
-                                   refinement_estimate=est))
-    return reports
-
-
 def _batched(evaluate):
     """Let ``evaluate(batch, ...) -> list of reports`` take one function or a batch.
 
@@ -177,60 +153,131 @@ def _batched(evaluate):
     return run
 
 
-# --------------------------------------------------------------------------
-# Classical Hardy and the Rellich pair via the generic quadrature
-# --------------------------------------------------------------------------
-#
-# Each evaluator below takes one StepFunction (and returns its RatioReport)
-# or a StepBatch (and returns one report per function).
-
-
 @_batched
+def _evaluate(f: StepBatch, kind: str, p: float, quad_order: int) -> list[RatioReport]:
+    """The reports of ``kind`` for a batch (``p`` and ``quad_order`` already checked)."""
+    spec = KINDS[kind]
+    den = _nonzero_mass(f, p)
+    num, middle, est = spec.numerator(f, p, quad_order)
+    sharp = spec.sharp(p)
+    return [RatioReport(kind, p, n, m, d, sharp, n / d, sharp - n / d, quad_order, e)
+            for n, m, d, e in zip(num, middle or repeat(None), den, est)]
+
+
+# --------------------------------------------------------------------------
+# Numerators.  Each looks the transforms and integrate_weighted_power up as
+# module globals when called, so a wrapper set on this module sees the call.
+# --------------------------------------------------------------------------
+
+
+def _classical(f: StepBatch, p: float, quad_order: int):
+    """``\\int |F(r)/r|^p dr``: Hardy, and at p = 2 the second-order form for ``f = g'``."""
+    num, est = integrate_weighted_power(cumulative(f), -p, p, quad_order, return_estimate=True)
+    return num, None, est
+
+
+def _rellich(f: StepBatch, p: float, quad_order: int):
+    """``\\int r^{-2p} D(r)^p dr`` with ``D`` the double cumulative of ``|f|``."""
+    num, est = integrate_weighted_power(double_cumulative(abs(f)), -2.0 * p, p, quad_order,
+                                        return_estimate=True)
+    return num, None, est
+
+
+def _rellich_chain(f: StepBatch, p: float, quad_order: int):
+    """The Rellich numerator, and as ``middle`` ``\\int r^{-2p} G(r)^p dr`` where
+    ``G`` accumulates ``rellich_inner(f, .)`` exactly; the chain contract is
+    numerator <= middle <= sharp * denominator."""
+    num, _, est_num = _rellich(f, p, quad_order)
+    mid, est_mid = integrate_weighted_power(inner_cumulative(f), -2.0 * p, p, quad_order,
+                                            return_estimate=True)
+    return num, mid, [a + b for a, b in zip(est_num, est_mid)]
+
+
+def _supmin(f: StepBatch, p: float, quad_order: int):
+    """``\\int (M f)^p dr``, with the classical numerator on the same nodes
+    (always a lower bound) as ``middle``."""
+    fine, coarse = _supmin_integrals(f, p, (quad_order, max(2, quad_order // 2)))
+    num, classic, _ = zip(*fine)
+    return num, classic, [_estimate(a[0], b[0]) for a, b in zip(fine, coarse)]
+
+
+def _hardy_sharp(p: float) -> float:
+    return (p / (p - 1.0)) ** p
+
+
+def _rellich_sharp(p: float) -> float:
+    return p ** (2.0 * p) / ((p - 1.0) ** p * (2.0 * p - 1.0) ** p)
+
+
+KINDS = {
+    "hardy": Kind(_classical, _hardy_sharp, sweep=True),
+    "new_hardy": Kind(_supmin, _hardy_sharp, sweep=True),
+    "hardy_rellich_int": Kind(_classical, _hardy_sharp, p2_only=True, sweep=True),
+    "improved_hardy_rellich": Kind(_supmin, _hardy_sharp, p2_only=True),
+    "rellich_p": Kind(_rellich, _rellich_sharp),
+    "rellich_chain": Kind(_rellich_chain, _rellich_sharp, sweep=True),
+}
+
+# kinds accepted by ratio_evaluator / the CLI
+REPORT_KINDS = tuple(KINDS)
+
+
+def _kind(kind: str, p: float) -> Kind:
+    """The table row of ``kind``, checked against the exponent ``p``."""
+    if kind not in KINDS:
+        raise InvalidParameterError(f"unknown inequality kind {kind!r}")
+    if KINDS[kind].p2_only and p != 2.0:
+        raise InvalidParameterError(f"{kind} is stated for p = 2 only, got p = {p}")
+    return KINDS[kind]
+
+
+def sharp_constant(kind: str, p: float) -> float:
+    """The sharp constant of the requested inequality kind."""
+    p = check_exponent(p)
+    return _kind(kind, p).sharp(p)
+
+
+def ratio_evaluator(kind: str, p: float, quad_order: int = DEFAULT_QUAD_ORDER) -> Callable:
+    """An evaluator for the requested kind: ``StepFunction -> RatioReport``,
+    and ``StepBatch -> list[RatioReport]`` with one report per function."""
+    p = check_exponent(p)
+    quad_order = check_quad_order(quad_order)
+    _kind(kind, p)
+    return lambda f: _evaluate(f, kind, p, quad_order)
+
+
+# Shorthands: each takes one StepFunction (and returns its RatioReport) or a
+# StepBatch (and returns one report per function).
+
+
 def hardy_ratio(f, p: float, quad_order: int = DEFAULT_QUAD_ORDER):
     """``\\int |F(r)/r|^p dr`` against ``(p/(p-1))^p \\int |f|^p dr``."""
-    p = check_exponent(p)
-    den = _nonzero_mass(f, p)
-    num, est = integrate_weighted_power(cumulative(f), -p, p, quad_order, return_estimate=True)
-    return _build("hardy", p, num, den, sharp_constant("hardy", p), quad_order, est)
+    return ratio_evaluator("hardy", p, quad_order)(f)
 
 
-@_batched
+def new_hardy_ratio(f, p: float, quad_order: int = DEFAULT_QUAD_ORDER):
+    """Hardy with ``|F(r)|/r`` replaced by the sup-min transform (same sharp constant)."""
+    return ratio_evaluator("new_hardy", p, quad_order)(f)
+
+
 def hardy_rellich_int_ratio(gprime, quad_order: int = DEFAULT_QUAD_ORDER):
     """The p = 2 Hardy bound read as a second-order inequality (sharp 4)."""
-    den = _nonzero_mass(gprime, 2.0)
-    num, est = integrate_weighted_power(cumulative(gprime), -2.0, 2.0, quad_order,
-                                        return_estimate=True)
-    return _build("hardy_rellich_int", 2.0, num, den, 4.0, quad_order, est)
+    return ratio_evaluator("hardy_rellich_int", 2.0, quad_order)(gprime)
 
 
-@_batched
+def improved_hardy_rellich_ratio(gprime, quad_order: int = DEFAULT_QUAD_ORDER):
+    """The p = 2 sup-min strengthening of the second-order bound (sharp 4)."""
+    return ratio_evaluator("improved_hardy_rellich", 2.0, quad_order)(gprime)
+
+
 def rellich_p_ratio(f, p: float, quad_order: int = DEFAULT_QUAD_ORDER):
     """``\\int r^{-2p} D(r)^p dr`` against its sharp multiple of ``\\int |f|^p``."""
-    p = check_exponent(p)
-    den = _nonzero_mass(f, p)
-    D = double_cumulative(abs(f))
-    num, est = integrate_weighted_power(D, -2.0 * p, p, quad_order, return_estimate=True)
-    return _build("rellich_p", p, num, den, sharp_constant("rellich_p", p), quad_order, est)
+    return ratio_evaluator("rellich_p", p, quad_order)(f)
 
 
-@_batched
 def rellich_chain(f, p: float, quad_order: int = DEFAULT_QUAD_ORDER):
-    """Rellich bound with the intermediate sup-min term reported as ``middle``.
-
-    numerator = ``\\int r^{-2p} D(r)^p`` with ``D`` the double cumulative of
-    ``|f|``; middle = ``\\int r^{-2p} G(r)^p`` where ``G`` accumulates
-    ``rellich_inner(f, .)`` exactly; the chain contract is
-    numerator <= middle <= sharp * denominator.
-    """
-    p = check_exponent(p)
-    den = _nonzero_mass(f, p)
-    absf = abs(f)
-    D = double_cumulative(absf)
-    num, est_num = integrate_weighted_power(D, -2.0 * p, p, quad_order, return_estimate=True)
-    G = inner_cumulative(absf)
-    mid, est_mid = integrate_weighted_power(G, -2.0 * p, p, quad_order, return_estimate=True)
-    return _build("rellich_chain", p, num, den, sharp_constant("rellich_chain", p),
-                  quad_order, [a + b for a, b in zip(est_num, est_mid)], middle=mid)
+    """Rellich bound with the intermediate sup-min term reported as ``middle``."""
+    return ratio_evaluator("rellich_chain", p, quad_order)(f)
 
 
 # --------------------------------------------------------------------------
@@ -270,7 +317,7 @@ def _supmin_rows(f):
     return rows, bounds, prefix[grid.ends].tolist(), F_edges[grid.ends].tolist()
 
 
-def _supmin_integrals(rows, bounds, peak, F_end, R, p: float, orders):
+def _supmin_integrals(f, p: float, orders):
     """(sup-min, classical, max-form) p-th power integrals over ``(0, inf)``,
     per function, for each rule in ``orders``.
 
@@ -297,56 +344,20 @@ def _supmin_integrals(rows, bounds, peak, F_end, R, p: float, orders):
         return [np.power(supmin, p, out=supmin), np.power(classic, p, out=classic),
                 np.maximum(branch1, branch2, out=branch1)]
 
-    lo, hi, *columns = rows
+    f = as_batch(f)
+    (lo, hi, *columns), bounds, peak, F_end = _supmin_rows(f)
     sums = _quadrature(integrand, lo, hi, bounds, orders, *columns)
     # beyond the support M f(r) = peak / r and F is constant
     tails = []
-    for radius, top, end in zip(R, peak, F_end):
+    for radius, top, end in zip(f.grid.edges[f.grid.ends].tolist(), peak, F_end):
         tail_scale = radius ** (1.0 - p) / (p - 1.0)
         tails.append((top ** p * tail_scale, abs(end) ** p * tail_scale))
     return [[(s + t[0], c + t[1], x + t[0]) for s, c, x, t in zip(supmin, classic, maxform, tails)]
             for supmin, classic, maxform in zip(*sums)]
 
 
-def _supmin_with_estimate(f: StepBatch, p: float, order: int):
-    """Per function: the fine (sup-min, classical, max-form) triple and the
-    sup-min error estimate."""
-    rows, bounds, peak, F_end = _supmin_rows(f)
-    R = f.grid.edges[f.grid.ends].tolist()
-    fine, coarse = _supmin_integrals(rows, bounds, peak, F_end, R, p,
-                                     (order, max(2, order // 2)))
-    return fine, [_estimate(a[0], b[0]) for a, b in zip(fine, coarse)]
-
-
-@_batched
-def new_hardy_ratio(f, p: float, quad_order: int = DEFAULT_QUAD_ORDER):
-    """Hardy with ``|F(r)|/r`` replaced by the sup-min transform.
-
-    Same sharp constant; the classical numerator on the same nodes is
-    reported as ``middle`` (always a lower bound).
-    """
-    p = check_exponent(p)
-    den = _nonzero_mass(f, p)
-    fine, est = _supmin_with_estimate(f, p, int(quad_order))
-    num, classic, _ = zip(*fine)
-    return _build("new_hardy", p, num, den, sharp_constant("new_hardy", p),
-                  quad_order, est, middle=classic)
-
-
-@_batched
-def improved_hardy_rellich_ratio(gprime, quad_order: int = DEFAULT_QUAD_ORDER):
-    """The p = 2 sup-min strengthening of the second-order bound (sharp 4)."""
-    den = _nonzero_mass(gprime, 2.0)
-    fine, est = _supmin_with_estimate(gprime, 2.0, int(quad_order))
-    num, classic, _ = zip(*fine)
-    return _build("improved_hardy_rellich", 2.0, num, den, 4.0, quad_order, est,
-                  middle=classic)
-
-
 def _supmin_integral(f: StepFunction, p: float, quad_order: int, which: int) -> float:
-    rows, bounds, peak, F_end = _supmin_rows(f)
-    ((values,),) = _supmin_integrals(rows, bounds, peak, F_end, [f.grid.support_end], p,
-                                     (int(quad_order),))
+    ((values,),) = _supmin_integrals(f, p, (quad_order,))
     return values[which]
 
 
@@ -357,7 +368,7 @@ def weighted_supmin_check(f: StepFunction, p: float,
 
     The rearranged side dominates; both sides are 0 for ``f = 0``.
     """
-    p = check_exponent(p)
+    p, quad_order = check_exponent(p), check_quad_order(quad_order)
     lhs = _supmin_integral(f, p, quad_order, 0)
     fstar = decreasing_rearrangement(f).step
     rhs = integrate_weighted_power(cumulative(fstar), -p, p, quad_order)
@@ -372,7 +383,7 @@ def corollary_int_check(f: StepFunction, p: float,
     lhs = ``\\int max{ sup_{s<=r} |F(s)|^p / r^p, sup_{s>=r} |F(s)|^p / s^p } dr``
     (equal to the new_hardy numerator), rhs = ``(p/(p-1))^p \\int |f|^p``.
     """
-    p = check_exponent(p)
+    p, quad_order = check_exponent(p), check_quad_order(quad_order)
     (den,) = _nonzero_mass(as_batch(f), p)
     lhs = _supmin_integral(f, p, quad_order, 2)
     rhs = sharp_constant("hardy", p) * den
@@ -427,55 +438,43 @@ _AVG_SUBDIV = 8  # even subdivision per cell for the kinked integrand below
 def _running_average_maxform_integral(f: StepFunction, p: float, order: int) -> float:
     """``\\int max{ sup_{s<=r} |A(s)|^p / r^p, sup_{s>=r} |A(s)|^p / s^p } dr``
     with ``A(s) = F(s)/s`` the running average."""
-    edges = f.grid.edges
-    vals = f.values
-    n = f.grid.n_cells
-    F_edges = cumulative(f).evaluate(edges)
-    A_edges = np.zeros(n + 1)
-    A_edges[1:] = F_edges[1:] / edges[1:]
+    edges, v = f.grid.edges, f.values
+    a, b = edges[:-1], edges[1:]
+    F_edges = supmin_branches(f)[0]
+    u = F_edges[:-1]
+    A_edges = np.zeros(edges.size)
+    A_edges[1:] = F_edges[1:] / b
     prefixA = np.maximum.accumulate(np.abs(A_edges))
 
-    # per-cell sup of |A(s)| / s over the closure: A is monotone on each cell,
-    # but A/s may peak at the interior critical point of (v s + w)/s^2
-    def cell_peak(i: int, lo: float) -> float:
-        a, b = float(edges[i]), float(edges[i + 1])
-        u, v = float(F_edges[i]), float(vals[i])
-        wc = u - v * a
-        best = abs(A_edges[i + 1]) / b
-        if lo > 0.0:
-            best = max(best, abs(u + v * (lo - a)) / lo ** 2)
-        if v != 0.0:
-            s_star = -2.0 * wc / v
-            if lo < s_star < b:
-                best = max(best, abs(v * s_star + wc) / s_star ** 2)
-        return best
+    # per-cell sup T of |A(s)| / s over (a, b]: A is monotone on each cell, but
+    # A/s may peak at the interior critical point s_star of (v s + wc)/s^2.  The
+    # value at a is the previous cell's value at its right edge.
+    right = np.abs(A_edges[1:]) / b
+    wc = u - v * a
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        s_star = -2.0 * wc / v          # inf or NaN for v = 0: never inside a cell
+    inside = (a < s_star) & (s_star < b)
+    s_star = np.where(inside, s_star, -np.inf)
+    peak = np.zeros(a.size)
+    peak[inside] = np.abs(v[inside] * s_star[inside] + wc[inside]) / s_star[inside] ** 2
+    T = np.maximum(right, peak)
+    suffixT = np.append(np.maximum.accumulate(T[::-1])[::-1][1:], 0.0)
 
-    T = np.array([cell_peak(i, float(edges[i])) for i in range(n)])
-    suffixT = np.zeros(n + 1)
-    suffixT[:-1] = np.maximum.accumulate(T[::-1])[::-1]
+    def integrand(r, a, u, v, prefix, right, s_star, peak, suffix):
+        absA = np.abs(u[:, None] + v[:, None] * (r - a[:, None])) / r
+        b1 = (np.maximum(prefix[:, None], absA) / r) ** p
+        partial = np.maximum(absA / r, right[:, None])
+        partial = np.where(r < s_star[:, None], np.maximum(partial, peak[:, None]), partial)
+        b2 = np.maximum(partial, suffix[:, None]) ** p
+        return [np.maximum(b1, b2)]
 
-    x, wq = _gauss_legendre(order)
-    total_parts: list[float] = []
-    for i in range(n):
-        a, b = float(edges[i]), float(edges[i + 1])
-        u, v = float(F_edges[i]), float(vals[i])
-        wc = u - v * a
-        sub = np.linspace(a, b, _AVG_SUBDIV + 1)
-        half = 0.5 * np.diff(sub)
-        r = (0.5 * (sub[:-1] + sub[1:]))[:, None] + half[:, None] * x[None, :]
-        absA = np.abs(u + v * (r - a)) / r
-        b1 = (np.maximum(prefixA[i], absA) / r) ** p
-        partial = np.maximum(absA / r, abs(A_edges[i + 1]) / b)
-        if v != 0.0:
-            s_star = -2.0 * wc / v
-            if a < s_star < b:
-                peak = abs(v * s_star + wc) / s_star ** 2
-                partial = np.where(r < s_star, np.maximum(partial, peak), partial)
-        b2 = np.maximum(partial, suffixT[i + 1]) ** p
-        total_parts.append(float(np.maximum(b1, b2) @ wq @ half))
-    R = float(edges[-1])
-    tail = prefixA[-1] ** p * R ** (1.0 - p) / (p - 1.0)
-    return math.fsum(total_parts) + tail
+    sub = np.linspace(a, b, _AVG_SUBDIV + 1, axis=1)
+    cell = np.repeat(np.arange(a.size), _AVG_SUBDIV)
+    columns = (a, u, v, prefixA[:-1], right, s_star, peak, suffixT)
+    ((body,),) = _quadrature(integrand, sub[:, :-1].ravel(), sub[:, 1:].ravel(),
+                             np.array([0, cell.size]), (order,), *(c[cell] for c in columns))
+    tail = prefixA[-1] ** p * f.grid.support_end ** (1.0 - p) / (p - 1.0)
+    return body[0] + tail
 
 
 @_in_double_range
@@ -487,40 +486,14 @@ def corollary_avg_check(f: StepFunction, p: float,
     ``(p/(p-1))^p * 2^(p-1) * ( \\int r^-p |f|^p + \\int r^-2p \\int_0^r |f|^p )``,
     which is finite only when ``f`` vanishes on a neighbourhood of 0.
     """
-    p = check_exponent(p)
+    p, quad_order = check_exponent(p), check_quad_order(quad_order)
     if not np.any(f.values != 0.0):
         raise ZeroDenominatorError("input function vanishes identically")
     if f.values[0] != 0.0:
         raise DivergentIntegralError(
             "right-hand side diverges: f must vanish on the first cell (support away from 0)"
         )
-    lhs = _running_average_maxform_integral(f, p, int(quad_order))
+    lhs = _running_average_maxform_integral(f, p, quad_order)
     rhs = sharp_constant("hardy", p) * 2.0 ** (p - 1.0) * (
         _inverse_power_mass(f, p) + _mass_tail_integral(f, p))
     return lhs, rhs
-
-
-# --------------------------------------------------------------------------
-# Kind dispatch
-# --------------------------------------------------------------------------
-
-
-def ratio_evaluator(kind: str, p: float, quad_order: int = DEFAULT_QUAD_ORDER) -> Callable:
-    """An evaluator for the requested kind: ``StepFunction -> RatioReport``,
-    and ``StepBatch -> list[RatioReport]`` with one report per function."""
-    p = check_exponent(p)
-    if kind in ("hardy_rellich_int", "improved_hardy_rellich") and p != 2.0:
-        raise InvalidParameterError(f"{kind} is stated for p = 2 only, got p = {p}")
-    if kind == "hardy":
-        return lambda f: hardy_ratio(f, p, quad_order)
-    if kind == "new_hardy":
-        return lambda f: new_hardy_ratio(f, p, quad_order)
-    if kind == "hardy_rellich_int":
-        return lambda f: hardy_rellich_int_ratio(f, quad_order)
-    if kind == "improved_hardy_rellich":
-        return lambda f: improved_hardy_rellich_ratio(f, quad_order)
-    if kind == "rellich_p":
-        return lambda f: rellich_p_ratio(f, p, quad_order)
-    if kind == "rellich_chain":
-        return lambda f: rellich_chain(f, p, quad_order)
-    raise InvalidParameterError(f"unknown inequality kind {kind!r}")

@@ -25,7 +25,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DivergentIntegralError, InvalidParameterError
-from .grid import PolyBatch, _fsums, _in_double_range, as_batch, check_exponent
+from .grid import PolyBatch, _fsums, _in_double_range, as_batch, check_exponent, check_quad_order
 
 DEFAULT_QUAD_ORDER = 16
 
@@ -305,9 +305,7 @@ def integrate_weighted_power(P, alpha: float, p: float,
     alpha = float(alpha)
     if not math.isfinite(alpha):
         raise InvalidParameterError(f"weight exponent must be finite, got {alpha}")
-    quad_order = int(quad_order)
-    if quad_order < 2:
-        raise InvalidParameterError(f"quadrature order must be >= 2, got {quad_order}")
+    quad_order = check_quad_order(quad_order)
     batch = as_batch(P)
     _check_origin_convergence(batch, alpha, p)
     orders = (quad_order, max(2, quad_order // 2)) if return_estimate else (quad_order,)

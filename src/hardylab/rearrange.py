@@ -19,10 +19,9 @@ from .operators import cumulative
 
 @dataclass(frozen=True, eq=False)
 class RearrangedFunction:
-    """The rearrangement together with the function it came from."""
+    """A decreasing rearrangement, validated non-negative and non-increasing."""
 
     step: StepFunction
-    source: StepFunction
 
     def __post_init__(self) -> None:
         vals = self.step.values
@@ -38,7 +37,7 @@ def decreasing_rearrangement(f: StepFunction) -> RearrangedFunction:
     edges = np.concatenate([[0.0], np.cumsum(widths)])
     edges[-1] = f.grid.support_end
     step = StepFunction(Grid(edges), absvals[order])
-    return RearrangedFunction(step=step, source=f)
+    return RearrangedFunction(step=step)
 
 
 def check_norm_preservation(f: StepFunction, p: float) -> tuple[float, float]:

@@ -19,18 +19,18 @@ the extrapolation removes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .errors import FitDegenerateError, InvalidParameterError
 from .grid import StepFunction, check_exponent, make_graded_grid
 from .quadrature import DEFAULT_QUAD_ORDER, _gauss_legendre
-from .inequalities import RatioReport, ratio_evaluator, sharp_constant
+from .inequalities import KINDS, RatioReport, ratio_evaluator, sharp_constant
 
 CUTOFF_KINDS = ("quintic_smoothstep", "linear")
 
-SWEEP_KINDS = ("hardy", "new_hardy", "hardy_rellich_int", "rellich_chain")
+SWEEP_KINDS = tuple(kind for kind, spec in KINDS.items() if spec.sweep)
 
 DEFAULT_EPS_LIST = (0.2, 0.1, 0.05, 0.02, 0.01, 0.005)
 
@@ -142,18 +142,7 @@ class SweepResult:
             raise InvalidParameterError("sweep ratios must be finite")
 
     def to_json_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "p": self.p,
-            "points": [
-                {"eps": pt.eps, "ratio": pt.ratio, "numerator": pt.numerator,
-                 "denominator": pt.denominator}
-                for pt in self.points
-            ],
-            "limit": self.limit,
-            "sharp": self.sharp,
-            "relative_gap": self.relative_gap,
-        }
+        return asdict(self)
 
     def to_csv_text(self) -> str:
         lines = ["eps,ratio,numerator,denominator"]

@@ -123,6 +123,7 @@ def test_verify_writes_to_a_file(tmp_path):
     ("sweep", "--kind", "hardy_rellich_int", "--p", "3",
      "--eps", "0.2,0.1", "--resolution", "256"),
     ("sweep", "--kind", "hardy", "--p", "2", "--eps", "0.2,oops"),
+    ("verify", "--kind", "new_hardy", "--p", "2", "--count", "2", "--quad-order", "0"),
 ])
 def test_bad_parameters_exit_2(args):
     res = run_cli(*args)

@@ -1,10 +1,12 @@
 """Tests for the inequality ratio evaluators, sharp constants, and corollaries."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import hardylab.inequalities as inequalities
 from hardylab import (
     DivergentIntegralError,
     InvalidParameterError,
@@ -30,7 +32,7 @@ from hardylab import (
     weighted_supmin_check,
 )
 from hardylab.grid import Grid
-from hardylab.inequalities import REPORT_KINDS, SHARP_KINDS
+from hardylab.inequalities import KINDS, REPORT_KINDS
 
 INDICATOR = step_function([0.0, 1.0], [1.0])
 SHIFTED = step_function([0.0, 1.0, 2.0], [0.0, 1.0])
@@ -79,9 +81,10 @@ class TestSharpConstant:
             sharp_constant("hardy", 1.0)
         with pytest.raises(InvalidParameterError):
             sharp_constant("unknown", 2.0)
-        # the improved p=2 kind is reported by its evaluator, not this table
+        # every report kind has a sharp constant, the p = 2 ones at p = 2 only
+        assert sharp_constant("improved_hardy_rellich", 2.0) == 4.0
         with pytest.raises(InvalidParameterError):
-            sharp_constant("improved_hardy_rellich", 2.0)
+            sharp_constant("improved_hardy_rellich", 3.0)
 
 
 # ---------------------------------------------------------------------------
@@ -428,5 +431,88 @@ class TestRatioEvaluator:
         with pytest.raises(InvalidParameterError):
             ratio_evaluator("nope", 2.0)
 
-    def test_sharp_kinds_subset_of_report_kinds(self):
-        assert set(SHARP_KINDS) <= set(REPORT_KINDS)
+
+# ---------------------------------------------------------------------------
+# The kind table
+# ---------------------------------------------------------------------------
+
+# the public per-kind functions, called the way their signatures allow
+# (the p = 2 kinds take no p)
+SHORTHANDS = {
+    "hardy": lambda f, p, **kw: hardy_ratio(f, p, **kw),
+    "new_hardy": lambda f, p, **kw: new_hardy_ratio(f, p, **kw),
+    "hardy_rellich_int": lambda f, p, **kw: hardy_rellich_int_ratio(f, **kw),
+    "improved_hardy_rellich": lambda f, p, **kw: improved_hardy_rellich_ratio(f, **kw),
+    "rellich_p": lambda f, p, **kw: rellich_p_ratio(f, p, **kw),
+    "rellich_chain": lambda f, p, **kw: rellich_chain(f, p, **kw),
+}
+
+
+def kind_p_pairs():
+    for kind in REPORT_KINDS:
+        for p in ((2.0,) if KINDS[kind].p2_only else (1.5, 2.0, 3.0)):
+            yield kind, p
+
+
+class TestKindTable:
+    def test_shorthands_cover_the_table(self):
+        assert set(SHORTHANDS) == set(KINDS)
+
+    @pytest.mark.parametrize("kind,p", list(kind_p_pairs()))
+    def test_shorthand_equals_evaluator_bitwise(self, kind, p):
+        rng = make_rng(41)
+        evaluate = ratio_evaluator(kind, p)
+        for f in [random_step_function(rng) for _ in range(20)] + [INDICATOR, SHIFTED]:
+            # repr shows every float exactly, signed zeros included
+            assert repr(SHORTHANDS[kind](f, p)) == repr(evaluate(f))
+
+    @pytest.mark.parametrize("p2_kind,general_kind", [("hardy_rellich_int", "hardy"),
+                                                      ("improved_hardy_rellich", "new_hardy")])
+    def test_p2_kinds_are_their_general_kind_at_p2(self, p2_kind, general_kind):
+        rng = make_rng(43)
+        for f in [random_step_function(rng) for _ in range(20)] + [INDICATOR, SHIFTED]:
+            special = SHORTHANDS[p2_kind](f, 2.0)
+            general = SHORTHANDS[general_kind](f, 2.0)
+            assert special.kind == p2_kind
+            assert repr(replace(special, kind=general_kind)) == repr(general)
+
+    @pytest.mark.parametrize("kind", REPORT_KINDS)
+    def test_low_quad_orders_rejected(self, kind):
+        for order in (1, 0, -3):
+            with pytest.raises(InvalidParameterError):
+                ratio_evaluator(kind, 2.0, order)
+            with pytest.raises(InvalidParameterError):
+                SHORTHANDS[kind](SHIFTED, 2.0, quad_order=order)
+
+    def test_checks_reject_low_quad_orders(self):
+        for check in (weighted_supmin_check, corollary_int_check, corollary_avg_check):
+            for order in (1, 0, -3):
+                with pytest.raises(InvalidParameterError):
+                    check(SHIFTED, 2.0, order)
+
+    def test_globals_are_looked_up_at_call_time(self, monkeypatch):
+        """Every kind calls the transforms and quadrature through this module's
+        globals, which is where span tracing puts its wrappers."""
+        expected = {
+            "hardy": {"p_norm", "cumulative", "integrate_weighted_power"},
+            "hardy_rellich_int": {"p_norm", "cumulative", "integrate_weighted_power"},
+            "new_hardy": {"p_norm", "supmin_branches"},
+            "improved_hardy_rellich": {"p_norm", "supmin_branches"},
+            "rellich_p": {"p_norm", "double_cumulative", "integrate_weighted_power"},
+            "rellich_chain": {"p_norm", "double_cumulative", "inner_cumulative",
+                              "integrate_weighted_power"},
+        }
+        called: set[str] = set()
+
+        def recording(name, fn):
+            def wrapper(*args, **kwargs):
+                called.add(name)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in set().union(*expected.values()):
+            monkeypatch.setattr(inequalities, name, recording(name, getattr(inequalities, name)))
+        for kind, names in expected.items():
+            called.clear()
+            SHORTHANDS[kind](SHIFTED, 2.0)
+            assert called == names, kind

@@ -63,9 +63,9 @@ def test_stable_tie_breaking():
 def test_rearranged_invariants_enforced():
     source = step_function([0.0, 1.0, 2.0], [1.0, 2.0])
     with pytest.raises(InvalidParameterError):
-        RearrangedFunction(step=source, source=source)  # increasing values
+        RearrangedFunction(step=source)  # increasing values
     with pytest.raises(InvalidParameterError):
-        RearrangedFunction(step=step_function([0.0, 1.0], [-1.0]), source=source)
+        RearrangedFunction(step=step_function([0.0, 1.0], [-1.0]))
 
 
 def test_norm_preservation_examples():
