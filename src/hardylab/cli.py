@@ -17,7 +17,7 @@ from dataclasses import fields
 from datetime import datetime, timezone
 from pathlib import Path
 
-from .config import default_tolerance
+from .config import check_tolerance, default_tolerance
 from .errors import HardyLabError, InvalidParameterError
 from .generator import make_rng, random_step_function
 from .grid import StepBatch, check_exponent, read_step_csv, step_csv_text, write_step_csv
@@ -52,30 +52,31 @@ def build_parser() -> argparse.ArgumentParser:
                     "integral inequalities on step functions.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(cmd, kinds=None, kind_required=True):
-        if kinds is not None:
-            cmd.add_argument("--kind", choices=kinds, required=kind_required,
-                             help="inequality kind")
-            cmd.add_argument("--p", type=float, required=True, help="Lebesgue exponent (> 1)")
-        cmd.add_argument("--tol", type=float, default=None,
-                         help="relative tolerance (default: HARDYLAB_DEFAULT_TOL or 1e-6)")
+    def common(cmd, kinds, tol=True, fmt=True):
+        """The evaluating commands' flags; ``--tol``/``--format`` where they are read."""
+        cmd.add_argument("--kind", choices=kinds, required=True, help="inequality kind")
+        cmd.add_argument("--p", type=float, required=True, help="Lebesgue exponent (> 1)")
+        if tol:
+            cmd.add_argument("--tol", type=float, default=None,
+                             help="relative tolerance (default: HARDYLAB_DEFAULT_TOL or 1e-6)")
         cmd.add_argument("--quad-order", type=int, default=DEFAULT_QUAD_ORDER,
                          help="Gauss-Legendre order per interval")
         cmd.add_argument("--output", default=None, help="output file (default: stdout)")
-        cmd.add_argument("--format", choices=("json", "csv"), default="json",
-                         help="output format")
+        if fmt:
+            cmd.add_argument("--format", choices=("json", "csv"), default="json",
+                             help="output format")
         cmd.add_argument("--no-timestamp", action="store_true",
                          help="omit the timestamp field (byte-identical reruns)")
 
     verify = sub.add_parser("verify", help="evaluate one inequality on random or CSV input")
-    common(verify, kinds=REPORT_KINDS)
+    common(verify, REPORT_KINDS)
     verify.add_argument("--count", type=int, default=100, help="number of random cases")
     verify.add_argument("--seed", type=int, default=0, help="PRNG seed for the case stream")
     verify.add_argument("--input", default=None,
                         help="step-function CSV (overrides --count/--seed)")
 
     sweep = sub.add_parser("sweep", help="sharpness sweep with extrapolated limit")
-    common(sweep, kinds=SWEEP_KINDS)
+    common(sweep, SWEEP_KINDS, tol=False)
     sweep.add_argument("--eps", default=",".join(str(e) for e in DEFAULT_EPS_LIST),
                        help="comma-separated strictly decreasing eps values")
     sweep.add_argument("--resolution", type=int, default=DEFAULT_SWEEP_RESOLUTION,
@@ -86,13 +87,13 @@ def build_parser() -> argparse.ArgumentParser:
                        help="acceptable |limit - sharp| / sharp")
 
     rearrange = sub.add_parser("rearrange", help="decreasing rearrangement of a CSV function")
-    common(rearrange)
     rearrange.add_argument("--input", required=True, help="step-function CSV")
+    rearrange.add_argument("--output", default=None, help="output file (default: stdout)")
     rearrange.add_argument("--p", type=float, default=2.0,
                            help="exponent for the norm-preservation printout")
 
     maximize = sub.add_parser("maximize", help="coordinate-ascent probe of a sharp constant")
-    common(maximize, kinds=REPORT_KINDS)
+    common(maximize, REPORT_KINDS, fmt=False)
     maximize.add_argument("--cells", type=int, default=32, help="grid cells")
     maximize.add_argument("--seed", type=int, default=0, help="visit-order seed")
     maximize.add_argument("--iters", type=int, default=200, help="single-cell proposals")
@@ -115,7 +116,7 @@ def _violation_dump_path(output: str | None, index: int) -> Path:
 
 
 def cmd_verify(args) -> int:
-    tol = args.tol if args.tol is not None else default_tolerance()
+    tol = default_tolerance() if args.tol is None else check_tolerance(args.tol, "--tol")
     evaluator = ratio_evaluator(args.kind, args.p, args.quad_order)
     if args.input is not None:
         cases = [read_step_csv(args.input)]
@@ -191,7 +192,7 @@ def cmd_rearrange(args) -> int:
 
 
 def cmd_maximize(args) -> int:
-    tol = args.tol if args.tol is not None else default_tolerance()
+    tol = default_tolerance() if args.tol is None else check_tolerance(args.tol, "--tol")
     best, report = ratio_maximize(args.kind, args.p, args.cells, args.seed,
                                   args.iters, args.quad_order)
     doc: dict = {

@@ -17,19 +17,19 @@ DEFAULT_TOLERANCE = 1e-6
 ENV_VAR = "HARDYLAB_DEFAULT_TOL"
 
 
+def check_tolerance(value, name: str) -> float:
+    """``value`` as a float if it is a positive finite number; otherwise an
+    :class:`InvalidParameterError` naming its source ``name``."""
+    try:
+        tol = float(value)
+    except ValueError:
+        tol = math.nan
+    if not 0.0 < tol < math.inf:
+        raise InvalidParameterError(f"{name} must be a positive real number, got {value!r}")
+    return tol
+
+
 def default_tolerance() -> float:
     """Return the default relative tolerance (env override included)."""
     raw = os.environ.get(ENV_VAR)
-    if raw is None:
-        return DEFAULT_TOLERANCE
-    try:
-        value = float(raw)
-    except ValueError:
-        raise InvalidParameterError(
-            f"{ENV_VAR} must be a positive real number, got {raw!r}"
-        ) from None
-    if not math.isfinite(value) or value <= 0.0:
-        raise InvalidParameterError(
-            f"{ENV_VAR} must be a positive real number, got {raw!r}"
-        )
-    return value
+    return DEFAULT_TOLERANCE if raw is None else check_tolerance(raw, ENV_VAR)

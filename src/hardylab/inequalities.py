@@ -24,6 +24,11 @@ For ``new_hardy`` and ``improved_hardy_rellich`` the ``middle`` field
 carries the classical numerator on the same quadrature nodes (it is a lower
 bound for the improved one); for ``rellich_chain`` it is the intermediate
 integral sitting between numerator and ``sharp * denominator``.
+
+The two-branch max form of :func:`corollary_int_check` is ``(M f)^p``
+exactly, in floating point too (division by ``r`` and the p-th power are
+monotone), so its lhs is the new_hardy numerator, from the same sup-min
+integral; :func:`corollary_avg_check` is that form for the average ``F/s``.
 """
 
 from __future__ import annotations
@@ -197,7 +202,7 @@ def _supmin(f: StepBatch, p: float, quad_order: int):
     """``\\int (M f)^p dr``, with the classical numerator on the same nodes
     (always a lower bound) as ``middle``."""
     fine, coarse = _supmin_integrals(f, p, (quad_order, max(2, quad_order // 2)))
-    num, classic, _ = zip(*fine)
+    num, classic = zip(*fine)
     return num, classic, [_estimate(a[0], b[0]) for a, b in zip(fine, coarse)]
 
 
@@ -318,13 +323,12 @@ def _supmin_rows(f):
 
 
 def _supmin_integrals(f, p: float, orders):
-    """(sup-min, classical, max-form) p-th power integrals over ``(0, inf)``,
-    per function, for each rule in ``orders``.
+    """(sup-min, classical) p-th power integrals over ``(0, inf)``, per
+    function, for each rule in ``orders``.
 
-    All three share nodes: sup-min integrates ``(M f)^p``, classical
-    ``(|F|/r)^p``, and max-form the two-branch maximum of the corollary —
-    the latter two bracket the same object, so sharing nodes makes their
-    expected identities hold to rounding.
+    Both share nodes, so classical ``(|F|/r)^p <= (M f)^p`` holds to
+    rounding.  The sup-min integral is also the corollary_int_check lhs:
+    the two-branch max form is ``(M f)^p`` bit for bit (see there).
     """
     def integrand(r, a, u, v, mp, sb):
         # in place where possible: the matrices are the large arrays
@@ -332,33 +336,20 @@ def _supmin_integrals(f, p: float, orders):
         absF *= v[:, None]
         absF += u[:, None]
         np.abs(absF, out=absF)                                  # |F(r)|
-        classic = absF / r
+        classic = np.divide(absF, r, out=absF)
         supmin = np.divide(mp[:, None], r)
         np.maximum(supmin, classic, out=supmin)
         np.maximum(supmin, sb[:, None], out=supmin)             # M f(r)
-        branch2 = np.maximum(classic, sb[:, None])
-        branch2 **= p
-        branch1 = np.maximum(absF, mp[:, None], out=absF)
-        branch1 /= r
-        branch1 **= p
-        return [np.power(supmin, p, out=supmin), np.power(classic, p, out=classic),
-                np.maximum(branch1, branch2, out=branch1)]
+        return [np.power(supmin, p, out=supmin), np.power(classic, p, out=classic)]
 
     f = as_batch(f)
     (lo, hi, *columns), bounds, peak, F_end = _supmin_rows(f)
     sums = _quadrature(integrand, lo, hi, bounds, orders, *columns)
     # beyond the support M f(r) = peak / r and F is constant
-    tails = []
-    for radius, top, end in zip(f.grid.edges[f.grid.ends].tolist(), peak, F_end):
-        tail_scale = radius ** (1.0 - p) / (p - 1.0)
-        tails.append((top ** p * tail_scale, abs(end) ** p * tail_scale))
-    return [[(s + t[0], c + t[1], x + t[0]) for s, c, x, t in zip(supmin, classic, maxform, tails)]
-            for supmin, classic, maxform in zip(*sums)]
-
-
-def _supmin_integral(f: StepFunction, p: float, quad_order: int, which: int) -> float:
-    ((values,),) = _supmin_integrals(f, p, (quad_order,))
-    return values[which]
+    scales = [radius ** (1.0 - p) / (p - 1.0) for radius in f.grid.edges[f.grid.ends].tolist()]
+    tails = [(top ** p * k, abs(end) ** p * k) for top, end, k in zip(peak, F_end, scales)]
+    return [[(s + t[0], c + t[1]) for s, c, t in zip(supmin, classic, tails)]
+            for supmin, classic in zip(*sums)]
 
 
 @_in_double_range
@@ -369,7 +360,7 @@ def weighted_supmin_check(f: StepFunction, p: float,
     The rearranged side dominates; both sides are 0 for ``f = 0``.
     """
     p, quad_order = check_exponent(p), check_quad_order(quad_order)
-    lhs = _supmin_integral(f, p, quad_order, 0)
+    (((lhs, _),),) = _supmin_integrals(f, p, (quad_order,))
     fstar = decreasing_rearrangement(f).step
     rhs = integrate_weighted_power(cumulative(fstar), -p, p, quad_order)
     return lhs, rhs
@@ -380,12 +371,16 @@ def corollary_int_check(f: StepFunction, p: float,
                         quad_order: int = DEFAULT_QUAD_ORDER) -> tuple[float, float]:
     """Two-branch max form of the improved Hardy bound.
 
-    lhs = ``\\int max{ sup_{s<=r} |F(s)|^p / r^p, sup_{s>=r} |F(s)|^p / s^p } dr``
-    (equal to the new_hardy numerator), rhs = ``(p/(p-1))^p \\int |f|^p``.
+    lhs = ``\\int max{ sup_{s<=r} |F(s)|^p / r^p, sup_{s>=r} |F(s)|^p / s^p } dr``,
+    rhs = ``(p/(p-1))^p \\int |f|^p``.  On a cell the branches are
+    ``(max(prefix, |F(r)|) / r)^p`` and ``max(|F(r)| / r, suffix)^p``.  Division
+    by ``r > 0`` and the p-th power are monotone in floating point too, so
+    their maximum is ``max(prefix / r, |F(r)| / r, suffix)^p = (M f(r))^p``
+    exactly, and the lhs is the new_hardy numerator.
     """
     p, quad_order = check_exponent(p), check_quad_order(quad_order)
     (den,) = _nonzero_mass(as_batch(f), p)
-    lhs = _supmin_integral(f, p, quad_order, 2)
+    (((lhs, _),),) = _supmin_integrals(f, p, (quad_order,))
     rhs = sharp_constant("hardy", p) * den
     return lhs, rhs
 
@@ -395,41 +390,12 @@ def corollary_int_check(f: StepFunction, p: float,
 # --------------------------------------------------------------------------
 
 
-def _inverse_power_mass(f: StepFunction, p: float) -> float:
-    """``\\int r^{-p} |f|^p dr`` in closed form (f must vanish near 0)."""
-    edges = f.grid.edges
-    terms = []
-    for a, b, v in zip(edges[:-1], edges[1:], f.values):
-        if v == 0.0:
-            continue
-        if a == 0.0:
-            raise DivergentIntegralError("r^-p weight diverges: f does not vanish near 0")
-        terms.append(abs(v) ** p * (a ** (1.0 - p) - b ** (1.0 - p)) / (p - 1.0))
-    return math.fsum(terms)
-
-
-def _mass_tail_integral(f: StepFunction, p: float) -> float:
-    """``\\int r^{-2p} (\\int_0^r |f|^p dt) dr`` in closed form."""
-    edges = f.grid.edges
-    w = f.grid.widths
-    q = np.abs(f.values) ** p
-    H_left = np.concatenate([[0.0], np.cumsum(q * w)])
-    terms = []
-    for i in range(f.grid.n_cells):
-        a = float(edges[i])
-        b = float(edges[i + 1])
-        h = float(H_left[i])
-        qi = float(q[i])
-        if h == 0.0 and qi == 0.0:
-            continue
-        if a == 0.0:
-            raise DivergentIntegralError("r^-2p weight diverges: f does not vanish near 0")
-        # H(r) = (h - qi a) + qi r on the cell
-        terms.append((h - qi * a) * (a ** (1.0 - 2.0 * p) - b ** (1.0 - 2.0 * p)) / (2.0 * p - 1.0))
-        terms.append(qi * (a ** (2.0 - 2.0 * p) - b ** (2.0 - 2.0 * p)) / (2.0 * p - 2.0))
-    R = float(edges[-1])
-    terms.append(float(H_left[-1]) * R ** (1.0 - 2.0 * p) / (2.0 * p - 1.0))
-    return math.fsum(terms)
+def _power_moment(f: StepFunction, p: float, beta: float) -> float:
+    """``\\int r^beta |f|^p dr`` (``beta < -1``) in closed form, summed over the
+    nonzero cells only: an edge power on a zero cell may overflow."""
+    nonzero = f.values != 0.0
+    a, b, e = f.grid.edges[:-1][nonzero], f.grid.edges[1:][nonzero], beta + 1.0
+    return math.fsum((np.abs(f.values[nonzero]) ** p * (a ** e - b ** e) / -e).tolist())
 
 
 _AVG_SUBDIV = 8  # even subdivision per cell for the kinked integrand below
@@ -442,39 +408,40 @@ def _running_average_maxform_integral(f: StepFunction, p: float, order: int) -> 
     a, b = edges[:-1], edges[1:]
     F_edges = supmin_branches(f)[0]
     u = F_edges[:-1]
-    A_edges = np.zeros(edges.size)
-    A_edges[1:] = F_edges[1:] / b
+    A_edges = np.concatenate(([0.0], F_edges[1:] / b))
     prefixA = np.maximum.accumulate(np.abs(A_edges))
 
     # per-cell sup T of |A(s)| / s over (a, b]: A is monotone on each cell, but
-    # A/s may peak at the interior critical point s_star of (v s + wc)/s^2.  The
-    # value at a is the previous cell's value at its right edge.
+    # A/s = (v s + w)/s^2, w = u - v a, may peak at its critical point
+    # s_star = -2 w / v, where it is v / (2 s_star).  The value at a is the
+    # previous cell's value at its right edge.
     right = np.abs(A_edges[1:]) / b
-    wc = u - v * a
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        s_star = -2.0 * wc / v          # inf or NaN for v = 0: never inside a cell
+        s_star = -2.0 * (u - v * a) / v    # inf or NaN for v = 0: never inside a cell
     inside = (a < s_star) & (s_star < b)
     s_star = np.where(inside, s_star, -np.inf)
-    peak = np.zeros(a.size)
-    peak[inside] = np.abs(v[inside] * s_star[inside] + wc[inside]) / s_star[inside] ** 2
+    peak = np.where(inside, np.abs(v) / (2.0 * s_star), 0.0)
     T = np.maximum(right, peak)
     suffixT = np.append(np.maximum.accumulate(T[::-1])[::-1][1:], 0.0)
 
-    def integrand(r, a, u, v, prefix, right, s_star, peak, suffix):
-        absA = np.abs(u[:, None] + v[:, None] * (r - a[:, None])) / r
-        b1 = (np.maximum(prefix[:, None], absA) / r) ** p
-        partial = np.maximum(absA / r, right[:, None])
-        partial = np.where(r < s_star[:, None], np.maximum(partial, peak[:, None]), partial)
-        b2 = np.maximum(partial, suffix[:, None]) ** p
-        return [np.maximum(b1, b2)]
+    def integrand(r, a, u, v, prefix, later, s_star, peak):
+        # branches max(prefix, |A(r)|) / r and max(|A(r)| / r, rest of the cell,
+        # later cells); division by r is monotone, so the first dominates
+        # |A(r)| / r, and one max raised to the p-th power is the max form
+        top = np.abs(u[:, None] + v[:, None] * (r - a[:, None])) / r
+        np.maximum(top, prefix[:, None], out=top)
+        top /= r
+        np.maximum(top, later[:, None], out=top)
+        np.maximum(top, np.where(r < s_star[:, None], peak[:, None], 0.0), out=top)
+        return [np.power(top, p, out=top)]
 
     sub = np.linspace(a, b, _AVG_SUBDIV + 1, axis=1)
     cell = np.repeat(np.arange(a.size), _AVG_SUBDIV)
-    columns = (a, u, v, prefixA[:-1], right, s_star, peak, suffixT)
+    columns = (a, u, v, prefixA[:-1], np.maximum(right, suffixT), s_star, peak)
     ((body,),) = _quadrature(integrand, sub[:, :-1].ravel(), sub[:, 1:].ravel(),
                              np.array([0, cell.size]), (order,), *(c[cell] for c in columns))
     tail = prefixA[-1] ** p * f.grid.support_end ** (1.0 - p) / (p - 1.0)
-    return body[0] + tail
+    return float(body[0] + tail)
 
 
 @_in_double_range
@@ -484,7 +451,9 @@ def corollary_avg_check(f: StepFunction, p: float,
 
     lhs integrates the two-branch max of ``A(s) = F(s)/s``; rhs is
     ``(p/(p-1))^p * 2^(p-1) * ( \\int r^-p |f|^p + \\int r^-2p \\int_0^r |f|^p )``,
-    which is finite only when ``f`` vanishes on a neighbourhood of 0.
+    which is finite only when ``f`` vanishes on a neighbourhood of 0.  By
+    parts the second integral is ``\\int r^(1-2p) |f|^p / (2p-1)``: the inner
+    integral is 0 on the first cell and constant beyond the support.
     """
     p, quad_order = check_exponent(p), check_quad_order(quad_order)
     if not np.any(f.values != 0.0):
@@ -495,5 +464,5 @@ def corollary_avg_check(f: StepFunction, p: float,
         )
     lhs = _running_average_maxform_integral(f, p, quad_order)
     rhs = sharp_constant("hardy", p) * 2.0 ** (p - 1.0) * (
-        _inverse_power_mass(f, p) + _mass_tail_integral(f, p))
+        _power_moment(f, p, -p) + _power_moment(f, p, 1.0 - 2.0 * p) / (2.0 * p - 1.0))
     return lhs, rhs

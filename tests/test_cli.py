@@ -124,9 +124,24 @@ def test_verify_writes_to_a_file(tmp_path):
      "--eps", "0.2,0.1", "--resolution", "256"),
     ("sweep", "--kind", "hardy", "--p", "2", "--eps", "0.2,oops"),
     ("verify", "--kind", "new_hardy", "--p", "2", "--count", "2", "--quad-order", "0"),
+    # flags a command does not read are not accepted
+    ("rearrange", "--input", "{csv}", "--tol", "1e-3"),
+    ("rearrange", "--input", "{csv}", "--quad-order", "8"),
+    ("rearrange", "--input", "{csv}", "--format", "json"),
+    ("rearrange", "--input", "{csv}", "--no-timestamp"),
+    ("sweep", "--kind", "hardy", "--p", "2", "--eps", "0.2,0.1", "--resolution", "256",
+     "--tol", "1e-3"),
+    ("maximize", "--kind", "hardy", "--p", "2", "--iters", "1", "--format", "csv"),
+    # --tol is checked like HARDYLAB_DEFAULT_TOL
+    *[("verify", "--kind", "hardy", "--p", "2", "--count", "1", "--tol", tol)
+      for tol in ("-1", "0", "nan", "inf")],
+    *[("maximize", "--kind", "hardy", "--p", "2", "--iters", "1", "--tol", tol)
+      for tol in ("-1", "0", "nan", "inf")],
 ])
-def test_bad_parameters_exit_2(args):
-    res = run_cli(*args)
+def test_bad_parameters_exit_2(args, tmp_path):
+    csv = tmp_path / "in.csv"
+    write_step_csv(step_function([0.0, 1.0], [1.0]), csv)
+    res = run_cli(*[str(csv) if arg == "{csv}" else arg for arg in args], cwd=tmp_path)
     assert res.returncode == 2, f"{args}: rc={res.returncode} out={res.stdout}"
     assert res.stderr.strip(), "expected a diagnostic on stderr"
 

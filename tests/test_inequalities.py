@@ -9,6 +9,7 @@ import pytest
 import hardylab.inequalities as inequalities
 from hardylab import (
     DivergentIntegralError,
+    DoubleRangeError,
     InvalidParameterError,
     RatioReport,
     StepFunction,
@@ -382,12 +383,13 @@ class TestCorollaryInt:
                 lhs, rhs = corollary_int_check(f, p)
                 assert lhs <= rhs * (1.0 + 1e-6)
                 # the max-form integrand is the sup-min transform to the p-th power
-                assert relclose(lhs, new_hardy_ratio(f, p).numerator, 1e-12)
+                assert lhs == new_hardy_ratio(f, p).numerator
 
 
 class TestCorollaryAvg:
     def test_shifted_indicator_frozen_values(self):
         lhs, rhs = corollary_avg_check(SHIFTED, 2.0)
+        assert type(lhs) is float and type(rhs) is float
         assert relclose(lhs, 0.25, 1e-12)
         assert relclose(rhs, 5.0, 1e-12)
         assert lhs <= rhs
@@ -407,6 +409,54 @@ class TestCorollaryAvg:
             for p in (1.5, 2.0, 3.0):
                 lhs, rhs = corollary_avg_check(f, p)
                 assert lhs <= rhs * (1.0 + 1e-6), f"p={p}: {lhs} > {rhs}"
+
+    def test_rhs_against_per_cell_oracle(self):
+        """The closed-form rhs against the per-cell formula
+        ``\\int r^-p |f|^p + \\int r^-2p H`` with ``H(r) = \\int_0^r |f|^p``,
+        summed in 50-digit arithmetic."""
+        mp = pytest.importorskip("mpmath")
+
+        def rhs_oracle(f, p):
+            with mp.workdps(50):
+                p = mp.mpf(p)
+                edges = [mp.mpf(e) for e in f.grid.edges.tolist()]
+                total = h = mp.mpf(0)
+                for a, b, v in zip(edges[:-1], edges[1:], f.values.tolist()):
+                    q = abs(mp.mpf(v)) ** p
+                    if q != 0:
+                        total += q * (a ** (1 - p) - b ** (1 - p)) / (p - 1)
+                    if h != 0 or q != 0:  # H(r) = (h - q a) + q r on the cell
+                        total += (h - q * a) * (a ** (1 - 2 * p) - b ** (1 - 2 * p)) / (2 * p - 1)
+                        total += q * (a ** (2 - 2 * p) - b ** (2 - 2 * p)) / (2 * p - 2)
+                    h += q * (b - a)
+                total += h * edges[-1] ** (1 - 2 * p) / (2 * p - 1)
+                return (p / (p - 1)) ** p * 2 ** (p - 1) * total
+
+        rng = make_rng(3)
+        for i in range(300):
+            f = random_step_function_away_from_zero(rng)
+            for p in (1.2, 1.5, 2.0, 3.0, 6.0):
+                _, rhs = corollary_avg_check(f, p)
+                ref = rhs_oracle(f, p)
+                assert abs(rhs - ref) <= 2e-15 * ref, f"case {i} p={p}: {rhs} vs {mp.nstr(ref, 20)}"
+
+    def test_zero_cell_with_a_tiny_edge(self):
+        """Edge powers on a zero cell may overflow; only nonzero cells count."""
+        f = step_function([0.0, 1e-170, 1e-3, 1.0, 2.0], [0.0, 0.0, 1.0, 2.0])
+        lhs, rhs = corollary_avg_check(f, 2.0)
+        assert relclose(lhs, 412.89075372409525, 2e-15)
+        assert relclose(rhs, 1341344.0, 2e-15)
+
+    @pytest.mark.filterwarnings("error")
+    def test_peak_on_tiny_cells(self):
+        """The interior peak of ``|A(s)|/s`` is ``|v| / (2 s*)``: no ``s*^2`` to
+        underflow, so no warning, and p = 2 overflows cleanly."""
+        f = step_function([0.0, 1e-210, 1e-200, 1.0], [0.0, 1.0, 1.0])
+        with pytest.raises(DoubleRangeError):
+            corollary_avg_check(f, 2.0)
+        lhs, rhs = corollary_avg_check(f, 1.01)
+        assert math.isfinite(lhs) and math.isfinite(rhs)
+        assert lhs <= rhs
 
 
 # ---------------------------------------------------------------------------
