@@ -11,7 +11,7 @@ from .inequalities import (RatioReport, corollary_avg_check, corollary_int_check
                            improved_hardy_rellich_ratio, new_hardy_ratio,
                            ratio_evaluator, rellich_chain, rellich_p_ratio,
                            sharp_constant, weighted_supmin_check)
-from .quadrature import DEFAULT_QUAD_ORDER, integrate_weighted_power
+from .quadrature import QUAD_ORDER, integrate_weighted_power
 from .operators import (cumulative, double_cumulative, inner_cumulative,
                         maxform_value, rellich_inner, supmin_candidates,
                         supmin_pointwise_identity_check, supmin_transform)

@@ -22,7 +22,6 @@ from .errors import HardyLabError, InvalidParameterError
 from .generator import make_rng, random_step_function
 from .grid import StepBatch, check_exponent, read_step_csv, step_csv_text, write_step_csv
 from .inequalities import REPORT_KINDS, RatioReport, ratio_evaluator
-from .quadrature import DEFAULT_QUAD_ORDER
 from .rearrange import check_norm_preservation, decreasing_rearrangement
 from .sharpness import (CUTOFF_KINDS, DEFAULT_EPS_LIST, DEFAULT_SWEEP_RESOLUTION,
                         SWEEP_KINDS, CutoffSpec, ratio_maximize, sharpness_sweep)
@@ -59,8 +58,6 @@ def build_parser() -> argparse.ArgumentParser:
         if tol:
             cmd.add_argument("--tol", type=float, default=None,
                              help="relative tolerance (default: HARDYLAB_DEFAULT_TOL or 1e-6)")
-        cmd.add_argument("--quad-order", type=int, default=DEFAULT_QUAD_ORDER,
-                         help="Gauss-Legendre order per interval")
         cmd.add_argument("--output", default=None, help="output file (default: stdout)")
         if fmt:
             cmd.add_argument("--format", choices=("json", "csv"), default="json",
@@ -117,7 +114,7 @@ def _violation_dump_path(output: str | None, index: int) -> Path:
 
 def cmd_verify(args) -> int:
     tol = default_tolerance() if args.tol is None else check_tolerance(args.tol, "--tol")
-    evaluator = ratio_evaluator(args.kind, args.p, args.quad_order)
+    evaluator = ratio_evaluator(args.kind, args.p)
     if args.input is not None:
         cases = [read_step_csv(args.input)]
     else:
@@ -162,8 +159,9 @@ def cmd_sweep(args) -> int:
         eps_list = [float(tok) for tok in args.eps.split(",") if tok.strip()]
     except ValueError:
         raise InvalidParameterError(f"bad --eps list: {args.eps!r}") from None
+    gap = check_tolerance(args.gap, "--gap")
     result = sharpness_sweep(args.kind, args.p, eps_list, CutoffSpec(args.cutoff),
-                             args.resolution, args.quad_order)
+                             args.resolution)
     print(f"sharp {result.sharp:.12g}  limit {result.limit:.12g}  "
           f"relative_gap {result.relative_gap:.3e}")
     if args.format == "json":
@@ -173,7 +171,7 @@ def cmd_sweep(args) -> int:
         _emit(json.dumps(doc, indent=2) + "\n", args.output)
     else:
         _emit(result.to_csv_text(), args.output)
-    ok = abs(result.relative_gap) <= args.gap and all(
+    ok = abs(result.relative_gap) <= gap and all(
         pt.ratio < result.sharp for pt in result.points)
     return 0 if ok else 1
 
@@ -193,8 +191,7 @@ def cmd_rearrange(args) -> int:
 
 def cmd_maximize(args) -> int:
     tol = default_tolerance() if args.tol is None else check_tolerance(args.tol, "--tol")
-    best, report = ratio_maximize(args.kind, args.p, args.cells, args.seed,
-                                  args.iters, args.quad_order)
+    best, report = ratio_maximize(args.kind, args.p, args.cells, args.seed, args.iters)
     doc: dict = {
         "command": "maximize",
         "kind": args.kind,

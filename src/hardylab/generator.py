@@ -9,11 +9,16 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import InvalidParameterError
 from .grid import StepFunction, make_graded_grid
 
 
 def make_rng(seed: int) -> np.random.Generator:
-    return np.random.default_rng(int(seed))
+    """The PCG64 generator of a non-negative integer ``seed``."""
+    seed = int(seed)
+    if seed < 0:
+        raise InvalidParameterError(f"seed must be a non-negative integer, got {seed}")
+    return np.random.default_rng(seed)
 
 
 def random_step_function(rng: np.random.Generator) -> StepFunction:

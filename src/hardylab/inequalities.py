@@ -25,6 +25,9 @@ carries the classical numerator on the same quadrature nodes (it is a lower
 bound for the improved one); for ``rellich_chain`` it is the intermediate
 integral sitting between numerator and ``sharp * denominator``.
 
+Every integral uses the fixed Gauss-Legendre rule of :mod:`hardylab.quadrature`,
+and ``refinement_estimate`` compares it with the half-order rule.
+
 The two-branch max form of :func:`corollary_int_check` is ``(M f)^p``
 exactly, in floating point too (division by ``r`` and the p-th power are
 monotone), so its lhs is the new_hardy numerator, from the same sup-min
@@ -41,12 +44,11 @@ from typing import Callable
 
 import numpy as np
 
-from .config import default_tolerance
+from .config import check_tolerance, default_tolerance
 from .errors import (DivergentIntegralError, HardyLabError, InvalidParameterError,
                      ZeroDenominatorError)
-from .grid import (StepBatch, StepFunction, _in_double_range, as_batch, check_exponent,
-                   check_quad_order, p_norm)
-from .quadrature import DEFAULT_QUAD_ORDER, integrate_weighted_power
+from .grid import StepBatch, StepFunction, _in_double_range, as_batch, check_exponent, p_norm
+from .quadrature import QUAD_ORDER, QUAD_ORDERS, integrate_weighted_power
 from .quadrature import _cap_interval_ratio, _estimate, _quadrature, _split_cells  # shared
 from .operators import cumulative, double_cumulative, inner_cumulative, supmin_branches
 from .rearrange import decreasing_rearrangement
@@ -60,7 +62,7 @@ MAX_GROUP_CELLS = 1024
 class Kind:
     """One inequality kind.
 
-    ``numerator(f, p, quad_order)`` takes a :class:`StepBatch` and returns,
+    ``numerator(f, p)`` takes a :class:`StepBatch` and returns,
     per function, the numerator, the ``middle`` term (``None`` instead of
     the list for the plain kinds) and the error estimate; ``sharp(p)`` is
     the sharp constant.  ``p2_only`` kinds are stated for p = 2 only;
@@ -81,7 +83,8 @@ class RatioReport:
     the intermediate chain term, for ``new_hardy``/``improved_hardy_rellich``
     the classical numerator evaluated on the same nodes.  ``slack`` is
     ``sharp - ratio`` and ``refinement_estimate`` the observed quadrature
-    error indicator (half-order comparison).
+    error indicator (half-order comparison).  The order field names the
+    Gauss-Legendre rule behind the numbers: always :data:`QUAD_ORDER`.
     """
 
     kind: str
@@ -99,9 +102,9 @@ class RatioReport:
         return dict(vars(self))
 
     def violations(self, tol: float | None = None) -> list[str]:
-        """Contract violations at relative tolerance ``tol`` (default config)."""
-        if tol is None:
-            tol = default_tolerance()
+        """Contract violations at relative tolerance ``tol`` (default config);
+        an explicit ``tol`` must be a positive finite number."""
+        tol = default_tolerance() if tol is None else check_tolerance(tol, "tol")
         msgs: list[str] = []
         if self.ratio - self.sharp > tol * self.sharp:
             msgs.append(f"ratio {self.ratio!r} exceeds sharp constant {self.sharp!r}")
@@ -159,13 +162,13 @@ def _batched(evaluate):
 
 
 @_batched
-def _evaluate(f: StepBatch, kind: str, p: float, quad_order: int) -> list[RatioReport]:
-    """The reports of ``kind`` for a batch (``p`` and ``quad_order`` already checked)."""
+def _evaluate(f: StepBatch, kind: str, p: float) -> list[RatioReport]:
+    """The reports of ``kind`` for a batch (``p`` already checked)."""
     spec = KINDS[kind]
     den = _nonzero_mass(f, p)
-    num, middle, est = spec.numerator(f, p, quad_order)
+    num, middle, est = spec.numerator(f, p)
     sharp = spec.sharp(p)
-    return [RatioReport(kind, p, n, m, d, sharp, n / d, sharp - n / d, quad_order, e)
+    return [RatioReport(kind, p, n, m, d, sharp, n / d, sharp - n / d, QUAD_ORDER, e)
             for n, m, d, e in zip(num, middle or repeat(None), den, est)]
 
 
@@ -175,33 +178,33 @@ def _evaluate(f: StepBatch, kind: str, p: float, quad_order: int) -> list[RatioR
 # --------------------------------------------------------------------------
 
 
-def _classical(f: StepBatch, p: float, quad_order: int):
+def _classical(f: StepBatch, p: float):
     """``\\int |F(r)/r|^p dr``: Hardy, and at p = 2 the second-order form for ``f = g'``."""
-    num, est = integrate_weighted_power(cumulative(f), -p, p, quad_order, return_estimate=True)
+    num, est = integrate_weighted_power(cumulative(f), -p, p, return_estimate=True)
     return num, None, est
 
 
-def _rellich(f: StepBatch, p: float, quad_order: int):
+def _rellich(f: StepBatch, p: float):
     """``\\int r^{-2p} D(r)^p dr`` with ``D`` the double cumulative of ``|f|``."""
-    num, est = integrate_weighted_power(double_cumulative(abs(f)), -2.0 * p, p, quad_order,
+    num, est = integrate_weighted_power(double_cumulative(abs(f)), -2.0 * p, p,
                                         return_estimate=True)
     return num, None, est
 
 
-def _rellich_chain(f: StepBatch, p: float, quad_order: int):
+def _rellich_chain(f: StepBatch, p: float):
     """The Rellich numerator, and as ``middle`` ``\\int r^{-2p} G(r)^p dr`` where
     ``G`` accumulates ``rellich_inner(f, .)`` exactly; the chain contract is
     numerator <= middle <= sharp * denominator."""
-    num, _, est_num = _rellich(f, p, quad_order)
-    mid, est_mid = integrate_weighted_power(inner_cumulative(f), -2.0 * p, p, quad_order,
+    num, _, est_num = _rellich(f, p)
+    mid, est_mid = integrate_weighted_power(inner_cumulative(f), -2.0 * p, p,
                                             return_estimate=True)
     return num, mid, [a + b for a, b in zip(est_num, est_mid)]
 
 
-def _supmin(f: StepBatch, p: float, quad_order: int):
+def _supmin(f: StepBatch, p: float):
     """``\\int (M f)^p dr``, with the classical numerator on the same nodes
     (always a lower bound) as ``middle``."""
-    fine, coarse = _supmin_integrals(f, p, (quad_order, max(2, quad_order // 2)))
+    fine, coarse = _supmin_integrals(f, p, QUAD_ORDERS)
     num, classic = zip(*fine)
     return num, classic, [_estimate(a[0], b[0]) for a, b in zip(fine, coarse)]
 
@@ -242,47 +245,46 @@ def sharp_constant(kind: str, p: float) -> float:
     return _kind(kind, p).sharp(p)
 
 
-def ratio_evaluator(kind: str, p: float, quad_order: int = DEFAULT_QUAD_ORDER) -> Callable:
+def ratio_evaluator(kind: str, p: float) -> Callable:
     """An evaluator for the requested kind: ``StepFunction -> RatioReport``,
     and ``StepBatch -> list[RatioReport]`` with one report per function."""
     p = check_exponent(p)
-    quad_order = check_quad_order(quad_order)
     _kind(kind, p)
-    return lambda f: _evaluate(f, kind, p, quad_order)
+    return lambda f: _evaluate(f, kind, p)
 
 
 # Shorthands: each takes one StepFunction (and returns its RatioReport) or a
 # StepBatch (and returns one report per function).
 
 
-def hardy_ratio(f, p: float, quad_order: int = DEFAULT_QUAD_ORDER):
+def hardy_ratio(f, p: float):
     """``\\int |F(r)/r|^p dr`` against ``(p/(p-1))^p \\int |f|^p dr``."""
-    return ratio_evaluator("hardy", p, quad_order)(f)
+    return ratio_evaluator("hardy", p)(f)
 
 
-def new_hardy_ratio(f, p: float, quad_order: int = DEFAULT_QUAD_ORDER):
+def new_hardy_ratio(f, p: float):
     """Hardy with ``|F(r)|/r`` replaced by the sup-min transform (same sharp constant)."""
-    return ratio_evaluator("new_hardy", p, quad_order)(f)
+    return ratio_evaluator("new_hardy", p)(f)
 
 
-def hardy_rellich_int_ratio(gprime, quad_order: int = DEFAULT_QUAD_ORDER):
+def hardy_rellich_int_ratio(gprime):
     """The p = 2 Hardy bound read as a second-order inequality (sharp 4)."""
-    return ratio_evaluator("hardy_rellich_int", 2.0, quad_order)(gprime)
+    return ratio_evaluator("hardy_rellich_int", 2.0)(gprime)
 
 
-def improved_hardy_rellich_ratio(gprime, quad_order: int = DEFAULT_QUAD_ORDER):
+def improved_hardy_rellich_ratio(gprime):
     """The p = 2 sup-min strengthening of the second-order bound (sharp 4)."""
-    return ratio_evaluator("improved_hardy_rellich", 2.0, quad_order)(gprime)
+    return ratio_evaluator("improved_hardy_rellich", 2.0)(gprime)
 
 
-def rellich_p_ratio(f, p: float, quad_order: int = DEFAULT_QUAD_ORDER):
+def rellich_p_ratio(f, p: float):
     """``\\int r^{-2p} D(r)^p dr`` against its sharp multiple of ``\\int |f|^p``."""
-    return ratio_evaluator("rellich_p", p, quad_order)(f)
+    return ratio_evaluator("rellich_p", p)(f)
 
 
-def rellich_chain(f, p: float, quad_order: int = DEFAULT_QUAD_ORDER):
+def rellich_chain(f, p: float):
     """Rellich bound with the intermediate sup-min term reported as ``middle``."""
-    return ratio_evaluator("rellich_chain", p, quad_order)(f)
+    return ratio_evaluator("rellich_chain", p)(f)
 
 
 # --------------------------------------------------------------------------
@@ -353,22 +355,20 @@ def _supmin_integrals(f, p: float, orders):
 
 
 @_in_double_range
-def weighted_supmin_check(f: StepFunction, p: float,
-                          quad_order: int = DEFAULT_QUAD_ORDER) -> tuple[float, float]:
+def weighted_supmin_check(f: StepFunction, p: float) -> tuple[float, float]:
     """``\\int (M f)^p dr`` against ``\\int |F*(r)/r|^p dr`` (rearranged side).
 
     The rearranged side dominates; both sides are 0 for ``f = 0``.
     """
-    p, quad_order = check_exponent(p), check_quad_order(quad_order)
-    (((lhs, _),),) = _supmin_integrals(f, p, (quad_order,))
+    p = check_exponent(p)
+    (((lhs, _),),) = _supmin_integrals(f, p, (QUAD_ORDER,))
     fstar = decreasing_rearrangement(f).step
-    rhs = integrate_weighted_power(cumulative(fstar), -p, p, quad_order)
+    rhs = integrate_weighted_power(cumulative(fstar), -p, p)
     return lhs, rhs
 
 
 @_in_double_range
-def corollary_int_check(f: StepFunction, p: float,
-                        quad_order: int = DEFAULT_QUAD_ORDER) -> tuple[float, float]:
+def corollary_int_check(f: StepFunction, p: float) -> tuple[float, float]:
     """Two-branch max form of the improved Hardy bound.
 
     lhs = ``\\int max{ sup_{s<=r} |F(s)|^p / r^p, sup_{s>=r} |F(s)|^p / s^p } dr``,
@@ -378,9 +378,9 @@ def corollary_int_check(f: StepFunction, p: float,
     their maximum is ``max(prefix / r, |F(r)| / r, suffix)^p = (M f(r))^p``
     exactly, and the lhs is the new_hardy numerator.
     """
-    p, quad_order = check_exponent(p), check_quad_order(quad_order)
+    p = check_exponent(p)
     (den,) = _nonzero_mass(as_batch(f), p)
-    (((lhs, _),),) = _supmin_integrals(f, p, (quad_order,))
+    (((lhs, _),),) = _supmin_integrals(f, p, (QUAD_ORDER,))
     rhs = sharp_constant("hardy", p) * den
     return lhs, rhs
 
@@ -401,7 +401,7 @@ def _power_moment(f: StepFunction, p: float, beta: float) -> float:
 _AVG_SUBDIV = 8  # even subdivision per cell for the kinked integrand below
 
 
-def _running_average_maxform_integral(f: StepFunction, p: float, order: int) -> float:
+def _running_average_maxform_integral(f: StepFunction, p: float) -> float:
     """``\\int max{ sup_{s<=r} |A(s)|^p / r^p, sup_{s>=r} |A(s)|^p / s^p } dr``
     with ``A(s) = F(s)/s`` the running average."""
     edges, v = f.grid.edges, f.values
@@ -439,14 +439,14 @@ def _running_average_maxform_integral(f: StepFunction, p: float, order: int) -> 
     cell = np.repeat(np.arange(a.size), _AVG_SUBDIV)
     columns = (a, u, v, prefixA[:-1], np.maximum(right, suffixT), s_star, peak)
     ((body,),) = _quadrature(integrand, sub[:, :-1].ravel(), sub[:, 1:].ravel(),
-                             np.array([0, cell.size]), (order,), *(c[cell] for c in columns))
+                             np.array([0, cell.size]), (QUAD_ORDER,),
+                             *(c[cell] for c in columns))
     tail = prefixA[-1] ** p * f.grid.support_end ** (1.0 - p) / (p - 1.0)
     return float(body[0] + tail)
 
 
 @_in_double_range
-def corollary_avg_check(f: StepFunction, p: float,
-                        quad_order: int = DEFAULT_QUAD_ORDER) -> tuple[float, float]:
+def corollary_avg_check(f: StepFunction, p: float) -> tuple[float, float]:
     """Running-average max-form bound for functions supported away from 0.
 
     lhs integrates the two-branch max of ``A(s) = F(s)/s``; rhs is
@@ -455,14 +455,14 @@ def corollary_avg_check(f: StepFunction, p: float,
     parts the second integral is ``\\int r^(1-2p) |f|^p / (2p-1)``: the inner
     integral is 0 on the first cell and constant beyond the support.
     """
-    p, quad_order = check_exponent(p), check_quad_order(quad_order)
+    p = check_exponent(p)
     if not np.any(f.values != 0.0):
         raise ZeroDenominatorError("input function vanishes identically")
     if f.values[0] != 0.0:
         raise DivergentIntegralError(
             "right-hand side diverges: f must vanish on the first cell (support away from 0)"
         )
-    lhs = _running_average_maxform_integral(f, p, quad_order)
+    lhs = _running_average_maxform_integral(f, p)
     rhs = sharp_constant("hardy", p) * 2.0 ** (p - 1.0) * (
         _power_moment(f, p, -p) + _power_moment(f, p, 1.0 - 2.0 * p) / (2.0 * p - 1.0))
     return lhs, rhs

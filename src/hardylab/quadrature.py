@@ -15,6 +15,9 @@ whole-array numpy operations; they equal, bit for bit, those of the
 per-cell loop kept in ``tests/interval_loops.py``.  One Gauss-Legendre
 routine, :func:`_quadrature`, serves the body, the tails and the sup-min
 integrals of :mod:`hardylab.inequalities`.
+
+The rule is fixed: :data:`QUAD_ORDER` (16) nodes per interval; the error
+indicator compares it with the half-order rule (the pair :data:`QUAD_ORDERS`).
 """
 
 from __future__ import annotations
@@ -25,9 +28,10 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DivergentIntegralError, InvalidParameterError
-from .grid import PolyBatch, _fsums, _in_double_range, as_batch, check_exponent, check_quad_order
+from .grid import PolyBatch, _fsums, _in_double_range, as_batch, check_exponent
 
-DEFAULT_QUAD_ORDER = 16
+QUAD_ORDER = 16
+QUAD_ORDERS = (QUAD_ORDER, QUAD_ORDER // 2)
 
 # Geometric refinement of the leading cell (and of the tail in u-coordinates):
 # 16 sub-cells with ratio 2 tame the r^alpha singularity for Gauss-Legendre.
@@ -289,26 +293,24 @@ def _estimate(fine: float, coarse: float) -> float:
 
 
 @_in_double_range
-def integrate_weighted_power(P, alpha: float, p: float,
-                             quad_order: int = DEFAULT_QUAD_ORDER, *,
-                             return_estimate: bool = False):
+def integrate_weighted_power(P, alpha: float, p: float, *, return_estimate: bool = False):
     """``\\int_0^\\infty r^alpha |P(r)|^p dr``.
 
     ``P`` is one :class:`PiecewisePoly` (floats back) or a
     :class:`PolyBatch` (lists back, one float per function).  Divergence at
     either end raises :class:`DivergentIntegralError`.  With
     ``return_estimate=True`` the result is a pair ``(value, estimate)``
-    where ``estimate`` compares the value against a half-order
-    recomputation; it is an observed error indicator, not a rigorous bound.
+    where ``estimate`` compares the value against the half-order rule on
+    the same intervals; it is an observed error indicator, not a rigorous
+    bound.
     """
     p = check_exponent(p)
     alpha = float(alpha)
     if not math.isfinite(alpha):
         raise InvalidParameterError(f"weight exponent must be finite, got {alpha}")
-    quad_order = check_quad_order(quad_order)
     batch = as_batch(P)
     _check_origin_convergence(batch, alpha, p)
-    orders = (quad_order, max(2, quad_order // 2)) if return_estimate else (quad_order,)
+    orders = QUAD_ORDERS if return_estimate else (QUAD_ORDER,)
 
     def integrand(r, x0, coefs):  # r^alpha |P(r)|^p on the body intervals
         loc = r - x0[:, None]

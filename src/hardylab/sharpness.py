@@ -25,7 +25,8 @@ import numpy as np
 
 from .errors import FitDegenerateError, InvalidParameterError
 from .grid import StepFunction, check_exponent, make_graded_grid
-from .quadrature import DEFAULT_QUAD_ORDER, _gauss_legendre
+from .generator import make_rng
+from .quadrature import _gauss_legendre
 from .inequalities import KINDS, RatioReport, ratio_evaluator, sharp_constant
 
 CUTOFF_KINDS = ("quintic_smoothstep", "linear")
@@ -158,8 +159,7 @@ def _sweep_r_min(eps: float) -> float:
 
 def sharpness_sweep(kind: str, p: float, eps_list=DEFAULT_EPS_LIST,
                     spec: CutoffSpec = CutoffSpec(),
-                    resolution: int = DEFAULT_SWEEP_RESOLUTION,
-                    quad_order: int = DEFAULT_QUAD_ORDER) -> SweepResult:
+                    resolution: int = DEFAULT_SWEEP_RESOLUTION) -> SweepResult:
     """Evaluate the kind's ratio on ``f_eps`` for each eps and extrapolate.
 
     The limit is the intercept of a least-squares affine fit ``ratio(eps)
@@ -175,7 +175,7 @@ def sharpness_sweep(kind: str, p: float, eps_list=DEFAULT_EPS_LIST,
         raise InvalidParameterError("eps values must lie in (0, 1)")
     if any(e2 >= e1 for e1, e2 in zip(eps_values, eps_values[1:])):
         raise InvalidParameterError("eps values must be strictly decreasing")
-    evaluator = ratio_evaluator(kind, p, quad_order)
+    evaluator = ratio_evaluator(kind, p)
     points = []
     for eps in eps_values:
         f_eps = minimizing_function(p, eps, spec, resolution, _sweep_r_min(eps))
@@ -192,8 +192,7 @@ def sharpness_sweep(kind: str, p: float, eps_list=DEFAULT_EPS_LIST,
 
 
 def ratio_maximize(kind: str, p: float, n_cells: int = 32, seed: int = 0,
-                   iters: int = 200,
-                   quad_order: int = DEFAULT_QUAD_ORDER) -> tuple[StepFunction, RatioReport]:
+                   iters: int = 200) -> tuple[StepFunction, RatioReport]:
     """Coordinate ascent over cell values, trying to beat the sharp constant.
 
     Starts from the indicator profile on a fixed geometric grid over (0, 1]
@@ -209,12 +208,12 @@ def ratio_maximize(kind: str, p: float, n_cells: int = 32, seed: int = 0,
     iters = int(iters)
     if iters < 1:
         raise InvalidParameterError(f"need at least one iteration, got {iters}")
-    evaluator = ratio_evaluator(kind, p, quad_order)
+    rng = make_rng(seed)
+    evaluator = ratio_evaluator(kind, p)
     grid = make_graded_grid(1.0, n_cells, "geometric", r_min=_MAXIMIZE_R_MIN)
     values = np.ones(n_cells)
     best_report = evaluator(StepFunction(grid, values))
     best = best_report.ratio
-    rng = np.random.default_rng(seed)
     delta = 0.5
     visit = rng.permutation(n_cells)
     pos = 0

@@ -58,3 +58,42 @@ def segments_from_cells(edges, coeffs, tail_value, tail_slope):
     if tail_value != 0.0 or tail_slope != 0.0:
         segments.append((R, math.inf, (tail_value - tail_slope * R, tail_slope)))
     return segments
+
+
+def weighted_power_integral_mp(edges, coeffs, tail_value, tail_slope, alpha, p, dps=30):
+    """``int_0^inf r^alpha |P(r)|^p dr`` by mpmath in ``dps``-digit arithmetic.
+
+    ``P`` is given in local coordinates as for :func:`segments_from_cells`
+    and is evaluated exactly in that form.  Each cell is integrated by
+    ``mpmath.quad`` split at the real roots of ``P`` inside it (the kinks of
+    ``|P|^p``).  The tail must be constant; it is integrated in closed form.
+    """
+    import mpmath as mp
+
+    if tail_slope != 0.0:
+        raise ValueError("only a constant tail has a closed form here")
+    with mp.workdps(dps):
+        alpha, p = mp.mpf(alpha), mp.mpf(p)
+        total = mp.mpf(0)
+        for i in range(len(edges) - 1):
+            a, b = mp.mpf(float(edges[i])), mp.mpf(float(edges[i + 1]))
+            c0, c1, c2 = (mp.mpf(float(c)) for c in coeffs[i])
+            if c0 == c1 == c2 == 0:
+                continue
+            if c2 != 0:
+                disc = c1 * c1 - 4 * c2 * c0
+                roots = [] if disc < 0 else [(-c1 + sign * mp.sqrt(disc)) / (2 * c2)
+                                             for sign in (-1, 1)]
+            else:
+                roots = [] if c1 == 0 else [-c0 / c1]
+            cuts = sorted(a + t for t in roots if 0 < t < b - a)
+
+            def integrand(r, a=a, c0=c0, c1=c1, c2=c2):
+                t = r - a
+                return r ** alpha * abs(c0 + t * (c1 + t * c2)) ** p
+
+            total += mp.quad(integrand, [a, *cuts, b])
+        if tail_value != 0.0:
+            R = mp.mpf(float(edges[-1]))
+            total += abs(mp.mpf(float(tail_value))) ** p * R ** (alpha + 1) / -(alpha + 1)
+        return float(total)

@@ -137,6 +137,16 @@ def test_verify_writes_to_a_file(tmp_path):
       for tol in ("-1", "0", "nan", "inf")],
     *[("maximize", "--kind", "hardy", "--p", "2", "--iters", "1", "--tol", tol)
       for tol in ("-1", "0", "nan", "inf")],
+    # the quadrature rule is fixed: even the value it has is not an option
+    ("verify", "--kind", "hardy", "--p", "2", "--count", "1", "--quad-order", "16"),
+    ("sweep", "--kind", "hardy", "--p", "2", "--eps", "0.2,0.1", "--resolution", "256",
+     "--quad-order", "16"),
+    ("maximize", "--kind", "hardy", "--p", "2", "--iters", "1", "--quad-order", "16"),
+    # --gap is checked like --tol, before the sweep runs
+    *[("sweep", "--kind", "hardy", "--p", "2", "--eps", "0.2,0.1", "--resolution", "256",
+       "--gap", gap) for gap in ("nan", "-1", "0")],
+    ("verify", "--kind", "hardy", "--p", "2", "--count", "1", "--seed", "-1"),
+    ("maximize", "--kind", "hardy", "--p", "2", "--iters", "1", "--seed", "-1"),
 ])
 def test_bad_parameters_exit_2(args, tmp_path):
     csv = tmp_path / "in.csv"
@@ -157,7 +167,7 @@ def test_usage_errors_exit_2(args):
 
 
 def test_internal_error_exits_3(monkeypatch, capsys):
-    def broken_evaluator(kind, p, quad_order):
+    def broken_evaluator(kind, p):
         def evaluate(f):
             raise RuntimeError("simulated bug")
         return evaluate

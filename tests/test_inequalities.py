@@ -34,6 +34,7 @@ from hardylab import (
 )
 from hardylab.grid import Grid
 from hardylab.inequalities import KINDS, REPORT_KINDS
+from hardylab.quadrature import QUAD_ORDER
 
 INDICATOR = step_function([0.0, 1.0], [1.0])
 SHIFTED = step_function([0.0, 1.0, 2.0], [0.0, 1.0])
@@ -134,6 +135,13 @@ class TestRatioReport:
         slightly = self.make(numerator=4.0 * (1.0 + 1e-9), ratio=4.0 * (1.0 + 1e-9))
         assert slightly.violations(1e-6) == []
         assert slightly.violations(1e-12) != []
+
+    @pytest.mark.parametrize("tol", [math.nan, -1.0, 0.0])
+    def test_bad_tolerance_rejected(self, tol):
+        # nan would pass every report and -1 would flag a passing one
+        for report in (self.make(), self.make(numerator=10.0, ratio=10.0, slack=-6.0)):
+            with pytest.raises(InvalidParameterError):
+                report.violations(tol)
 
 
 # ---------------------------------------------------------------------------
@@ -513,8 +521,10 @@ class TestKindTable:
         rng = make_rng(41)
         evaluate = ratio_evaluator(kind, p)
         for f in [random_step_function(rng) for _ in range(20)] + [INDICATOR, SHIFTED]:
+            report = SHORTHANDS[kind](f, p)
             # repr shows every float exactly, signed zeros included
-            assert repr(SHORTHANDS[kind](f, p)) == repr(evaluate(f))
+            assert repr(report) == repr(evaluate(f))
+            assert report.quad_order == QUAD_ORDER
 
     @pytest.mark.parametrize("p2_kind,general_kind", [("hardy_rellich_int", "hardy"),
                                                       ("improved_hardy_rellich", "new_hardy")])
@@ -525,20 +535,6 @@ class TestKindTable:
             general = SHORTHANDS[general_kind](f, 2.0)
             assert special.kind == p2_kind
             assert repr(replace(special, kind=general_kind)) == repr(general)
-
-    @pytest.mark.parametrize("kind", REPORT_KINDS)
-    def test_low_quad_orders_rejected(self, kind):
-        for order in (1, 0, -3):
-            with pytest.raises(InvalidParameterError):
-                ratio_evaluator(kind, 2.0, order)
-            with pytest.raises(InvalidParameterError):
-                SHORTHANDS[kind](SHIFTED, 2.0, quad_order=order)
-
-    def test_checks_reject_low_quad_orders(self):
-        for check in (weighted_supmin_check, corollary_int_check, corollary_avg_check):
-            for order in (1, 0, -3):
-                with pytest.raises(InvalidParameterError):
-                    check(SHIFTED, 2.0, order)
 
     def test_globals_are_looked_up_at_call_time(self, monkeypatch):
         """Every kind calls the transforms and quadrature through this module's

@@ -255,3 +255,5 @@ class TestRatioMaximize:
             ratio_maximize("hardy", 2.0, n_cells=3)
         with pytest.raises(InvalidParameterError):
             ratio_maximize("hardy", 2.0, iters=0)
+        with pytest.raises(InvalidParameterError):
+            ratio_maximize("hardy", 2.0, seed=-1)
