@@ -7,6 +7,8 @@ seed pins the whole case stream.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 from .errors import InvalidParameterError
@@ -14,11 +16,15 @@ from .grid import StepFunction, make_graded_grid
 
 
 def make_rng(seed: int) -> np.random.Generator:
-    """The PCG64 generator of a non-negative integer ``seed``."""
-    seed = int(seed)
-    if seed < 0:
-        raise InvalidParameterError(f"seed must be a non-negative integer, got {seed}")
-    return np.random.default_rng(seed)
+    """The PCG64 generator of a non-negative integer ``seed``: an ``int`` or a
+    numpy integer, not a ``bool``, a float or a string."""
+    try:
+        index = operator.index(seed)
+    except TypeError:
+        index = None
+    if index is None or isinstance(seed, bool) or index < 0:
+        raise InvalidParameterError(f"seed must be a non-negative integer, got {seed!r}")
+    return np.random.default_rng(index)
 
 
 def random_step_function(rng: np.random.Generator) -> StepFunction:

@@ -84,7 +84,7 @@ class Grid:
 
     @property
     def widths(self) -> np.ndarray:
-        return np.diff(self.edges)
+        return self.edges[1:] - self.edges[:-1]
 
 
 @dataclass(frozen=True, eq=False)

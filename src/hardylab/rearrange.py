@@ -3,7 +3,14 @@
 The rearrangement ``f*`` of a step function sorts the cells of ``|f|`` by
 value (stable, descending) and re-lays them out from the origin, keeping
 each cell's width.  It is non-negative, non-increasing, equimeasurable with
-``|f|`` and preserves every p-th power mass.
+``|f|`` and preserves every p-th power mass.  A cell too narrow to move the
+running edge sum in double precision (a width below an ulp of the edge it
+follows) is dropped from ``f*``; its value is at most every earlier one, so
+its share of any p-th power mass is below about ``2**-52``.
+
+:func:`check_partial_domination` accepts one upper limit ``s`` or a 1-D
+array of them, and reads both partial masses off :func:`cumulative`'s
+running sums without building validated objects.
 """
 
 from __future__ import annotations
@@ -13,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameterError
-from .grid import Grid, StepFunction, p_norm
+from .grid import Grid, GridBatch, StepBatch, StepFunction, _in_double_range, as_batch, p_norm
 from .operators import cumulative
 
 
@@ -29,15 +36,26 @@ class RearrangedFunction:
             raise InvalidParameterError("rearranged values must be non-negative and non-increasing")
 
 
+def _rearranged_cells(f: StepFunction) -> tuple[np.ndarray, np.ndarray]:
+    """The edges and values of ``f*``: cells of ``|f|`` sorted by descending
+    value (stable for ties), laid out from 0 by a running sum of widths that
+    ends at ``f``'s support end; cells the sum cannot advance are dropped."""
+    absvals = np.abs(f.values)
+    order = (-absvals).argsort(kind="stable")
+    end = f.grid.support_end
+    edges = np.minimum(np.concatenate([[0.0], f.grid.widths[order].cumsum()]), end)
+    edges[-1] = end
+    values = absvals[order]
+    keep = edges[1:] > edges[:-1]
+    if not keep.all():
+        edges, values = np.concatenate([[0.0], edges[1:][keep]]), values[keep]
+    return edges, values
+
+
 def decreasing_rearrangement(f: StepFunction) -> RearrangedFunction:
     """Sort the cells of ``|f|`` by descending value (stable for ties)."""
-    absvals = np.abs(f.values)
-    order = np.argsort(-absvals, kind="stable")
-    widths = f.grid.widths[order]
-    edges = np.concatenate([[0.0], np.cumsum(widths)])
-    edges[-1] = f.grid.support_end
-    step = StepFunction(Grid(edges), absvals[order])
-    return RearrangedFunction(step=step)
+    edges, values = _rearranged_cells(f)
+    return RearrangedFunction(step=StepFunction(Grid(edges), values))
 
 
 def check_norm_preservation(f: StepFunction, p: float) -> tuple[float, float]:
@@ -46,12 +64,37 @@ def check_norm_preservation(f: StepFunction, p: float) -> tuple[float, float]:
     return p_norm(f, p), p_norm(fstar, p)
 
 
-def check_partial_domination(f: StepFunction, s: float) -> tuple[float, float]:
-    """Return ``(int_0^s |f|, int_0^s f*)``; the rearrangement dominates."""
-    s = float(s)
-    if not s > 0.0:
-        raise InvalidParameterError(f"upper limit must be positive, got {s}")
-    fstar = decreasing_rearrangement(f).step
-    lhs = cumulative(abs(f)).evaluate(s)
-    rhs = cumulative(fstar).evaluate(s)
+def _partial_mass(f: StepBatch, s: np.ndarray) -> np.ndarray:
+    """``int_0^s f`` at positive ``s`` for a batch of one, with the arithmetic
+    of :meth:`PiecewisePoly.evaluate` on :func:`cumulative`'s coefficients."""
+    F = cumulative(f)
+    edges = f.grid.edges
+    idx = edges[1:-1].searchsorted(s)  # the cell holding s; the last one beyond r_n
+    loc = s - edges[idx]
+    c = F.coeffs[idx]
+    out = c[:, 0] + loc * (c[:, 1] + loc * c[:, 2])
+    return np.where(s > edges[-1], F.tail_value[0], out)
+
+
+@_in_double_range
+def check_partial_domination(f: StepFunction, s: float | np.ndarray) -> tuple:
+    """Return ``(int_0^s |f|, int_0^s f*)``; the rearrangement dominates.
+
+    ``s`` is one positive finite upper limit, giving two floats, or a 1-D
+    array of them, giving two arrays whose elements equal the scalar calls.
+    """
+    try:
+        s_arr = np.asarray(s, dtype=float)
+    except (TypeError, ValueError):
+        raise InvalidParameterError(f"upper limits must be real numbers, got {s!r}") from None
+    if s_arr.ndim > 1:
+        raise InvalidParameterError(f"upper limits must be a scalar or 1-D, got shape {s_arr.shape}")
+    if not ((s_arr > 0.0) & (s_arr < np.inf)).all():
+        raise InvalidParameterError(f"upper limits must be positive and finite, got {s}")
+    edges, values = _rearranged_cells(f)
+    s_1d = np.atleast_1d(s_arr)
+    lhs = _partial_mass(abs(as_batch(f)), s_1d)
+    rhs = _partial_mass(StepBatch(GridBatch(edges, np.array([0, values.size])), values), s_1d)
+    if s_arr.ndim == 0:
+        return float(lhs[0]), float(rhs[0])
     return lhs, rhs

@@ -261,6 +261,15 @@ def test_rearrange_zero_function(tmp_path):
     assert "before 0" in res.stderr
 
 
+def test_rearrange_drops_sub_ulp_cell(tmp_path):
+    src = tmp_path / "in.csv"
+    write_step_csv(step_function([0.0, 1e-20, 1.0], [0.5, 1.0]), src)
+    res = run_cli("rearrange", "--input", str(src))
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == "edge,value\n0,\n1,1\n"
+    assert "before 1  after 1" in res.stderr
+
+
 # --------------------------------------------------------------------------
 # maximize
 # --------------------------------------------------------------------------

@@ -61,6 +61,14 @@ def test_make_rng_rejects_negative_seed():
     with pytest.raises(InvalidParameterError):
         make_rng(-1)
     assert make_rng(0).random() == np.random.default_rng(0).random()
+    for seed in (np.int64(7), np.uint8(7)):
+        assert make_rng(seed).random() == np.random.default_rng(7).random()
+
+
+@pytest.mark.parametrize("bad", [1.5, True, np.True_, float("nan"), np.float64(2.0), "3", None])
+def test_make_rng_rejects_non_integer_seed(bad):
+    with pytest.raises(InvalidParameterError):
+        make_rng(bad)
 
 
 class TestGrid:

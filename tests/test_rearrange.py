@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hardylab import (
+    DoubleRangeError,
     InvalidParameterError,
     RearrangedFunction,
     check_norm_preservation,
@@ -17,7 +18,9 @@ from hardylab import (
     p_norm,
     random_step_function,
     step_function,
+    weighted_supmin_check,
 )
+from hardylab.operators import cumulative
 
 P_SWEEP = (1.1, 1.5, 2.0, 3.0)
 
@@ -90,8 +93,69 @@ def test_partial_domination_examples():
     for s in (0.3, 1.0, 1.7, 5.0):
         lhs, rhs = check_partial_domination(g, s)
         assert lhs == rhs
-    with pytest.raises(InvalidParameterError):
-        check_partial_domination(f, 0.0)
+    lhs, rhs = check_partial_domination(f, [1.0, 2.0, 10.0])
+    assert lhs.tolist() == [1.0, 4.0, 4.0] and rhs.tolist() == [3.0, 4.0, 4.0]
+    for bad in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(InvalidParameterError):
+            check_partial_domination(f, bad)
+        with pytest.raises(InvalidParameterError):
+            check_partial_domination(f, np.array([1.0, bad, 2.0]))
+    for bad in (np.ones((2, 2)), "abc", [1.0, "x"]):
+        with pytest.raises(InvalidParameterError):
+            check_partial_domination(f, bad)
+
+
+def test_partial_domination_overflow_is_a_range_error():
+    f = step_function([0.0, 1e300], [1e300])
+    with pytest.raises(DoubleRangeError):
+        check_partial_domination(f, 1.0)
+
+
+# cells narrower than an ulp of the running edge sum: the 1e-20 cell, and the
+# one-ulp last cell of a grid whose re-summed widths overshoot its support end
+SUB_ULP_CELLS = [
+    ([0.0, 1e-20, 1.0], [0.5, 1.0]),
+    ([0.0, 0.005808552530188255, 0.44339832425413067, 0.44429964419230394,
+      0.5118906753806659, 0.7370232730912986, 0.9025706550479363, 1.72978480076659,
+      1.7297848007665901],
+     [0.5830137555479241, 0.26504148252045107, 0.42046803914087083, 0.3847550581832317,
+      0.6358378788974904, 0.6562954066446856, 0.8640151693667462, 0.1]),
+]
+
+
+@pytest.mark.parametrize("edges, values", SUB_ULP_CELLS)
+def test_sub_ulp_cells_are_dropped_from_the_rearrangement(edges, values):
+    f = step_function(edges, values)
+    fstar = decreasing_rearrangement(f).step
+    assert fstar.grid.n_cells == f.grid.n_cells - 1
+    assert fstar.grid.support_end == f.grid.support_end
+    assert np.array_equal(fstar.values, np.sort(np.abs(values))[::-1][:-1])
+    for p in P_SWEEP:
+        before, after = check_norm_preservation(f, p)
+        assert abs(before - after) <= 1e-12 * max(1.0, before)
+    merged = merged_positive_edges(f, fstar)
+    lhs, rhs = check_partial_domination(f, merged)
+    assert np.all(lhs <= rhs + 1e-12 * np.maximum(1.0, rhs))
+    bound, rearranged = weighted_supmin_check(f, 2.0)
+    assert bound <= rearranged * (1.0 + 1e-6)
+
+
+def test_partial_domination_equals_cumulative_evaluate():
+    """The running-sum form gives the exact floats of evaluating the two
+    validated cumulatives, and the array form the exact scalar results."""
+    rng = make_rng(3)
+    for _ in range(300):
+        f = random_step_function(rng)
+        fstar = decreasing_rearrangement(f).step
+        merged = np.union1d(f.grid.edges, fstar.grid.edges)
+        points = np.concatenate([merged[1:], 0.5 * (merged[:-1] + merged[1:]),
+                                 [1.5 * f.grid.support_end, 1e-9]])
+        expect_lhs = cumulative(abs(f)).evaluate(points)
+        expect_rhs = cumulative(fstar).evaluate(points)
+        lhs, rhs = check_partial_domination(f, points)
+        assert np.array_equal(lhs, expect_lhs) and np.array_equal(rhs, expect_rhs)
+        for k, s in enumerate(points.tolist()):
+            assert check_partial_domination(f, s) == (lhs[k], rhs[k])
 
 
 # ---------------------------------------------------------------------------
@@ -131,10 +195,11 @@ def test_partial_domination_at_merged_edges():
     for _ in range(50):
         f = random_step_function(rng)
         fstar = decreasing_rearrangement(f).step
-        for s in merged_positive_edges(f, fstar):
-            lhs, rhs = check_partial_domination(f, float(s))
-            assert lhs <= rhs + 1e-12 * max(1.0, rhs), \
-                f"domination fails at s={s}: {lhs} > {rhs}"
+        points = merged_positive_edges(f, fstar)
+        lhs, rhs = check_partial_domination(f, points)
+        bad = ~(lhs <= rhs + 1e-12 * np.maximum(1.0, rhs))
+        assert not bad.any(), \
+            f"domination fails at s={points[bad]}: {lhs[bad]} > {rhs[bad]}"
 
 
 def test_idempotence():
