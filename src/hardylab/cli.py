@@ -9,6 +9,7 @@ byte-identical output.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -20,17 +21,20 @@ from pathlib import Path
 from .config import check_tolerance, default_tolerance
 from .errors import HardyLabError, InvalidParameterError
 from .generator import make_rng, random_step_function
-from .grid import StepBatch, check_exponent, read_step_csv, step_csv_text, write_step_csv
+from .grid import as_batch, check_exponent, read_step_csv, step_csv_text, write_step_csv
 from .inequalities import REPORT_KINDS, RatioReport, ratio_evaluator
 from .rearrange import check_norm_preservation, decreasing_rearrangement
 from .sharpness import (CUTOFF_KINDS, DEFAULT_EPS_LIST, DEFAULT_SWEEP_RESOLUTION,
                         SWEEP_KINDS, CutoffSpec, ratio_maximize, sharpness_sweep)
 
 REPORT_FIELDS = tuple(field.name for field in fields(RatioReport))
+# C-encodes a row's fields one level in with the separators of ``indent=2``;
+# ``_json_rows`` adds the brackets and the breaks between rows
+_ROW_ENCODER = json.JSONEncoder(separators=(",\n    ", ": "))
 
 
-def _input_hash(f) -> str:
-    return "sha256:" + hashlib.sha256(step_csv_text(f).encode("utf-8")).hexdigest()
+def _input_hash(csv_text: str) -> str:
+    return "sha256:" + hashlib.sha256(csv_text.encode("utf-8")).hexdigest()
 
 
 def _timestamp() -> str:
@@ -98,8 +102,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _case_row(index: int, f, report, violations, timestamp: str | None) -> dict:
-    row: dict = {"index": index, "input_hash": _input_hash(f)}
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of :func:`main`, built once per process."""
+    return build_parser()
+
+
+def _case_row(index: int, csv_text: str, report, violations, timestamp: str | None) -> dict:
+    row: dict = {"index": index, "input_hash": _input_hash(csv_text)}
     if timestamp is not None:
         row["timestamp"] = timestamp
     row.update(report.to_json_dict())
@@ -112,33 +122,45 @@ def _violation_dump_path(output: str | None, index: int) -> Path:
     return base.with_name(f"{base.stem}-violation-{index}.csv")
 
 
+def _json_rows(rows: list[dict]) -> str:
+    """``json.dumps(rows, indent=2)``.  Rows without violations are flat
+    dicts: the C encoder writes them all, and only the breaks between rows
+    need the outer indentation (a raw newline never occurs inside a JSON
+    string)."""
+    if any(row["violations"] for row in rows):
+        return json.dumps(rows, indent=2)
+    body = _ROW_ENCODER.encode(rows)[2:-2].replace("},\n    {", "\n  },\n  {\n    ")
+    return "[\n  {\n    " + body + "\n  }\n]"
+
+
 def cmd_verify(args) -> int:
     tol = default_tolerance() if args.tol is None else check_tolerance(args.tol, "--tol")
     evaluator = ratio_evaluator(args.kind, args.p)
     if args.input is not None:
-        cases = [read_step_csv(args.input)]
+        cases = as_batch(read_step_csv(args.input))
     else:
         if args.count < 1:
             raise InvalidParameterError(f"--count must be >= 1, got {args.count}")
-        rng = make_rng(args.seed)
-        cases = [random_step_function(rng) for _ in range(args.count)]
+        cases = random_step_function(make_rng(args.seed), args.count)
     timestamp = None if args.no_timestamp else _timestamp()
     rows = []
     exit_code = 0
     # one evaluator call for all cases; a case's report does not depend on
     # the batch it is evaluated in
-    reports = evaluator(StepBatch.of(cases))
-    for index, (f, report) in enumerate(zip(cases, reports)):
+    reports = evaluator(cases)
+    # each case's CSV text: hashed into its row, and dumped if it violates
+    texts = step_csv_text(cases)
+    for index, (text, report) in enumerate(zip(texts, reports)):
         violations = report.violations(tol)
-        rows.append(_case_row(index, f, report, violations, timestamp))
+        rows.append(_case_row(index, text, report, violations, timestamp))
         if violations:
             exit_code = 1
             dump = _violation_dump_path(args.output, index)
-            write_step_csv(f, dump)
+            dump.write_text(text, encoding="utf-8")
             print(f"violation in case {index}: {'; '.join(violations)} "
                   f"(function dumped to {dump})", file=sys.stderr)
     if args.format == "json":
-        _emit(json.dumps(rows, indent=2) + "\n", args.output)
+        _emit(_json_rows(rows) + "\n", args.output)
     else:
         header = ["index", "input_hash"] + list(REPORT_FIELDS) + ["violations"]
         lines = [",".join(header)]
@@ -199,7 +221,7 @@ def cmd_maximize(args) -> int:
         "cells": args.cells,
         "seed": args.seed,
         "iters": args.iters,
-        "best_hash": _input_hash(best),
+        "best_hash": _input_hash(step_csv_text(best)),
     }
     if not args.no_timestamp:
         doc["timestamp"] = _timestamp()
@@ -211,9 +233,8 @@ def cmd_maximize(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:  # argparse usage errors exit 2 already
         return int(exc.code or 0)
     handlers = {

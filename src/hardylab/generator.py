@@ -12,7 +12,7 @@ import operator
 import numpy as np
 
 from .errors import InvalidParameterError
-from .grid import StepFunction, make_graded_grid
+from .grid import Grid, StepBatch, StepFunction, geometric_grids
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -27,16 +27,31 @@ def make_rng(seed: int) -> np.random.Generator:
     return np.random.default_rng(index)
 
 
-def random_step_function(rng: np.random.Generator) -> StepFunction:
+def random_step_function(rng: np.random.Generator,
+                         count: int | None = None) -> StepFunction | StepBatch:
     """Values uniform in [-1, 1] on a random geometric grid.
 
-    r_min ~ U[1e-4, 1e-1], R ~ U[1, 10], n uniform in {8, ..., 64}.
+    r_min ~ U[1e-4, 1e-1], R ~ U[1, 10], n uniform in {8, ..., 64}.  One
+    :class:`StepFunction`, or with a ``count`` the next ``count`` functions of
+    the stream as one :class:`StepBatch`: the same draws, in the same order,
+    as that many single calls, with every grid built and checked at once.
     """
-    r_min = rng.uniform(1e-4, 1e-1)
-    R = rng.uniform(1.0, 10.0)
-    n = int(rng.integers(8, 65))
-    values = rng.uniform(-1.0, 1.0, n)
-    return StepFunction(make_graded_grid(R, n, "geometric", r_min=r_min), values)
+    try:
+        size = 1 if count is None else operator.index(count)
+    except TypeError:
+        size = 0
+    if size < 1 or isinstance(count, bool):
+        raise InvalidParameterError(f"count must be a positive integer, got {count!r}")
+    r_min, R, n, values = [], [], [], []
+    for _ in range(size):
+        r_min.append(rng.uniform(1e-4, 1e-1))
+        R.append(rng.uniform(1.0, 10.0))
+        n.append(int(rng.integers(8, 65)))
+        values.append(rng.uniform(-1.0, 1.0, n[-1]))
+    grid = geometric_grids(np.array(r_min), np.array(R), np.array(n))
+    if count is None:
+        return StepFunction(Grid(grid.edges), values[0])
+    return StepBatch.checked(grid, np.concatenate(values))
 
 
 def random_step_function_away_from_zero(rng: np.random.Generator) -> StepFunction:

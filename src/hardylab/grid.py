@@ -21,9 +21,10 @@ Grid, StepFunction        the basic data model
 PiecewisePoly             degree <= 2 pieces + affine tail, exact evaluation
 GridBatch, StepBatch, PolyBatch, as_batch   many functions in ragged form
 make_graded_grid          uniform or geometrically graded partitions
+geometric_grids           many geometric partitions as one batch
 step_function             convenience constructor from plain sequences
 p_norm                    ``\\int |f|^p`` (p-th power mass) for step functions
-read_step_csv, write_step_csv   round-trippable `edge,value` serialisation
+read_step_csv, write_step_csv, step_csv_text   round-trippable `edge,value` serialisation
 """
 
 from __future__ import annotations
@@ -254,6 +255,26 @@ class StepBatch:
         self.values = values
 
     @classmethod
+    def checked(cls, grid: GridBatch, values: np.ndarray) -> "StepBatch":
+        """A batch after the checks of :class:`Grid` and :class:`StepFunction`,
+        made once for all its functions: finite edges and values, each
+        function's first edge 0 and its edges strictly increasing."""
+        if values.shape != (grid.n_cells,):
+            raise InvalidParameterError(
+                f"expected {grid.n_cells} cell values, got shape {values.shape}")
+        if not np.isfinite(grid.edges).all():
+            raise InvalidParameterError("grid edges must be finite")
+        first = grid.edges[grid.offsets[:-1] + np.arange(len(grid))]
+        if (first != 0.0).any():
+            raise InvalidParameterError(
+                f"the first grid edge must be 0, got {first[first != 0.0][0]}")
+        if (grid.widths <= 0.0).any():
+            raise InvalidParameterError("grid edges must be strictly increasing")
+        if not np.isfinite(values).all():
+            raise InvalidParameterError("cell values must be finite")
+        return cls(grid, values)
+
+    @classmethod
     def of(cls, functions: Iterable[StepFunction]) -> "StepBatch":
         functions = list(functions)
         if not functions:
@@ -387,13 +408,23 @@ def make_graded_grid(R: float, n_cells: int, grading: str = "uniform",
         if n_cells == 1:
             edges = np.array([0.0, R])
         else:
-            k = np.arange(n_cells, dtype=float)
-            pos = r_min * (R / r_min) ** (k / (n_cells - 1))
-            pos[-1] = R
-            edges = np.concatenate([[0.0], pos])
+            edges = geometric_grids(np.array([r_min]), np.array([R]), np.array([n_cells])).edges
     else:
         raise InvalidParameterError(f"unknown grading {grading!r}")
     return Grid(edges)
+
+
+def geometric_grids(r_min: np.ndarray, R: np.ndarray, n_cells: np.ndarray) -> GridBatch:
+    """The geometric grids of :func:`make_graded_grid`, one per entry of the
+    arrays (``n_cells >= 2``, ``0 < r_min < R``), as one unchecked batch."""
+    offsets = np.concatenate(([0], np.cumsum(n_cells)))
+    grid = GridBatch(np.zeros(offsets[-1] + n_cells.size), offsets)
+    k = np.arange(offsets[-1]) - np.repeat(offsets[:-1], n_cells)  # edge index in its grid
+    ratio, last = np.repeat(R / r_min, n_cells), np.repeat(n_cells - 1, n_cells)
+    pos = np.repeat(r_min, n_cells) * ratio ** (k / last)
+    pos[offsets[1:] - 1] = R
+    grid.edges[grid.right] = pos
+    return grid
 
 
 def _in_double_range(fn):
@@ -452,9 +483,19 @@ def write_step_csv(f: StepFunction, path) -> None:
     Path(path).write_text(step_csv_text(f), encoding="utf-8")
 
 
-def step_csv_text(f: StepFunction) -> str:
-    rows = map("{:.17g},{:.17g}\n".format, f.grid.edges[1:].tolist(), f.values.tolist())
-    return "edge,value\n0,\n" + "".join(rows)
+def step_csv_text(f):
+    """The `edge,value` CSV text of ``f``: a string for one function, a list
+    with one string per function for a :class:`StepBatch`."""
+    batch = as_batch(f)
+    grid = batch.grid
+    pairs = np.empty((batch.values.size, 2))
+    pairs[:, 0] = grid.edges[grid.right]
+    pairs[:, 1] = batch.values
+    numbers = tuple(pairs.ravel().tolist())
+    b = (2 * grid.offsets).tolist()
+    texts = [("edge,value\n0,\n" + "%.17g,%.17g\n" * ((e - s) // 2)) % numbers[s:e]
+             for s, e in zip(b[:-1], b[1:])]
+    return texts if batch is f else texts[0]
 
 
 def read_step_csv(path) -> StepFunction:

@@ -5,8 +5,9 @@ value (stable, descending) and re-lays them out from the origin, keeping
 each cell's width.  It is non-negative, non-increasing, equimeasurable with
 ``|f|`` and preserves every p-th power mass.  A cell too narrow to move the
 running edge sum in double precision (a width below an ulp of the edge it
-follows) is dropped from ``f*``; its value is at most every earlier one, so
-its share of any p-th power mass is below about ``2**-52``.
+follows) is dropped from ``f*``.  The edges then come from a compensated
+running sum that carries each dropped width into the next kept cell, so the
+p-th power masses stay within rounding of ``f``'s however many are dropped.
 
 :func:`check_partial_domination` accepts one upper limit ``s`` or a 1-D
 array of them, and reads both partial masses off :func:`cumulative`'s
@@ -43,11 +44,20 @@ def _rearranged_cells(f: StepFunction) -> tuple[np.ndarray, np.ndarray]:
     absvals = np.abs(f.values)
     order = (-absvals).argsort(kind="stable")
     end = f.grid.support_end
-    edges = np.minimum(np.concatenate([[0.0], f.grid.widths[order].cumsum()]), end)
+    widths = f.grid.widths[order]
+    sums = widths.cumsum()
+    edges = np.minimum(np.concatenate([[0.0], sums]), end)
     edges[-1] = end
     values = absvals[order]
     keep = edges[1:] > edges[:-1]
     if not keep.all():
+        # carry the width of each step that left the sum unchanged into the
+        # edges after it, so dropped widths move the next kept edge instead
+        # of being lost one by one
+        lost = sums == np.concatenate([[0.0], sums[:-1]])
+        edges = np.minimum(np.concatenate([[0.0], sums + (widths * lost).cumsum()]), end)
+        edges[-1] = end
+        keep = edges[1:] > edges[:-1]
         edges, values = np.concatenate([[0.0], edges[1:][keep]]), values[keep]
     return edges, values
 

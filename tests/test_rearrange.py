@@ -140,6 +140,35 @@ def test_sub_ulp_cells_are_dropped_from_the_rearrangement(edges, values):
     assert bound <= rearranged * (1.0 + 1e-6)
 
 
+@pytest.mark.parametrize("p", [1.1, 2.0])
+def test_many_sub_ulp_cells_keep_their_mass(p):
+    """400,000 cells of width 1e-17 sorted behind a unit cell each fall below
+    an ulp of the edge sum; their widths carry over instead of adding up to
+    a lost mass of about 1e-12."""
+    n = 400_000
+    edges = np.concatenate([np.arange(n + 1) * 1e-17, n * 1e-17 + np.array([1.0, 2.0])])
+    f = step_function(edges, np.concatenate([np.full(n, 0.5), [1.0, 0.1]]))
+    before, after = check_norm_preservation(f, p)
+    assert abs(before - after) <= 1e-12 * before
+    fstar = decreasing_rearrangement(f).step
+    assert fstar.grid.support_end == f.grid.support_end
+    assert fstar.values[0] == 1.0 and fstar.values[-1] == 0.1
+
+
+def test_rearrangement_without_dropped_cells_is_unchanged():
+    """With no cell dropped, f* is the plain running sum of sorted widths."""
+    rng = make_rng(21)
+    for _ in range(50):
+        f = random_step_function(rng)
+        order = (-np.abs(f.values)).argsort(kind="stable")
+        edges = np.minimum(np.concatenate([[0.0], f.grid.widths[order].cumsum()]),
+                           f.grid.support_end)
+        edges[-1] = f.grid.support_end
+        fstar = decreasing_rearrangement(f).step
+        assert fstar.grid.edges.tobytes() == edges.tobytes()
+        assert fstar.values.tobytes() == np.abs(f.values)[order].tobytes()
+
+
 def test_partial_domination_equals_cumulative_evaluate():
     """The running-sum form gives the exact floats of evaluating the two
     validated cumulatives, and the array form the exact scalar results."""
