@@ -12,6 +12,7 @@ import argparse
 import functools
 import hashlib
 import json
+import operator
 import sys
 import traceback
 from dataclasses import fields
@@ -28,6 +29,9 @@ from .sharpness import (CUTOFF_KINDS, DEFAULT_EPS_LIST, DEFAULT_SWEEP_RESOLUTION
                         SWEEP_KINDS, CutoffSpec, ratio_maximize, sharpness_sweep)
 
 REPORT_FIELDS = tuple(field.name for field in fields(RatioReport))
+_CSV_HEADER = ",".join(("index", "input_hash") + REPORT_FIELDS + ("violations",))
+# a row's csv cells but the violations, as one tuple
+_CSV_CELLS = operator.itemgetter("index", "input_hash", *REPORT_FIELDS)
 # C-encodes a row's fields one level in with the separators of ``indent=2``;
 # ``_json_rows`` adds the brackets and the breaks between rows
 _ROW_ENCODER = json.JSONEncoder(separators=(",\n    ", ": "))
@@ -133,6 +137,24 @@ def _json_rows(rows: list[dict]) -> str:
     return "[\n  {\n    " + body + "\n  }\n]"
 
 
+def _csv_rows(rows: list[dict]) -> str:
+    """The csv table of the rows.  Each row is one ``%`` format over a tuple
+    of its cells, made once per pattern of cell types: ``%.17g`` for a
+    float, an empty cell for ``None`` and ``str`` for anything else."""
+    formats: dict = {}
+    lines = [_CSV_HEADER]
+    for row in rows:
+        cells = _CSV_CELLS(row) + ("; ".join(row["violations"]),)
+        types = tuple(map(type, cells))
+        fmt = formats.get(types)
+        if fmt is None:
+            fmt = formats[types] = ",".join(
+                "%.17g" if issubclass(t, float) else "%.0s" if t is type(None) else "%s"
+                for t in types)
+        lines.append(fmt % cells)
+    return "\n".join(lines) + "\n"
+
+
 def cmd_verify(args) -> int:
     tol = default_tolerance() if args.tol is None else check_tolerance(args.tol, "--tol")
     evaluator = ratio_evaluator(args.kind, args.p)
@@ -162,17 +184,7 @@ def cmd_verify(args) -> int:
     if args.format == "json":
         _emit(_json_rows(rows) + "\n", args.output)
     else:
-        header = ["index", "input_hash"] + list(REPORT_FIELDS) + ["violations"]
-        lines = [",".join(header)]
-        for row in rows:
-            cells = [str(row["index"]), row["input_hash"]]
-            for name in REPORT_FIELDS:
-                value = row[name]
-                cells.append("" if value is None else f"{value:.17g}"
-                             if isinstance(value, float) else str(value))
-            cells.append("; ".join(row["violations"]))
-            lines.append(",".join(cells))
-        _emit("\n".join(lines) + "\n", args.output)
+        _emit(_csv_rows(rows), args.output)
     return exit_code
 
 

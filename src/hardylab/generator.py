@@ -7,24 +7,15 @@ seed pins the whole case stream.
 
 from __future__ import annotations
 
-import operator
-
 import numpy as np
 
-from .errors import InvalidParameterError
-from .grid import Grid, StepBatch, StepFunction, geometric_grids
+from .grid import Grid, StepBatch, StepFunction, check_integer, geometric_grids
 
 
 def make_rng(seed: int) -> np.random.Generator:
     """The PCG64 generator of a non-negative integer ``seed``: an ``int`` or a
     numpy integer, not a ``bool``, a float or a string."""
-    try:
-        index = operator.index(seed)
-    except TypeError:
-        index = None
-    if index is None or isinstance(seed, bool) or index < 0:
-        raise InvalidParameterError(f"seed must be a non-negative integer, got {seed!r}")
-    return np.random.default_rng(index)
+    return np.random.default_rng(check_integer(seed, "seed", 0))
 
 
 def random_step_function(rng: np.random.Generator,
@@ -36,12 +27,7 @@ def random_step_function(rng: np.random.Generator,
     the stream as one :class:`StepBatch`: the same draws, in the same order,
     as that many single calls, with every grid built and checked at once.
     """
-    try:
-        size = 1 if count is None else operator.index(count)
-    except TypeError:
-        size = 0
-    if size < 1 or isinstance(count, bool):
-        raise InvalidParameterError(f"count must be a positive integer, got {count!r}")
+    size = 1 if count is None else check_integer(count, "count", 1)
     r_min, R, n, values = [], [], [], []
     for _ in range(size):
         r_min.append(rng.uniform(1e-4, 1e-1))

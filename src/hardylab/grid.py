@@ -17,6 +17,7 @@ quadrature lives in :mod:`hardylab.quadrature`.
 Index
 -----
 check_exponent            validate a Lebesgue exponent ``1 < p < inf``
+check_integer             validate an integer parameter (count, seed, cells, ...)
 Grid, StepFunction        the basic data model
 PiecewisePoly             degree <= 2 pieces + affine tail, exact evaluation
 GridBatch, StepBatch, PolyBatch, as_batch   many functions in ragged form
@@ -30,6 +31,7 @@ read_step_csv, write_step_csv, step_csv_text   round-trippable `edge,value` seri
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import wraps
 from pathlib import Path
@@ -48,6 +50,19 @@ def check_exponent(p: float) -> float:
     if not math.isfinite(p) or p <= 1.0:
         raise InvalidParameterError(f"exponent must satisfy 1 < p < inf, got {p}")
     return p
+
+
+def check_integer(value, name: str, minimum: int) -> int:
+    """``value`` as an ``int`` if it is an integer of at least ``minimum``: an
+    ``int`` or a numpy integer, not a ``bool``, a float or a string.
+    Otherwise an :class:`InvalidParameterError` naming the parameter."""
+    try:
+        index = operator.index(value)
+    except TypeError:
+        index = None
+    if index is None or isinstance(value, bool) or index < minimum:
+        raise InvalidParameterError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return index
 
 
 def _frozen_array(values, dtype=float) -> np.ndarray:
@@ -392,9 +407,7 @@ def make_graded_grid(R: float, n_cells: int, grading: str = "uniform",
     R = float(R)
     if not math.isfinite(R) or R <= 0.0:
         raise InvalidParameterError(f"support end must be positive and finite, got {R}")
-    n_cells = int(n_cells)
-    if n_cells < 1:
-        raise InvalidParameterError(f"need at least one cell, got {n_cells}")
+    n_cells = check_integer(n_cells, "n_cells", 1)
     if grading == "uniform":
         if r_min is not None:
             raise InvalidParameterError("r_min only applies to geometric grading")

@@ -1,9 +1,10 @@
-"""Per-case generation, CSV text and output of ``verify``, kept as test references.
+"""Per-case and per-cell loops of the package, kept as test references.
 
 The package draws a ``verify`` case stream as one batch, formats every
-case's CSV text in one pass and encodes its JSON rows with the C encoder.
-These are the per-case forms that code replaced; it must reproduce their
-output bit for bit (``tests/test_cases.py``).
+case's CSV text in one pass, encodes its JSON rows with the C encoder and
+builds the cutoff band of a minimizing function as one node matrix.  These
+are the per-case and per-cell forms that code replaced; it must reproduce
+their output bit for bit (``tests/test_cases.py``, ``tests/test_sharpness.py``).
 """
 
 import hashlib
@@ -12,8 +13,10 @@ from dataclasses import fields
 
 import numpy as np
 
-from hardylab.grid import Grid, StepFunction
+from hardylab.grid import Grid, StepFunction, make_graded_grid
 from hardylab.inequalities import RatioReport
+from hardylab.quadrature import _gauss_legendre
+from hardylab.sharpness import _chi
 
 REPORT_FIELDS = [field.name for field in fields(RatioReport)]
 
@@ -65,3 +68,32 @@ def verify_csv(rows):
         cells.append("; ".join(row["violations"]))
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
+
+
+def minimizing_function(p, eps, spec, n_cells, r_min):
+    """``sharpness.minimizing_function`` with its cutoff-band cells averaged
+    one cell at a time (valid arguments only)."""
+    grid = make_graded_grid(2.0, n_cells, "geometric", r_min=r_min)
+    a = grid.edges[:-1]
+    b = grid.edges[1:]
+    q = (eps - 1.0) / p
+    s = q + 1.0
+    values = np.zeros(n_cells)
+    pure = b <= 1.0
+    values[pure] = (b[pure] ** s - a[pure] ** s) / (s * (b[pure] - a[pure]))
+    x, w = _gauss_legendre(32)
+    for i in np.nonzero(~pure)[0]:
+        lo, hi = float(a[i]), float(b[i])
+        if lo >= 2.0:
+            break
+        total = 0.0
+        if lo < 1.0:  # pure-power part of a cell straddling r = 1
+            total += (1.0 - lo ** s) / s
+            lo = 1.0
+        hi_c = min(hi, 2.0)
+        if hi_c > lo:
+            half = 0.5 * (hi_c - lo)
+            r = 0.5 * (hi_c + lo) + half * x
+            total += float(np.dot(r ** q * _chi(spec, r), w)) * half
+        values[i] = total / (float(b[i]) - float(a[i]))
+    return StepFunction(grid, values)

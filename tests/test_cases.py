@@ -17,7 +17,7 @@ from hardylab import StepBatch, StepFunction, cli, make_rng, random_step_functio
 from hardylab.config import default_tolerance
 from hardylab.errors import InvalidParameterError
 from hardylab.grid import GridBatch, as_batch, step_csv_text
-from hardylab.inequalities import ratio_evaluator
+from hardylab.inequalities import KINDS, REPORT_KINDS, ratio_evaluator
 from test_cli import run_cli
 
 TIMESTAMP = "2026-01-01T00:00:00+00:00"
@@ -138,6 +138,35 @@ def test_rows_with_violations_keep_the_nested_layout(violations):
     rows = ROWS + [report_row(4, violations=violations)]
     assert cli._json_rows(rows) == json.dumps(rows, indent=2)
     assert '    "violations": [\n      "one"' in cli._json_rows(rows)
+
+
+# --------------------------------------------------------------------------
+# CSV rows
+# --------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("violations", [[], ["one"], ["one", "two"]])
+def test_csv_rows_equal_per_field_formatting(violations):
+    # None and float middles, -0.0, subnormals, huge ints, a timestamp field
+    rows = ROWS + [report_row(4, violations=violations), report_row(5, middle=np.float64(0.1))]
+    assert cli._csv_rows(rows) == loops.verify_csv(rows)
+    assert cli._csv_rows(rows[:1]) == loops.verify_csv(rows[:1])
+
+
+@pytest.mark.parametrize("kind", REPORT_KINDS)
+def test_verify_csv_of_every_kind_equals_per_field_formatting(kind, capsys):
+    p = 2.0 if KINDS[kind].p2_only else 1.5
+    argv = ["verify", "--kind", kind, "--p", str(p), "--count", "12", "--seed", "5",
+            "--format", "csv", "--no-timestamp"]
+    assert cli.main(argv) == 0
+    out, _ = capsys.readouterr()
+    ref_rng = make_rng(5)
+    cases = [loops.random_step_function(ref_rng) for _ in range(12)]
+    reports = ratio_evaluator(kind, p)(StepBatch.of(cases))
+    rows = loops.verify_rows(cases, reports, default_tolerance(), None)
+    assert out == loops.verify_csv(rows)
+    middles = {row["middle"] is None for row in rows}
+    assert middles == {kind not in ("rellich_chain", "new_hardy", "improved_hardy_rellich")}
 
 
 # --------------------------------------------------------------------------

@@ -196,6 +196,19 @@ class TestMakeGradedGrid:
         with pytest.raises(InvalidParameterError):
             make_graded_grid(**kwargs)
 
+    @pytest.mark.parametrize("n_cells", [math.nan, math.inf, 1.9, 2.0, True, "2", None])
+    @pytest.mark.parametrize("grading, r_min", [("uniform", None), ("geometric", 0.25)])
+    def test_non_integer_cell_counts(self, n_cells, grading, r_min):
+        with pytest.raises(InvalidParameterError):
+            make_graded_grid(1.0, n_cells, grading, r_min=r_min)
+
+    @pytest.mark.parametrize("grading, r_min", [("uniform", None), ("geometric", 0.25)])
+    def test_numpy_integer_cell_counts(self, grading, r_min):
+        for n_cells in (np.int64(5), np.uint8(5)):
+            g = make_graded_grid(1.0, n_cells, grading, r_min=r_min)
+            ref = make_graded_grid(1.0, 5, grading, r_min=r_min)
+            assert g.edges.tobytes() == ref.edges.tobytes()
+
 
 # ---------------------------------------------------------------------------
 # p-th power mass

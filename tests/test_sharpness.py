@@ -6,13 +6,14 @@ import math
 import numpy as np
 import pytest
 
+import case_loops as loops
 from hardylab.errors import FitDegenerateError, InvalidParameterError
 from hardylab.grid import p_norm
 from hardylab.inequalities import rellich_chain, sharp_constant
 from hardylab.sharpness import (CUTOFF_KINDS, DEFAULT_EPS_LIST, SWEEP_KINDS,
                                 CutoffSpec, SweepPoint, SweepResult,
                                 cutoff_value, minimizing_function,
-                                ratio_maximize, sharpness_sweep)
+                                ratio_maximize, sharpness_sweep, _sweep_r_min)
 
 
 # --------------------------------------------------------------------------
@@ -104,6 +105,43 @@ class TestMinimizingFunction:
             minimizing_function(2.0, 0.1, r_min=1.5)
         with pytest.raises(InvalidParameterError):
             minimizing_function(1.0, 0.1)
+
+
+# the case grid of the whole-array build against the per-cell loop
+GRID_EPS = DEFAULT_EPS_LIST + (0.5, 0.9)
+GRID_RESOLUTIONS = (8, 9, 64, 512, 2048, 8192)
+GRID_R_MINS = (None, 0.3, 0.9, 1e-300)  # None: the sweep's r_min(eps)
+
+
+@pytest.mark.parametrize("cutoff", CUTOFF_KINDS)
+@pytest.mark.parametrize("p", [1.1, 1.5, 2.0, 3.0, 4.0])
+def test_band_build_equals_per_cell_loop(cutoff, p):
+    spec = CutoffSpec(cutoff)
+    for eps in GRID_EPS:
+        for n_cells in GRID_RESOLUTIONS:
+            for r_min in GRID_R_MINS:
+                r_min = _sweep_r_min(eps) if r_min is None else r_min
+                # grids with over 1000 cells in (1, 2) take the per-cell loop
+                # seconds each: run them at p = 2 only
+                if n_cells * math.log(2.0) / math.log(2.0 / r_min) > 1000 and p != 2.0:
+                    continue
+                f = minimizing_function(p, eps, spec, n_cells, r_min)
+                g = loops.minimizing_function(p, eps, spec, n_cells, r_min)
+                assert f.grid.edges.tobytes() == g.grid.edges.tobytes()
+                assert np.all(f.values == g.values), (eps, n_cells, r_min)
+
+
+@pytest.mark.parametrize("cutoff", CUTOFF_KINDS)
+def test_band_build_of_an_eight_cell_grid_straddling_one(cutoff):
+    # the band is the last cell alone: it holds r = 1 and ends at 2
+    spec = CutoffSpec(cutoff)
+    for p in (1.1, 1.5, 2.0, 3.0, 4.0):
+        for eps in GRID_EPS:
+            f = minimizing_function(p, eps, spec, 8, 1e-6)
+            a, b = f.grid.edges[-2:]
+            assert a < 1.0 < b == 2.0
+            g = loops.minimizing_function(p, eps, spec, 8, 1e-6)
+            assert np.all(f.values == g.values), (p, eps)
 
 
 def test_denominator_diverges_like_one_over_eps():
@@ -257,3 +295,36 @@ class TestRatioMaximize:
             ratio_maximize("hardy", 2.0, iters=0)
         with pytest.raises(InvalidParameterError):
             ratio_maximize("hardy", 2.0, seed=-1)
+
+
+# --------------------------------------------------------------------------
+# Integer parameters
+# --------------------------------------------------------------------------
+
+NOT_INTEGERS = [math.nan, math.inf, -math.inf, 1.9, 40.0, True, "40", None]
+
+
+@pytest.mark.parametrize("bad", NOT_INTEGERS)
+def test_integer_parameters_reject_non_integers(bad):
+    with pytest.raises(InvalidParameterError):
+        minimizing_function(2.0, 0.1, n_cells=bad)
+    with pytest.raises(InvalidParameterError):
+        sharpness_sweep("hardy", 2.0, eps_list=(0.2, 0.1), resolution=bad)
+    with pytest.raises(InvalidParameterError):
+        ratio_maximize("hardy", 2.0, n_cells=bad)
+    with pytest.raises(InvalidParameterError):
+        ratio_maximize("hardy", 2.0, iters=bad)
+    with pytest.raises(InvalidParameterError):
+        ratio_maximize("hardy", 2.0, seed=bad)
+
+
+def test_integer_parameters_keep_their_results():
+    for n_cells in (64, np.int64(64), np.uint16(64)):
+        f = minimizing_function(2.0, 0.1, n_cells=n_cells)
+        assert f.values.tobytes() == minimizing_function(2.0, 0.1, n_cells=64).values.tobytes()
+    best, rep = ratio_maximize("hardy", 2.0, n_cells=np.int32(8), seed=np.int64(3),
+                               iters=np.int64(6))
+    ref_best, ref_rep = ratio_maximize("hardy", 2.0, n_cells=8, seed=3, iters=6)
+    assert best.values.tobytes() == ref_best.values.tobytes() and rep == ref_rep
+    res = sharpness_sweep("hardy", 2.0, eps_list=(0.2, 0.1), resolution=np.int64(64))
+    assert res == sharpness_sweep("hardy", 2.0, eps_list=(0.2, 0.1), resolution=64)
