@@ -7,10 +7,9 @@ checked; it can be overridden per call or globally through the
 
 from __future__ import annotations
 
-import math
 import os
 
-from .errors import InvalidParameterError
+from .grid import check_real
 
 DEFAULT_TOLERANCE = 1e-6
 
@@ -20,13 +19,7 @@ ENV_VAR = "HARDYLAB_DEFAULT_TOL"
 def check_tolerance(value, name: str) -> float:
     """``value`` as a float if it is a positive finite number; otherwise an
     :class:`InvalidParameterError` naming its source ``name``."""
-    try:
-        tol = float(value)
-    except ValueError:
-        tol = math.nan
-    if not 0.0 < tol < math.inf:
-        raise InvalidParameterError(f"{name} must be a positive real number, got {value!r}")
-    return tol
+    return check_real(value, name, 0.0)
 
 
 def default_tolerance() -> float:

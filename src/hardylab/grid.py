@@ -16,6 +16,7 @@ quadrature lives in :mod:`hardylab.quadrature`.
 
 Index
 -----
+check_real                validate a real parameter in an open interval
 check_exponent            validate a Lebesgue exponent ``1 < p < inf``
 check_integer             validate an integer parameter (count, seed, cells, ...)
 Grid, StepFunction        the basic data model
@@ -41,15 +42,24 @@ import numpy as np
 
 from .errors import DoubleRangeError, InvalidParameterError, MalformedCSVError
 
+def check_real(value, name: str, lower: float = -math.inf, upper: float = math.inf) -> float:
+    """``value`` as a float if it is a real number strictly inside ``(lower,
+    upper)``, hence finite: anything ``float`` takes (a numeric string too)
+    but a ``bool``.  Otherwise an :class:`InvalidParameterError` naming the
+    parameter."""
+    try:
+        x = float(value)
+    except (TypeError, ValueError):
+        x = math.nan
+    if isinstance(value, (bool, np.bool_)) or not lower < x < upper:
+        raise InvalidParameterError(
+            f"{name} must be a real number in ({lower!r}, {upper!r}), got {value!r}")
+    return x
+
+
 def check_exponent(p: float) -> float:
     """Validate and return the Lebesgue exponent ``p`` (finite, ``p > 1``)."""
-    try:
-        p = float(p)
-    except (TypeError, ValueError):
-        raise InvalidParameterError(f"exponent must be a real number, got {p!r}") from None
-    if not math.isfinite(p) or p <= 1.0:
-        raise InvalidParameterError(f"exponent must satisfy 1 < p < inf, got {p}")
-    return p
+    return check_real(p, "exponent", 1.0)
 
 
 def check_integer(value, name: str, minimum: int) -> int:
@@ -65,6 +75,41 @@ def check_integer(value, name: str, minimum: int) -> int:
     return index
 
 
+def _real_array(values, name: str, shape: tuple | None = None) -> np.ndarray:
+    """``values`` as a float array of finite real numbers (not bools or text),
+    of ``shape`` if one is given; otherwise an :class:`InvalidParameterError`
+    about ``name``."""
+    try:
+        arr = np.asarray(values)
+    except ValueError:  # ragged nesting
+        arr = np.array(None)
+    if arr.dtype.kind not in "fiu" or not np.isfinite(arr).all():
+        raise InvalidParameterError(f"{name} must be finite real numbers")
+    if shape is not None and arr.shape != shape:
+        raise InvalidParameterError(f"expected {name} of shape {shape}, got shape {arr.shape}")
+    return arr.astype(float, copy=False)
+
+
+def _check_edges(grid: GridBatch) -> None:
+    """The edge checks of :class:`Grid` on every grid of a batch whose edges
+    passed :func:`_real_array`: each grid's first edge 0 and its edges
+    strictly increasing."""
+    first = grid.edges[grid.offsets[:-1] + np.arange(len(grid))]
+    if (first != 0.0).any():
+        raise InvalidParameterError(f"the first grid edge must be 0, got {first[first != 0.0][0]}")
+    if (grid.widths <= 0.0).any():
+        raise InvalidParameterError("grid edges must be strictly increasing")
+
+
+def _points(r) -> tuple[np.ndarray, bool]:
+    """Evaluation points ``r >= 0`` as a float array of at least one
+    dimension, and whether ``r`` was a scalar."""
+    r_arr = _real_array(r, "evaluation points")
+    if (r_arr < 0.0).any():
+        raise InvalidParameterError("evaluation points must be >= 0")
+    return np.atleast_1d(r_arr), r_arr.ndim == 0
+
+
 def _frozen_array(values, dtype=float) -> np.ndarray:
     arr = np.array(values, dtype=dtype)
     arr.flags.writeable = False
@@ -78,15 +123,10 @@ class Grid:
     edges: np.ndarray
 
     def __post_init__(self) -> None:
-        edges = np.asarray(self.edges, dtype=float)
+        edges = _real_array(self.edges, "grid edges")
         if edges.ndim != 1 or edges.size < 2:
             raise InvalidParameterError("a grid needs at least two edges (one cell)")
-        if not np.all(np.isfinite(edges)):
-            raise InvalidParameterError("grid edges must be finite")
-        if edges[0] != 0.0:
-            raise InvalidParameterError(f"the first grid edge must be 0, got {edges[0]}")
-        if np.any(np.diff(edges) <= 0.0):
-            raise InvalidParameterError("grid edges must be strictly increasing")
+        _check_edges(GridBatch(edges, np.array([0, edges.size - 1])))
         object.__setattr__(self, "edges", _frozen_array(edges))
 
     @property
@@ -111,22 +151,12 @@ class StepFunction:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=float)
-        if values.ndim != 1 or values.size != self.grid.n_cells:
-            raise InvalidParameterError(
-                f"expected {self.grid.n_cells} cell values, got shape {values.shape}"
-            )
-        if not np.all(np.isfinite(values)):
-            raise InvalidParameterError("cell values must be finite")
+        values = _real_array(self.values, "cell values", (self.grid.n_cells,))
         object.__setattr__(self, "values", _frozen_array(values))
 
     def evaluate(self, r):
         """Pointwise values (0 at r = 0 and beyond the support)."""
-        r_arr = np.asarray(r, dtype=float)
-        scalar = r_arr.ndim == 0
-        r_arr = np.atleast_1d(r_arr)
-        if np.any(r_arr < 0.0) or not np.all(np.isfinite(r_arr)):
-            raise InvalidParameterError("evaluation points must be finite and >= 0")
+        r_arr, scalar = _points(r)
         edges = self.grid.edges
         idx = np.searchsorted(edges, r_arr, side="left") - 1
         inside = (r_arr > 0.0) & (r_arr <= edges[-1])
@@ -140,7 +170,7 @@ class StepFunction:
 
 def step_function(edges: Iterable[float], values: Iterable[float]) -> StepFunction:
     """Build a :class:`StepFunction` from edge and value sequences."""
-    return StepFunction(Grid(np.asarray(list(edges), dtype=float)), list(values))
+    return StepFunction(Grid(list(edges)), list(values))
 
 
 @dataclass(frozen=True, eq=False)
@@ -158,18 +188,9 @@ class PiecewisePoly:
     tail_slope: float = 0.0
 
     def __post_init__(self) -> None:
-        coeffs = np.asarray(self.coeffs, dtype=float)
-        if coeffs.ndim != 2 or coeffs.shape != (self.grid.n_cells, 3):
-            raise InvalidParameterError(
-                f"expected coefficient shape {(self.grid.n_cells, 3)}, got {coeffs.shape}"
-            )
-        if not np.all(np.isfinite(coeffs)):
-            raise InvalidParameterError("polynomial coefficients must be finite")
+        coeffs = _real_array(self.coeffs, "polynomial coefficients", (self.grid.n_cells, 3))
         for name in ("tail_value", "tail_slope"):
-            val = float(getattr(self, name))
-            if not math.isfinite(val):
-                raise InvalidParameterError(f"{name} must be finite, got {val}")
-            object.__setattr__(self, name, val)
+            object.__setattr__(self, name, check_real(getattr(self, name), name))
         object.__setattr__(self, "coeffs", _frozen_array(coeffs))
 
     @classmethod
@@ -180,11 +201,7 @@ class PiecewisePoly:
 
     def evaluate(self, r):
         """Evaluate at scalar or array ``r >= 0`` (tail formula beyond r_n)."""
-        r_arr = np.asarray(r, dtype=float)
-        scalar = r_arr.ndim == 0
-        r_arr = np.atleast_1d(r_arr).astype(float)
-        if np.any(r_arr < 0.0) or not np.all(np.isfinite(r_arr)):
-            raise InvalidParameterError("evaluation points must be finite and >= 0")
+        r_arr, scalar = _points(r)
         edges = self.grid.edges
         idx = np.clip(np.searchsorted(edges, r_arr, side="left") - 1, 0, self.grid.n_cells - 1)
         loc = r_arr - edges[idx]
@@ -274,19 +291,9 @@ class StepBatch:
         """A batch after the checks of :class:`Grid` and :class:`StepFunction`,
         made once for all its functions: finite edges and values, each
         function's first edge 0 and its edges strictly increasing."""
-        if values.shape != (grid.n_cells,):
-            raise InvalidParameterError(
-                f"expected {grid.n_cells} cell values, got shape {values.shape}")
-        if not np.isfinite(grid.edges).all():
-            raise InvalidParameterError("grid edges must be finite")
-        first = grid.edges[grid.offsets[:-1] + np.arange(len(grid))]
-        if (first != 0.0).any():
-            raise InvalidParameterError(
-                f"the first grid edge must be 0, got {first[first != 0.0][0]}")
-        if (grid.widths <= 0.0).any():
-            raise InvalidParameterError("grid edges must be strictly increasing")
-        if not np.isfinite(values).all():
-            raise InvalidParameterError("cell values must be finite")
+        values = _real_array(values, "cell values", (grid.n_cells,))
+        _real_array(grid.edges, "grid edges")
+        _check_edges(grid)
         return cls(grid, values)
 
     @classmethod
@@ -404,9 +411,7 @@ def make_graded_grid(R: float, n_cells: int, grading: str = "uniform",
     ``R`` (the first cell is ``(0, r_min]``), which is what every
     origin-singular computation here wants.
     """
-    R = float(R)
-    if not math.isfinite(R) or R <= 0.0:
-        raise InvalidParameterError(f"support end must be positive and finite, got {R}")
+    R = check_real(R, "support end", 0.0)
     n_cells = check_integer(n_cells, "n_cells", 1)
     if grading == "uniform":
         if r_min is not None:
@@ -415,9 +420,7 @@ def make_graded_grid(R: float, n_cells: int, grading: str = "uniform",
     elif grading == "geometric":
         if r_min is None:
             raise InvalidParameterError("geometric grading requires r_min")
-        r_min = float(r_min)
-        if not math.isfinite(r_min) or not 0.0 < r_min < R:
-            raise InvalidParameterError(f"r_min must lie in (0, R), got {r_min}")
+        r_min = check_real(r_min, "r_min", 0.0, R)
         if n_cells == 1:
             edges = np.array([0.0, R])
         else:

@@ -48,7 +48,7 @@ from .config import check_tolerance, default_tolerance
 from .errors import (DivergentIntegralError, HardyLabError, InvalidParameterError,
                      ZeroDenominatorError)
 from .grid import StepBatch, StepFunction, _in_double_range, as_batch, check_exponent, p_norm
-from .quadrature import QUAD_ORDER, QUAD_ORDERS, integrate_weighted_power
+from .quadrature import integrate_weighted_power
 from .quadrature import _cap_interval_ratio, _estimate, _quadrature, _split_cells  # shared
 from .operators import cumulative, double_cumulative, inner_cumulative, supmin_branches
 from .rearrange import decreasing_rearrangement
@@ -83,8 +83,7 @@ class RatioReport:
     the intermediate chain term, for ``new_hardy``/``improved_hardy_rellich``
     the classical numerator evaluated on the same nodes.  ``slack`` is
     ``sharp - ratio`` and ``refinement_estimate`` the observed quadrature
-    error indicator (half-order comparison).  The order field names the
-    Gauss-Legendre rule behind the numbers: always :data:`QUAD_ORDER`.
+    error indicator (half-order comparison).
     """
 
     kind: str
@@ -95,7 +94,6 @@ class RatioReport:
     sharp: float
     ratio: float
     slack: float
-    quad_order: int
     refinement_estimate: float
 
     def to_json_dict(self) -> dict:
@@ -168,7 +166,7 @@ def _evaluate(f: StepBatch, kind: str, p: float) -> list[RatioReport]:
     den = _nonzero_mass(f, p)
     num, middle, est = spec.numerator(f, p)
     sharp = spec.sharp(p)
-    return [RatioReport(kind, p, n, m, d, sharp, n / d, sharp - n / d, QUAD_ORDER, e)
+    return [RatioReport(kind, p, n, m, d, sharp, n / d, sharp - n / d, e)
             for n, m, d, e in zip(num, middle or repeat(None), den, est)]
 
 
@@ -204,9 +202,8 @@ def _rellich_chain(f: StepBatch, p: float):
 def _supmin(f: StepBatch, p: float):
     """``\\int (M f)^p dr``, with the classical numerator on the same nodes
     (always a lower bound) as ``middle``."""
-    fine, coarse = _supmin_integrals(f, p, QUAD_ORDERS)
-    num, classic = zip(*fine)
-    return num, classic, [_estimate(a[0], b[0]) for a, b in zip(fine, coarse)]
+    (num, coarse), (classic, _) = _supmin_integrals(f, p)
+    return num, classic, [_estimate(a, b) for a, b in zip(num, coarse)]
 
 
 def _hardy_sharp(p: float) -> float:
@@ -232,7 +229,7 @@ REPORT_KINDS = tuple(KINDS)
 
 def _kind(kind: str, p: float) -> Kind:
     """The table row of ``kind``, checked against the exponent ``p``."""
-    if kind not in KINDS:
+    if not isinstance(kind, str) or kind not in KINDS:
         raise InvalidParameterError(f"unknown inequality kind {kind!r}")
     if KINDS[kind].p2_only and p != 2.0:
         raise InvalidParameterError(f"{kind} is stated for p = 2 only, got p = {p}")
@@ -324,9 +321,9 @@ def _supmin_rows(f):
     return rows, bounds, prefix[grid.ends].tolist(), F_edges[grid.ends].tolist()
 
 
-def _supmin_integrals(f, p: float, orders):
-    """(sup-min, classical) p-th power integrals over ``(0, inf)``, per
-    function, for each rule in ``orders``.
+def _supmin_integrals(f, p: float):
+    """The sup-min and the classical p-th power integrals over ``(0, inf)``,
+    each a pair (fine, coarse rule) of per-function lists.
 
     Both share nodes, so classical ``(|F|/r)^p <= (M f)^p`` holds to
     rounding.  The sup-min integral is also the corollary_int_check lhs:
@@ -346,12 +343,13 @@ def _supmin_integrals(f, p: float, orders):
 
     f = as_batch(f)
     (lo, hi, *columns), bounds, peak, F_end = _supmin_rows(f)
-    sums = _quadrature(integrand, lo, hi, bounds, orders, *columns)
+    sums = _quadrature(integrand, lo, hi, bounds, *columns)
     # beyond the support M f(r) = peak / r and F is constant
     scales = [radius ** (1.0 - p) / (p - 1.0) for radius in f.grid.edges[f.grid.ends].tolist()]
-    tails = [(top ** p * k, abs(end) ** p * k) for top, end, k in zip(peak, F_end, scales)]
-    return [[(s + t[0], c + t[1]) for s, c, t in zip(supmin, classic, tails)]
-            for supmin, classic in zip(*sums)]
+    tails = ([top ** p * k for top, k in zip(peak, scales)],
+             [abs(end) ** p * k for end, k in zip(F_end, scales)])
+    return [[[s + t for s, t in zip(rule, tail)] for rule in rules]
+            for rules, tail in zip(sums, tails)]
 
 
 @_in_double_range
@@ -361,7 +359,7 @@ def weighted_supmin_check(f: StepFunction, p: float) -> tuple[float, float]:
     The rearranged side dominates; both sides are 0 for ``f = 0``.
     """
     p = check_exponent(p)
-    (((lhs, _),),) = _supmin_integrals(f, p, (QUAD_ORDER,))
+    (lhs,), _, _ = _supmin(as_batch(f), p)
     fstar = decreasing_rearrangement(f).step
     rhs = integrate_weighted_power(cumulative(fstar), -p, p)
     return lhs, rhs
@@ -379,8 +377,9 @@ def corollary_int_check(f: StepFunction, p: float) -> tuple[float, float]:
     exactly, and the lhs is the new_hardy numerator.
     """
     p = check_exponent(p)
-    (den,) = _nonzero_mass(as_batch(f), p)
-    (((lhs, _),),) = _supmin_integrals(f, p, (QUAD_ORDER,))
+    batch = as_batch(f)
+    (den,) = _nonzero_mass(batch, p)
+    (lhs,), _, _ = _supmin(batch, p)
     rhs = sharp_constant("hardy", p) * den
     return lhs, rhs
 
@@ -438,9 +437,8 @@ def _running_average_maxform_integral(f: StepFunction, p: float) -> float:
     sub = np.linspace(a, b, _AVG_SUBDIV + 1, axis=1)
     cell = np.repeat(np.arange(a.size), _AVG_SUBDIV)
     columns = (a, u, v, prefixA[:-1], np.maximum(right, suffixT), s_star, peak)
-    ((body,),) = _quadrature(integrand, sub[:, :-1].ravel(), sub[:, 1:].ravel(),
-                             np.array([0, cell.size]), (QUAD_ORDER,),
-                             *(c[cell] for c in columns))
+    ((body, _),) = _quadrature(integrand, sub[:, :-1].ravel(), sub[:, 1:].ravel(),
+                               np.array([0, cell.size]), *(c[cell] for c in columns))
     tail = prefixA[-1] ** p * f.grid.support_end ** (1.0 - p) / (p - 1.0)
     return float(body[0] + tail)
 

@@ -20,8 +20,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InvalidParameterError
-from .grid import Grid, GridBatch, PolyBatch, StepBatch, StepFunction, as_batch, check_exponent
+from .grid import (Grid, GridBatch, PolyBatch, StepBatch, StepFunction, as_batch, check_exponent,
+                   check_real)
 from .grid import _running_max, _running_sum, _sorted_unique
 from .quadrature import _split_cells
 
@@ -60,13 +60,6 @@ def double_cumulative(f):
     return out if batch is f else out.one(f.grid)
 
 
-def _check_radius(r: float) -> float:
-    r = float(r)
-    if not np.isfinite(r) or r <= 0.0:
-        raise InvalidParameterError(f"radius must be positive and finite, got {r}")
-    return r
-
-
 def supmin_candidates(f: StepFunction, r: float) -> list[tuple[float, float]]:
     """Candidate pairs ``(s, |F(s)| / max(r, s))`` whose maximum is ``M f(r)``.
 
@@ -75,7 +68,7 @@ def supmin_candidates(f: StepFunction, r: float) -> list[tuple[float, float]]:
     and beyond the support it is maximised at ``max(r, r_n)`` (an edge or
     ``r`` itself), so the enumeration is exhaustive.
     """
-    r = _check_radius(r)
+    r = check_real(r, "radius", 0.0)
     F = cumulative(f)
     edges = f.grid.edges
     s = _sorted_unique(np.concatenate([edges[1:], [r]]))
@@ -90,7 +83,7 @@ def supmin_transform(f: StepFunction, r: float) -> float:
 
 def rellich_inner(f: StepFunction, tau: float) -> float:
     """``tau * M_{|f|}(tau)`` — the integrand of the strengthened chain."""
-    tau = _check_radius(tau)
+    tau = check_real(tau, "radius", 0.0)
     return tau * supmin_transform(abs(f), tau)
 
 
@@ -100,7 +93,7 @@ def maxform_value(f: StepFunction, r: float, p: float) -> float:
     Sups over ``s`` range over cell closures; on ``[r, inf)`` each cell's
     contribution is maximised at its left endpoint clipped to ``r``.
     """
-    r = _check_radius(r)
+    r = check_real(r, "radius", 0.0)
     p = check_exponent(p)
     edges = f.grid.edges
     a = edges[:-1]
@@ -122,7 +115,7 @@ def supmin_pointwise_identity_check(f: StepFunction, r: float, p: float) -> tupl
     scores ``|v|/r``; a cell meeting ``[r, inf)`` scores best at its left
     endpoint clipped to ``r``), takes the max, then raises to ``p``.
     """
-    r = _check_radius(r)
+    r = check_real(r, "radius", 0.0)
     p = check_exponent(p)
     edges = f.grid.edges
     a = edges[:-1]

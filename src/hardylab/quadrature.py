@@ -17,7 +17,7 @@ routine, :func:`_quadrature`, serves the body, the tails and the sup-min
 integrals of :mod:`hardylab.inequalities`.
 
 The rule is fixed: :data:`QUAD_ORDER` (16) nodes per interval; the error
-indicator compares it with the half-order rule (the pair :data:`QUAD_ORDERS`).
+indicator compares it with the half-order rule, evaluated in the same pass.
 """
 
 from __future__ import annotations
@@ -27,11 +27,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DivergentIntegralError, InvalidParameterError
-from .grid import PolyBatch, _fsums, _in_double_range, as_batch, check_exponent
+from .errors import DivergentIntegralError
+from .grid import PolyBatch, _fsums, _in_double_range, as_batch, check_exponent, check_real
 
 QUAD_ORDER = 16
-QUAD_ORDERS = (QUAD_ORDER, QUAD_ORDER // 2)
 
 # Geometric refinement of the leading cell (and of the tail in u-coordinates):
 # 16 sub-cells with ratio 2 tame the r^alpha singularity for Gauss-Legendre.
@@ -161,15 +160,11 @@ def _cell_intervals(P, alpha: float):
     return lo, hi, a[cell], P.coeffs[cell], bounds
 
 
-@lru_cache(maxsize=None)
-def _node_table(orders: tuple[int, ...]):
-    """Gauss-Legendre nodes of several orders side by side, and per rule its
-    column block ``(start, stop, weights)``."""
-    rules = [_gauss_legendre(order) for order in orders]
-    x = np.concatenate([x for x, _ in rules])
-    x.flags.writeable = False
-    stops = np.cumsum(orders).tolist()
-    return x, [(stop - order, stop, w) for order, stop, (_, w) in zip(orders, stops, rules)]
+# The nodes of the fine rule (QUAD_ORDER) and of the coarse, half-order one
+# side by side, and per rule its column block ``(start, stop, weights)``.
+_NODES = np.concatenate([_gauss_legendre(n)[0] for n in (QUAD_ORDER, QUAD_ORDER // 2)])
+_RULES = ((0, QUAD_ORDER, _gauss_legendre(QUAD_ORDER)[1]),
+          (QUAD_ORDER, _NODES.size, _gauss_legendre(QUAD_ORDER // 2)[1]))
 
 
 # Intervals per node pass: a pass works on (intervals, nodes) matrices, and
@@ -177,34 +172,33 @@ def _node_table(orders: tuple[int, ...]):
 _NODE_CHUNK = 512
 
 
-def _quadrature(integrand, lo, hi, bounds, orders: tuple[int, ...], *columns):
+def _quadrature(integrand, lo, hi, bounds, *columns):
     """Per-function Gauss-Legendre totals over the intervals ``(lo, hi)``.
 
     ``integrand(r, *rows)`` gets the nodes ``r`` of a chunk of intervals (one
-    row per interval, one column block per rule in ``orders``) and the
-    matching rows of ``columns``, and returns a list of integrand matrices.
-    The result holds, for each matrix, one list of per-function totals per
-    rule.  ``einsum`` adds each row in the same order whatever the matrix
-    shape (BLAS ``gemv`` does not), so no total depends on the batch or the
-    chunking.
+    row per interval, the fine rule's column block, then the coarse one's)
+    and the matching rows of ``columns``, and returns a list of integrand
+    matrices.  The result holds, for each matrix, the pair (fine, coarse) of
+    lists of per-function totals.  ``einsum`` adds each row in the same order
+    whatever the matrix shape (BLAS ``gemv`` does not), so no total depends
+    on the batch or the chunking.
     """
-    x, blocks = _node_table(orders)
     terms = None
     for s in range(0, max(lo.size, 1), _NODE_CHUNK):
         e = s + _NODE_CHUNK
         c_lo, c_hi = lo[s:e], hi[s:e]
         half = 0.5 * (c_hi - c_lo)
-        r = half[:, None] * x
+        r = half[:, None] * _NODES
         r += 0.5 * (c_hi + c_lo)[:, None]
         parts = [(np.einsum("ij,j->i", v[:, i:j], w) * half).tolist()
-                 for v in integrand(r, *[col[s:e] for col in columns]) for i, j, w in blocks]
+                 for v in integrand(r, *[col[s:e] for col in columns]) for i, j, w in _RULES]
         if terms is None:
             terms = parts
         else:
             for acc, part in zip(terms, parts):
                 acc += part
     sums = [_fsums(t, bounds) for t in terms]
-    return [sums[k:k + len(orders)] for k in range(0, len(sums), len(orders))]
+    return [sums[k:k + 2] for k in range(0, len(sums), 2)]
 
 
 def _fused_power(r, vals, alpha: float, p: float) -> np.ndarray:
@@ -218,9 +212,9 @@ def _fused_power(r, vals, alpha: float, p: float) -> np.ndarray:
 _TAIL_CUTS = np.concatenate([[0.0], _ORIGIN_STEPS])
 
 
-def _tail_integrals(P: PolyBatch, alpha: float, p: float, orders) -> list[list[float]]:
+def _tail_integrals(P: PolyBatch, alpha: float, p: float) -> list[list[float]]:
     """``\\int_R^\\infty r^alpha |t0 + t1 (r - R)|^p dr`` for every function,
-    one list for each rule in ``orders``.
+    one list for the fine rule and one for the coarse.
 
     A constant tail has a closed form.  For the others ``u = R / r`` gives
     ``R^(alpha+1) * \\int_0^1 u^beta |t0 u + t1 R (1-u)|^p du`` with
@@ -245,7 +239,7 @@ def _tail_integrals(P: PolyBatch, alpha: float, p: float, orders) -> list[list[f
         else:
             lin0 = t1 * R   # affine integrand factor: lin0 + (t0 - lin0) * u
             lines.append((k, lin0, t0 - lin0, R ** (alpha + 1.0)))
-    out = [tails] + [tails.copy() for _ in orders[1:]]
+    out = [tails, tails.copy()]
     if not lines:
         return out
     which, lin0, lin1, scale = map(np.array, zip(*lines))
@@ -264,7 +258,7 @@ def _tail_integrals(P: PolyBatch, alpha: float, p: float, orders) -> list[list[f
         vals += lin0[:, None]
         return [_fused_power(u, vals, beta, p)]
 
-    (sums,) = _quadrature(integrand, lo, hi, bounds, orders, lin0[fn], lin1[fn])
+    (sums,) = _quadrature(integrand, lo, hi, bounds, lin0[fn], lin1[fn])
     for tail, total in zip(out, sums):
         for k, c, v in zip(which.tolist(), scale.tolist(), total):
             tail[k] = c * v
@@ -305,12 +299,9 @@ def integrate_weighted_power(P, alpha: float, p: float, *, return_estimate: bool
     bound.
     """
     p = check_exponent(p)
-    alpha = float(alpha)
-    if not math.isfinite(alpha):
-        raise InvalidParameterError(f"weight exponent must be finite, got {alpha}")
+    alpha = check_real(alpha, "weight exponent")
     batch = as_batch(P)
     _check_origin_convergence(batch, alpha, p)
-    orders = QUAD_ORDERS if return_estimate else (QUAD_ORDER,)
 
     def integrand(r, x0, coefs):  # r^alpha |P(r)|^p on the body intervals
         loc = r - x0[:, None]
@@ -322,13 +313,13 @@ def integrate_weighted_power(P, alpha: float, p: float, *, return_estimate: bool
         return [_fused_power(r, vals, alpha, p)]
 
     lo, hi, x0, coefs, bounds = _cell_intervals(batch, alpha)
-    (body,) = _quadrature(integrand, lo, hi, bounds, orders, x0, coefs)
-    tails = _tail_integrals(batch, alpha, p, orders)
-    value, *coarse = [[b + t for b, t in zip(*parts)] for parts in zip(body, tails)]
-    for totals in (value, *coarse):
+    (body,) = _quadrature(integrand, lo, hi, bounds, x0, coefs)
+    tails = _tail_integrals(batch, alpha, p)
+    value, coarse = [[b + t for b, t in zip(*parts)] for parts in zip(body, tails)]
+    for totals in (value, coarse):
         if not all(map(math.isfinite, totals)):
             raise DivergentIntegralError("quadrature produced a non-finite value")
     if not return_estimate:
         return value if batch is P else value[0]
-    estimate = [_estimate(v, c) for v, c in zip(value, coarse[0])]
+    estimate = [_estimate(v, c) for v, c in zip(value, coarse)]
     return (value, estimate) if batch is P else (value[0], estimate[0])

@@ -22,6 +22,7 @@ import numpy as np
 
 from .errors import InvalidParameterError
 from .grid import Grid, GridBatch, StepBatch, StepFunction, _in_double_range, as_batch, p_norm
+from .grid import _real_array
 from .operators import cumulative
 
 
@@ -93,14 +94,11 @@ def check_partial_domination(f: StepFunction, s: float | np.ndarray) -> tuple:
     ``s`` is one positive finite upper limit, giving two floats, or a 1-D
     array of them, giving two arrays whose elements equal the scalar calls.
     """
-    try:
-        s_arr = np.asarray(s, dtype=float)
-    except (TypeError, ValueError):
-        raise InvalidParameterError(f"upper limits must be real numbers, got {s!r}") from None
+    s_arr = _real_array(s, "upper limits")
     if s_arr.ndim > 1:
         raise InvalidParameterError(f"upper limits must be a scalar or 1-D, got shape {s_arr.shape}")
-    if not ((s_arr > 0.0) & (s_arr < np.inf)).all():
-        raise InvalidParameterError(f"upper limits must be positive and finite, got {s}")
+    if not (s_arr > 0.0).all():
+        raise InvalidParameterError(f"upper limits must be positive, got {s}")
     edges, values = _rearranged_cells(f)
     s_1d = np.atleast_1d(s_arr)
     lhs = _partial_mass(abs(as_batch(f)), s_1d)

@@ -26,7 +26,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import FitDegenerateError, InvalidParameterError
-from .grid import StepFunction, check_exponent, check_integer, make_graded_grid
+from .grid import StepFunction, check_exponent, check_integer, check_real, make_graded_grid
 from .generator import make_rng
 from .quadrature import _gauss_legendre
 from .inequalities import KINDS, RatioReport, ratio_evaluator, sharp_constant
@@ -68,9 +68,7 @@ def _chi(spec: CutoffSpec, r: np.ndarray) -> np.ndarray:
 
 def cutoff_value(spec: CutoffSpec, r: float) -> float:
     """``chi(r)`` for the given cutoff profile."""
-    r = float(r)
-    if not math.isfinite(r) or r < 0.0:
-        raise InvalidParameterError(f"cutoff argument must be >= 0, got {r}")
+    r = check_real(r, "cutoff argument", -math.ulp(0.0))  # r >= 0
     return float(_chi(spec, np.asarray([r]))[0])
 
 
@@ -87,13 +85,9 @@ def minimizing_function(p: float, eps: float, spec: CutoffSpec = CutoffSpec(),
     (``1 - lo**s`` cancels, so an ulp in the power would show).
     """
     p = check_exponent(p)
-    eps = float(eps)
-    if not 0.0 < eps < 1.0:
-        raise InvalidParameterError(f"eps must lie in (0, 1), got {eps}")
+    eps = check_real(eps, "eps", 0.0, 1.0)
     n_cells = check_integer(n_cells, "n_cells", 8)
-    r_min = float(r_min)
-    if not 0.0 < r_min < 1.0:
-        raise InvalidParameterError(f"r_min must lie in (0, 1), got {r_min}")
+    r_min = check_real(r_min, "r_min", 0.0, 1.0)
     grid = make_graded_grid(2.0, n_cells, "geometric", r_min=r_min)
     a = grid.edges[:-1]
     b = grid.edges[1:]
@@ -168,11 +162,12 @@ def sharpness_sweep(kind: str, p: float, eps_list=DEFAULT_EPS_LIST,
     if kind not in SWEEP_KINDS:
         raise InvalidParameterError(f"sweep kind must be one of {SWEEP_KINDS}, got {kind!r}")
     p = check_exponent(p)
-    eps_values = [float(e) for e in eps_list]
+    try:
+        eps_values = [check_real(e, "eps", 0.0, 1.0) for e in eps_list]
+    except TypeError:
+        raise InvalidParameterError(f"eps_list must be iterable, got {eps_list!r}") from None
     if len(eps_values) < 2:
         raise FitDegenerateError("affine extrapolation needs at least 2 eps values")
-    if any(not 0.0 < e < 1.0 for e in eps_values):
-        raise InvalidParameterError("eps values must lie in (0, 1)")
     if any(e2 >= e1 for e1, e2 in zip(eps_values, eps_values[1:])):
         raise InvalidParameterError("eps values must be strictly decreasing")
     evaluator = ratio_evaluator(kind, p)

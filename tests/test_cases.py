@@ -113,7 +113,7 @@ def test_csv_text_of_a_batch_equals_per_function_text():
 def report_row(index, **fields):
     row = {"index": index, "input_hash": "sha256:" + "0" * 64, "kind": "new_hardy", "p": 2.0,
            "numerator": 1.0, "middle": None, "denominator": 1.0, "sharp": 4.0,
-           "ratio": 1.0, "slack": 3.0, "quad_order": 16, "refinement_estimate": 0.0,
+           "ratio": 1.0, "slack": 3.0, "refinement_estimate": 0.0,
            "violations": []}
     row.update(fields)
     return row
@@ -121,7 +121,7 @@ def report_row(index, **fields):
 
 ROWS = [
     report_row(0, numerator=-0.0, denominator=1e-300, ratio=-0.0),
-    report_row(10 ** 30, middle=None, slack=5e-324, quad_order=2 ** 70),
+    report_row(10 ** 30, middle=None, slack=5e-324, denominator=2 ** 70),
     report_row(-7, middle=1.7976931348623157e308, refinement_estimate=1e-300,
                input_hash='"quoted" \\ é'),
     report_row(3, timestamp=TIMESTAMP, middle=0.1),

@@ -34,14 +34,13 @@ from hardylab import (
 )
 from hardylab.grid import Grid
 from hardylab.inequalities import KINDS, REPORT_KINDS
-from hardylab.quadrature import QUAD_ORDER
 
 INDICATOR = step_function([0.0, 1.0], [1.0])
 SHIFTED = step_function([0.0, 1.0, 2.0], [0.0, 1.0])
 ZERO = step_function([0.0, 1.0], [0.0])
 
 JSON_FIELD_ORDER = ("kind", "p", "numerator", "middle", "denominator", "sharp",
-                    "ratio", "slack", "quad_order", "refinement_estimate")
+                    "ratio", "slack", "refinement_estimate")
 
 
 def relclose(a, b, tol):
@@ -101,8 +100,7 @@ class TestRatioReport:
 
     def make(self, **overrides):
         base = dict(kind="hardy", p=2.0, numerator=2.0, middle=None, denominator=1.0,
-                    sharp=4.0, ratio=2.0, slack=2.0, quad_order=16,
-                    refinement_estimate=0.0)
+                    sharp=4.0, ratio=2.0, slack=2.0, refinement_estimate=0.0)
         base.update(overrides)
         return RatioReport(**base)
 
@@ -524,7 +522,6 @@ class TestKindTable:
             report = SHORTHANDS[kind](f, p)
             # repr shows every float exactly, signed zeros included
             assert repr(report) == repr(evaluate(f))
-            assert report.quad_order == QUAD_ORDER
 
     @pytest.mark.parametrize("p2_kind,general_kind", [("hardy_rellich_int", "hardy"),
                                                       ("improved_hardy_rellich", "new_hardy")])
