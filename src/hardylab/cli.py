@@ -112,15 +112,6 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
-def _case_row(index: int, csv_text: str, report, violations, timestamp: str | None) -> dict:
-    row: dict = {"index": index, "input_hash": _input_hash(csv_text)}
-    if timestamp is not None:
-        row["timestamp"] = timestamp
-    row.update(report.to_json_dict())
-    row["violations"] = violations
-    return row
-
-
 def _violation_dump_path(output: str | None, index: int) -> Path:
     base = Path(output) if output is not None else Path("hardylab-verify")
     return base.with_name(f"{base.stem}-violation-{index}.csv")
@@ -137,21 +128,17 @@ def _json_rows(rows: list[dict]) -> str:
     return "[\n  {\n    " + body + "\n  }\n]"
 
 
+def _csv_cell(value) -> str:
+    """``%.17g`` for a float, an empty cell for ``None`` and ``str`` otherwise."""
+    return "%.17g" % value if isinstance(value, float) else "" if value is None else str(value)
+
+
 def _csv_rows(rows: list[dict]) -> str:
-    """The csv table of the rows.  Each row is one ``%`` format over a tuple
-    of its cells, made once per pattern of cell types: ``%.17g`` for a
-    float, an empty cell for ``None`` and ``str`` for anything else."""
-    formats: dict = {}
+    """The csv table of the rows."""
     lines = [_CSV_HEADER]
     for row in rows:
         cells = _CSV_CELLS(row) + ("; ".join(row["violations"]),)
-        types = tuple(map(type, cells))
-        fmt = formats.get(types)
-        if fmt is None:
-            fmt = formats[types] = ",".join(
-                "%.17g" if issubclass(t, float) else "%.0s" if t is type(None) else "%s"
-                for t in types)
-        lines.append(fmt % cells)
+        lines.append(",".join(map(_csv_cell, cells)))
     return "\n".join(lines) + "\n"
 
 
@@ -174,7 +161,10 @@ def cmd_verify(args) -> int:
     texts = step_csv_text(cases)
     for index, (text, report) in enumerate(zip(texts, reports)):
         violations = report.violations(tol)
-        rows.append(_case_row(index, text, report, violations, timestamp))
+        row = {"index": index, "input_hash": _input_hash(text)}
+        if timestamp is not None:
+            row["timestamp"] = timestamp
+        rows.append({**row, **report.to_json_dict(), "violations": violations})
         if violations:
             exit_code = 1
             dump = _violation_dump_path(args.output, index)
@@ -241,7 +231,10 @@ def cmd_maximize(args) -> int:
     _emit(json.dumps(doc, indent=2) + "\n", args.output)
     if args.output is not None:
         write_step_csv(best, Path(args.output).with_suffix(".best.csv"))
-    return 0 if report.ratio <= report.sharp * (1.0 + tol) else 1
+    violations = report.violations(tol)
+    if violations:
+        print(f"violation at the best function: {'; '.join(violations)}", file=sys.stderr)
+    return 1 if violations else 0
 
 
 def main(argv=None) -> int:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import InvalidParameterError
 from .grid import Grid, StepBatch, StepFunction, check_integer, geometric_grids
 
 
@@ -27,6 +28,8 @@ def random_step_function(rng: np.random.Generator,
     the stream as one :class:`StepBatch`: the same draws, in the same order,
     as that many single calls, with every grid built and checked at once.
     """
+    if not isinstance(rng, np.random.Generator):
+        raise InvalidParameterError(f"rng must be a numpy.random.Generator, got {rng!r}")
     size = 1 if count is None else check_integer(count, "count", 1)
     r_min, R, n, values = [], [], [], []
     for _ in range(size):

@@ -354,9 +354,12 @@ class PolyBatch:
 
 def as_batch(x):
     """``x`` as a batch: a :class:`StepFunction` or :class:`PiecewisePoly`
-    becomes a batch of one; a batch is returned as it is."""
+    becomes a batch of one; a batch is returned as it is.  Anything else
+    raises an :class:`InvalidParameterError`."""
     if isinstance(x, (StepBatch, PolyBatch)):
         return x
+    if not isinstance(x, (StepFunction, PiecewisePoly)):
+        raise InvalidParameterError(f"expected a step function or polynomial, got {x!r}")
     grid = GridBatch(x.grid.edges, np.array([0, x.grid.n_cells]))
     if isinstance(x, StepFunction):
         return StepBatch(grid, x.values)
@@ -518,15 +521,19 @@ def read_step_csv(path) -> StepFunction:
     """Parse a step function from the `edge,value` format written by
     :func:`write_step_csv`."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+        file = Path(path)
+    except TypeError:
+        raise InvalidParameterError(f"a CSV path must be a str or path, got {path!r}") from None
+    try:
+        text = file.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise MalformedCSVError(f"cannot read {path}: {exc}") from exc
-    rows = [line.strip() for line in text.splitlines() if line.strip()]
-    if not rows or rows[0].replace(" ", "") != "edge,value":
+    rows = [(n, line.strip()) for n, line in enumerate(text.splitlines(), start=1) if line.strip()]
+    if not rows or rows[0][1].replace(" ", "") != "edge,value":
         raise MalformedCSVError("expected header 'edge,value'")
     edges: list[float] = []
     values: list[float] = []
-    for lineno, row in enumerate(rows[1:], start=2):
+    for lineno, row in rows[1:]:
         parts = [part.strip() for part in row.split(",")]
         if len(parts) != 2:
             raise MalformedCSVError(f"line {lineno}: expected 'edge,value', got {row!r}")
@@ -534,7 +541,7 @@ def read_step_csv(path) -> StepFunction:
             edge = float(parts[0])
         except ValueError:
             raise MalformedCSVError(f"line {lineno}: bad edge {parts[0]!r}") from None
-        if lineno == 2:
+        if not edges:
             if edge != 0.0 or parts[1] != "":
                 raise MalformedCSVError("first data row must be the origin edge '0,'")
             edges.append(0.0)

@@ -54,7 +54,8 @@ from .operators import cumulative, double_cumulative, inner_cumulative, supmin_b
 from .rearrange import decreasing_rearrangement
 
 # A batch is evaluated in groups of consecutive functions holding at most this
-# many cells: larger groups save little time and hold more memory.
+# many cells.  The groups bound the padded rows (functions x longest function)
+# of grid._running_sum and grid._running_max; they do not save time.
 MAX_GROUP_CELLS = 1024
 
 

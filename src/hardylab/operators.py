@@ -47,6 +47,15 @@ def cumulative(f):
     return out if batch is f else out.one(f.grid)
 
 
+def _cumulative_at(edges: np.ndarray, values: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """``F(s)`` of one step function at positive ``s``, without building
+    :func:`cumulative`: its running sum and its affine piece at ``s``, so the
+    floats are those of evaluating it."""
+    left = _running_sum(values * (edges[1:] - edges[:-1]), np.array([0, values.size]))
+    idx = edges[1:-1].searchsorted(s)  # the cell holding s; the last one beyond r_n
+    return np.where(s > edges[-1], left[-1], left[idx] + (s - edges[idx]) * values[idx])
+
+
 def double_cumulative(f):
     """``D(r) = \\int_0^r \\int_0^t f``: piecewise quadratic, affine beyond r_n."""
     batch = as_batch(f)
@@ -69,10 +78,9 @@ def supmin_candidates(f: StepFunction, r: float) -> list[tuple[float, float]]:
     ``r`` itself), so the enumeration is exhaustive.
     """
     r = check_real(r, "radius", 0.0)
-    F = cumulative(f)
     edges = f.grid.edges
     s = _sorted_unique(np.concatenate([edges[1:], [r]]))
-    vals = np.abs(F.evaluate(s)) / np.maximum(s, r)
+    vals = np.abs(_cumulative_at(edges, f.values, s)) / np.maximum(s, r)
     return list(zip(s.tolist(), vals.tolist()))
 
 

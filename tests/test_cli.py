@@ -20,6 +20,7 @@ from hardylab import cli
 from hardylab.config import default_tolerance
 from hardylab.errors import InvalidParameterError
 from hardylab.grid import read_step_csv, step_function, write_step_csv
+from hardylab.inequalities import RatioReport
 
 
 def child_env():
@@ -297,6 +298,21 @@ def test_maximize_stdout_only(tmp_path):
     doc = json.loads(res.stdout)
     assert doc["ratio"] <= 0.729 * (1.0 + 1e-6)
     assert list(tmp_path.glob("*.csv")) == []
+
+
+def test_maximize_exits_1_on_any_violation(monkeypatch, capsys):
+    # the ratio is below the sharp constant, but the chain's numerator
+    # exceeds its middle term: a violation of the rellich_chain contract
+    report = RatioReport(kind="rellich_chain", p=2.0, numerator=1.0, middle=0.5,
+                         denominator=1.0, sharp=9.0 / 16.0, ratio=0.5,
+                         slack=9.0 / 16.0 - 0.5, refinement_estimate=0.0)
+    best = step_function([0.0, 1.0], [1.0])
+    monkeypatch.setattr(cli, "ratio_maximize", lambda *args: (best, report))
+    rc = cli.main(["maximize", "--kind", "rellich_chain", "--p", "2", "--no-timestamp"])
+    out, err = capsys.readouterr()
+    assert rc == 1
+    assert json.loads(out)["middle"] == 0.5
+    assert err == "violation at the best function: numerator 1.0 exceeds middle term 0.5\n"
 
 
 # --------------------------------------------------------------------------

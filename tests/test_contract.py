@@ -1,11 +1,16 @@
-"""The input contract: a value that is not a valid number raises InvalidParameterError.
+"""The input contract: a value that is not a valid number, or not a function,
+raises InvalidParameterError.
 
 Every row of :data:`CALLS` passes one argument of a public call each value of
 :data:`BAD` in turn (None, text, a list, NaN, inf and a bool) and expects an
 :class:`InvalidParameterError`, never a raw ``TypeError`` or ``ValueError``.
+Every row of :data:`FUNCTION_CALLS` does the same with None, a list and text
+where a step function or piecewise polynomial belongs (never a raw
+``AttributeError``).
 """
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -22,22 +27,32 @@ from hardylab import (
     corollary_int_check,
     cutoff_value,
     CutoffSpec,
+    HardyLabError,
+    hardy_rellich_int_ratio,
+    improved_hardy_rellich_ratio,
     integrate_weighted_power,
     make_graded_grid,
     make_rng,
     minimizing_function,
+    new_hardy_ratio,
     p_norm,
+    random_step_function,
     ratio_evaluator,
     ratio_maximize,
+    read_step_csv,
+    rellich_chain,
+    rellich_p_ratio,
     sharp_constant,
     sharpness_sweep,
     step_function,
     weighted_supmin_check,
+    write_step_csv,
 )
 from hardylab.config import check_tolerance
-from hardylab.grid import as_batch, check_real
+from hardylab.grid import as_batch, check_real, step_csv_text
 from hardylab.inequalities import hardy_ratio
-from hardylab.operators import (cumulative, maxform_value, rellich_inner, supmin_candidates,
+from hardylab.operators import (cumulative, double_cumulative, inner_cumulative, maxform_value,
+                                rellich_inner, supmin_branches, supmin_candidates,
                                 supmin_pointwise_identity_check, supmin_transform)
 
 BAD = {"none": None, "text": "x", "list": [1.0], "nan": math.nan, "inf": math.inf, "bool": True}
@@ -109,6 +124,53 @@ VALID = {("StepFunction.evaluate", "list"), ("PiecewisePoly.evaluate", "list"),
 def test_bad_value_is_an_invalid_parameter(call, value):
     with pytest.raises(InvalidParameterError):
         call(value)
+
+
+# Calls whose first argument must be a step function or a piecewise
+# polynomial (or a batch of them); each routes it through ``as_batch``.
+FUNCTION_CALLS = {
+    "as_batch": as_batch,
+    "p_norm": lambda f: p_norm(f, 2.0),
+    "step_csv_text": step_csv_text,
+    "write_step_csv": lambda f: write_step_csv(f, os.devnull),
+    "cumulative": cumulative,
+    "double_cumulative": double_cumulative,
+    "inner_cumulative": inner_cumulative,
+    "supmin_branches": supmin_branches,
+    "integrate_weighted_power": lambda P: integrate_weighted_power(P, -2.0, 2.0),
+    "hardy_ratio": lambda f: hardy_ratio(f, 2.0),
+    "new_hardy_ratio": lambda f: new_hardy_ratio(f, 2.0),
+    "rellich_p_ratio": lambda f: rellich_p_ratio(f, 2.0),
+    "rellich_chain": lambda f: rellich_chain(f, 2.0),
+    "hardy_rellich_int_ratio": hardy_rellich_int_ratio,
+    "improved_hardy_rellich_ratio": improved_hardy_rellich_ratio,
+    "ratio_evaluator()": ratio_evaluator("hardy", 2.0),
+    "weighted_supmin_check": lambda f: weighted_supmin_check(f, 2.0),
+    "corollary_int_check": lambda f: corollary_int_check(f, 2.0),
+}
+NOT_A_FUNCTION = {"none": None, "list": [1.0], "text": "x"}
+
+
+@pytest.mark.parametrize("call, value", [
+    pytest.param(FUNCTION_CALLS[name], NOT_A_FUNCTION[value], id=f"{name}-{value}")
+    for name in FUNCTION_CALLS for value in NOT_A_FUNCTION])
+def test_a_non_function_is_an_invalid_parameter(call, value):
+    with pytest.raises(InvalidParameterError):
+        call(value)
+
+
+@pytest.mark.parametrize("rng", [0, None, np.random.RandomState(0)])
+def test_random_step_function_needs_a_generator(rng):
+    with pytest.raises(InvalidParameterError, match="numpy.random.Generator"):
+        random_step_function(rng)
+    with pytest.raises(InvalidParameterError, match="numpy.random.Generator"):
+        random_step_function(rng, 3)
+
+
+@pytest.mark.parametrize("path", [None, 1.5])
+def test_read_step_csv_of_a_non_path_is_a_hardylab_error(path):
+    with pytest.raises(HardyLabError):
+        read_step_csv(path)
 
 
 def test_valid_pairs_of_the_table_are_accepted():

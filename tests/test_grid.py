@@ -366,3 +366,27 @@ class TestStepCSV:
     def test_missing_file(self, tmp_path):
         with pytest.raises(MalformedCSVError):
             read_step_csv(tmp_path / "nope.csv")
+
+    @pytest.mark.parametrize("text, message", [
+        ("edge,value\n\n0,\n\n\n1,abc\n", "line 6: bad value 'abc'"),
+        ("\nedge,value\n0,\n1,1\n\nx,2\n", "line 6: bad edge 'x'"),
+        ("edge,value\n0,\n\n1,\n", "line 4: missing cell value"),
+        ("edge,value\n \n0,\n1,1,9\n", "line 4: expected 'edge,value'"),
+    ])
+    def test_errors_name_the_physical_line(self, tmp_path, text, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(MalformedCSVError, match=f"^{message}"):
+            read_step_csv(path)
+
+    def test_blank_lines_are_skipped(self, tmp_path):
+        path = tmp_path / "blank.csv"
+        path.write_text("\nedge,value\n\n0,\n  \n1,1\n\n2,-0.5\n\n", encoding="utf-8")
+        g = read_step_csv(path)
+        assert g.grid.edges.tolist() == [0.0, 1.0, 2.0] and g.values.tolist() == [1.0, -0.5]
+
+    def test_text_that_is_not_utf8(self, tmp_path):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"edge,value\n0,\n1,\xe9\n")
+        with pytest.raises(MalformedCSVError, match="cannot read"):
+            read_step_csv(path)

@@ -151,6 +151,19 @@ class TestSupminTransform:
                         f"lam={lam}, r={r}: {lhs} vs {rhs}"
 
 
+def test_supmin_candidates_evaluate_the_cumulative():
+    """The candidate values are ``|F(s)| / max(r, s)`` with ``F(s)`` the
+    floats of evaluating the validated cumulative, at radii on the edges,
+    inside the cells and beyond the support."""
+    rng = make_rng(17)
+    for _ in range(100):
+        f = random_step_function(rng)
+        F = cumulative(f)
+        for r in np.concatenate([f.grid.edges[1:4], radii_mesh(f, rng, 4)]).tolist():
+            s, values = map(np.array, zip(*supmin_candidates(f, r)))
+            assert values.tolist() == (np.abs(F.evaluate(s)) / np.maximum(s, r)).tolist()
+
+
 class TestDecreasingCaseEquality:
     def test_sup_attained_at_r_on_rearranged_inputs(self):
         rng = make_rng(61)

@@ -20,7 +20,7 @@ from hardylab import (
     step_function,
     weighted_supmin_check,
 )
-from hardylab.operators import cumulative
+from hardylab.operators import _cumulative_at, cumulative
 
 P_SWEEP = (1.1, 1.5, 2.0, 3.0)
 
@@ -185,6 +185,27 @@ def test_partial_domination_equals_cumulative_evaluate():
         assert np.array_equal(lhs, expect_lhs) and np.array_equal(rhs, expect_rhs)
         for k, s in enumerate(points.tolist()):
             assert check_partial_domination(f, s) == (lhs[k], rhs[k])
+
+
+def test_cumulative_at_equals_cumulative_evaluate():
+    """``F(s)`` read off the running sums is the float that evaluating the
+    validated cumulative gives: at the edges, inside the cells and beyond
+    the support, for signed values and for the sub-ulp cells and their
+    rearrangements."""
+    rng = make_rng(5)
+    functions = [random_step_function(rng) for _ in range(200)]
+    for edges, values in SUB_ULP_CELLS:
+        f = step_function(edges, values)
+        functions += [f, step_function(edges, -np.asarray(values)),
+                      decreasing_rearrangement(f).step]
+    for f in functions:
+        edges = f.grid.edges
+        end = edges[-1]
+        points = np.concatenate([edges[1:], 0.5 * (edges[:-1] + edges[1:]),
+                                 rng.uniform(0.0, end, 20) + 5e-324,
+                                 [np.nextafter(end, np.inf), 1.5 * end, 1e300]])
+        assert np.array_equal(_cumulative_at(edges, f.values, points),
+                              cumulative(f).evaluate(points))
 
 
 # ---------------------------------------------------------------------------
