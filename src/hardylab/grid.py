@@ -352,18 +352,30 @@ class PolyBatch:
                              float(self.tail_slope[0]))
 
 
-def as_batch(x):
-    """``x`` as a batch: a :class:`StepFunction` or :class:`PiecewisePoly`
-    becomes a batch of one; a batch is returned as it is.  Anything else
-    raises an :class:`InvalidParameterError`."""
-    if isinstance(x, (StepBatch, PolyBatch)):
+def _step_function(f) -> StepFunction:
+    """``f`` if it is one :class:`StepFunction`; anything else, a batch too,
+    raises an :class:`InvalidParameterError`.  Routines that read one
+    function's grid and values check their argument with it."""
+    if not isinstance(f, StepFunction):
+        raise InvalidParameterError(f"expected a step function, got {type(f).__name__}")
+    return f
+
+
+def as_batch(x, kind: type = StepBatch):
+    """``x`` as a batch of ``kind``: a :class:`StepBatch` (the default) of one
+    :class:`StepFunction`, or a :class:`PolyBatch` of one
+    :class:`PiecewisePoly`; a batch of ``kind`` is returned as it is.
+    Anything else, the other kind too, raises an
+    :class:`InvalidParameterError` naming the expected kind."""
+    if isinstance(x, kind):
         return x
-    if not isinstance(x, (StepFunction, PiecewisePoly)):
-        raise InvalidParameterError(f"expected a step function or polynomial, got {x!r}")
-    grid = GridBatch(x.grid.edges, np.array([0, x.grid.n_cells]))
-    if isinstance(x, StepFunction):
-        return StepBatch(grid, x.values)
-    return PolyBatch(grid, x.coeffs, np.array([x.tail_value]), np.array([x.tail_slope]))
+    if kind is StepBatch:
+        f = _step_function(x)
+        return StepBatch(GridBatch(f.grid.edges, np.array([0, f.grid.n_cells])), f.values)
+    if not isinstance(x, PiecewisePoly):
+        raise InvalidParameterError(f"expected a piecewise polynomial, got {type(x).__name__}")
+    return PolyBatch(GridBatch(x.grid.edges, np.array([0, x.grid.n_cells])), x.coeffs,
+                     np.array([x.tail_value]), np.array([x.tail_slope]))
 
 
 def _rows(x: np.ndarray, offsets: np.ndarray, fill: float):

@@ -22,7 +22,7 @@ import numpy as np
 
 from .grid import (Grid, GridBatch, PolyBatch, StepBatch, StepFunction, as_batch, check_exponent,
                    check_real)
-from .grid import _running_max, _running_sum, _sorted_unique
+from .grid import _running_max, _running_sum, _sorted_unique, _step_function
 from .quadrature import _split_cells
 
 
@@ -78,7 +78,7 @@ def supmin_candidates(f: StepFunction, r: float) -> list[tuple[float, float]]:
     ``r`` itself), so the enumeration is exhaustive.
     """
     r = check_real(r, "radius", 0.0)
-    edges = f.grid.edges
+    edges = _step_function(f).grid.edges
     s = _sorted_unique(np.concatenate([edges[1:], [r]]))
     vals = np.abs(_cumulative_at(edges, f.values, s)) / np.maximum(s, r)
     return list(zip(s.tolist(), vals.tolist()))
@@ -92,7 +92,7 @@ def supmin_transform(f: StepFunction, r: float) -> float:
 def rellich_inner(f: StepFunction, tau: float) -> float:
     """``tau * M_{|f|}(tau)`` — the integrand of the strengthened chain."""
     tau = check_real(tau, "radius", 0.0)
-    return tau * supmin_transform(abs(f), tau)
+    return tau * supmin_transform(abs(_step_function(f)), tau)
 
 
 def maxform_value(f: StepFunction, r: float, p: float) -> float:
@@ -103,7 +103,7 @@ def maxform_value(f: StepFunction, r: float, p: float) -> float:
     """
     r = check_real(r, "radius", 0.0)
     p = check_exponent(p)
-    edges = f.grid.edges
+    edges = _step_function(f).grid.edges
     a = edges[:-1]
     b = edges[1:]
     absv = np.abs(f.values)
@@ -125,7 +125,7 @@ def supmin_pointwise_identity_check(f: StepFunction, r: float, p: float) -> tupl
     """
     r = check_real(r, "radius", 0.0)
     p = check_exponent(p)
-    edges = f.grid.edges
+    edges = _step_function(f).grid.edges
     a = edges[:-1]
     b = edges[1:]
     absv = np.abs(f.values)
@@ -156,17 +156,15 @@ def supmin_branches(f):
         ``M f(r) = max( prefix[i] / r, |F(r)| / r, suffix[i] )``
 
     — past peak, local value, or best future edge — and beyond the support
-    ``M f(r) = prefix[n] / r``.  ``F`` at the edges is read off the running
-    sums of :func:`cumulative` (its constant coefficients and tail value).
-    For a :class:`StepBatch` the arrays run over all functions in turn, per
-    edge (``F_edges``, ``prefix``) or per cell (``suffix``).
+    ``M f(r) = prefix[n] / r``.  ``F_edges`` is the running sum of values
+    times widths that :func:`cumulative` builds its pieces from, so it holds
+    the same floats.  For a :class:`StepBatch` the arrays run over all
+    functions in turn, per edge (``F_edges``, ``prefix``) or per cell
+    (``suffix``).
     """
     batch = as_batch(f)
-    F = cumulative(batch)
     grid = batch.grid
-    F_edges = np.empty(grid.edges.size)
-    F_edges[grid.left] = F.coeffs[:, 0]
-    F_edges[grid.ends] = F.tail_value
+    F_edges = _running_sum(batch.values * grid.widths, grid.offsets)
     absF = np.abs(F_edges)
     prefix = _running_max(absF, grid.offsets + np.arange(len(grid) + 1))
     suffix = _running_max(absF[grid.right] / grid.b, grid.offsets, reverse=True)

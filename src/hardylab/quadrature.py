@@ -4,17 +4,21 @@ The central routine is :func:`integrate_weighted_power`, which evaluates
 ``\\int_0^\\infty r^alpha |P(r)|^p dr`` for every piecewise polynomial ``P`` of
 a batch (a single :class:`PiecewisePoly` is a batch of one).  The integrand
 is singular at the origin and algebraically decaying at infinity, so cells
-are split at the roots of ``P`` (the only kinks of ``|P|^p``), the first
-cell is refined geometrically when ``alpha < 0``, and the tail is
-integrated after the substitution ``u = r_n / r``.  To dodge overflow for
+are split at the roots of ``P`` (the only kinks of ``|P|^p``) and the first
+cell is refined geometrically when ``alpha < 0``.  Beyond ``r_n`` a constant
+tail has a closed form; a sloped one is integrated after the substitution
+``u = r_n / r`` on (0, 1], refined the same way.  To dodge overflow for
 radii far below 1 the integrand is always evaluated in the fused form
 ``(|P(r)| * r^(alpha/p))^p``.
 
 The quadrature intervals of all cells of all functions are built with
 whole-array numpy operations; they equal, bit for bit, those of the
-per-cell loop kept in ``tests/interval_loops.py``.  One Gauss-Legendre
-routine, :func:`_quadrature`, serves the body, the tails and the sup-min
-integrals of :mod:`hardylab.inequalities`.
+per-cell loop kept in ``tests/interval_loops.py``.  Each integral job is
+done in one place, shared with :mod:`hardylab.inequalities`: one
+Gauss-Legendre routine, :func:`_quadrature`, for the body, the sloped tails
+and the sup-min integrals; one geometric refinement, :func:`_refine_origin`,
+for the first cell and the sloped tails; one closed form,
+:func:`_power_tail`, for every constant tail.
 
 The rule is fixed: :data:`QUAD_ORDER` (16) nodes per interval; the error
 indicator compares it with the half-order rule, evaluated in the same pass.
@@ -32,8 +36,8 @@ from .grid import PolyBatch, _fsums, _in_double_range, as_batch, check_exponent,
 
 QUAD_ORDER = 16
 
-# Geometric refinement of the leading cell (and of the tail in u-coordinates):
-# 16 sub-cells with ratio 2 tame the r^alpha singularity for Gauss-Legendre.
+# Geometric refinement of the leading cell (and of a sloped tail in
+# u-coordinates): 16 sub-cells with ratio 2 tame the r^alpha singularity for Gauss-Legendre.
 _ORIGIN_SUBCELLS = 16
 
 _EPS = float(np.finfo(float).eps)
@@ -140,7 +144,7 @@ def _cell_intervals(P, alpha: float):
     singularity.  ``x0`` and ``coefs`` are the left edge and coefficients
     of each interval's cell.
     """
-    P = as_batch(P)
+    P = as_batch(P, PolyBatch)
     grid = P.grid
     a = grid.a
     c0, c1, c2 = P.coeffs.T
@@ -209,18 +213,22 @@ def _fused_power(r, vals, alpha: float, p: float) -> np.ndarray:
     return np.power(vals, p, out=vals)
 
 
-_TAIL_CUTS = np.concatenate([[0.0], _ORIGIN_STEPS])
+def _power_tail(c: float, R: float, alpha: float, p: float) -> float:
+    """``\\int_R^\\infty r^alpha |c|^p dr = |c|^p R^(alpha+1) / (-alpha-1)``
+    (``alpha < -1``): the closed form of every constant tail."""
+    return abs(c) ** p * R ** (alpha + 1.0) / (-(alpha + 1.0))
 
 
 def _tail_integrals(P: PolyBatch, alpha: float, p: float) -> list[list[float]]:
     """``\\int_R^\\infty r^alpha |t0 + t1 (r - R)|^p dr`` for every function,
     one list for the fine rule and one for the coarse.
 
-    A constant tail has a closed form.  For the others ``u = R / r`` gives
-    ``R^(alpha+1) * \\int_0^1 u^beta |t0 u + t1 R (1-u)|^p du`` with
-    ``beta = -alpha - p - 2``, integrated on 16 geometric sub-cells of
-    (0, 1) split at the root of the affine factor.  The per-function
-    scalars are plain floats; the sub-cells of all functions share one pass.
+    A constant tail is :func:`_power_tail`.  For the others ``u = R / r``
+    gives ``R^(alpha+1) * \\int_0^1 u^beta |t0 u + t1 R (1-u)|^p du`` with
+    ``beta = -alpha - p - 2``.  The interval (0, 1] is refined towards
+    ``u = 0`` by :func:`_refine_origin`, as the body's first cell is, and
+    split at the root of the affine factor.  The per-function scalars are
+    plain floats; the sub-cells of all functions share one pass.
     """
     tails = []
     lines = []  # (function, lin0, lin1, R^(alpha+1)) of the sloped tails
@@ -235,7 +243,7 @@ def _tail_integrals(P: PolyBatch, alpha: float, p: float) -> list[list[float]]:
                 f"tail integrand decays like r^{alpha + p * deg:g}, not integrable near infinity"
             )
         if t1 == 0.0:
-            tails[k] = abs(t0) ** p * R ** (alpha + 1.0) / (-(alpha + 1.0))
+            tails[k] = _power_tail(t0, R, alpha, p)
         else:
             lin0 = t1 * R   # affine integrand factor: lin0 + (t0 - lin0) * u
             lines.append((k, lin0, t0 - lin0, R ** (alpha + 1.0)))
@@ -243,13 +251,11 @@ def _tail_integrals(P: PolyBatch, alpha: float, p: float) -> list[list[float]]:
     if not lines:
         return out
     which, lin0, lin1, scale = map(np.array, zip(*lines))
-    n_sub = _ORIGIN_SUBCELLS
-    sub = np.arange(n_sub * which.size)
-    fn, cell = sub // n_sub, sub % n_sub    # function and base sub-cell of each interval
+    n = which.size
+    lo, hi, fn, bounds = _refine_origin(np.zeros(n), np.ones(n), np.arange(n), np.arange(n + 1))
     with np.errstate(divide="ignore", invalid="ignore"):
         u_root = -lin0 / lin1
-    lo, hi, parent, bounds = _split_cells(_TAIL_CUTS[cell], _TAIL_CUTS[cell + 1],
-                                          n_sub * np.arange(which.size + 1), u_root[fn])
+    lo, hi, parent, bounds = _split_cells(lo, hi, bounds, u_root[fn])
     fn = fn[parent]
     beta = -alpha - p - 2.0
 
@@ -300,7 +306,7 @@ def integrate_weighted_power(P, alpha: float, p: float, *, return_estimate: bool
     """
     p = check_exponent(p)
     alpha = check_real(alpha, "weight exponent")
-    batch = as_batch(P)
+    batch = as_batch(P, PolyBatch)
     _check_origin_convergence(batch, alpha, p)
 
     def integrand(r, x0, coefs):  # r^alpha |P(r)|^p on the body intervals

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameterError
-from .grid import Grid, StepFunction, _in_double_range, _real_array, p_norm
+from .grid import Grid, StepFunction, _in_double_range, _real_array, _step_function, p_norm
 # cumulative is not called here; perfbench's span recorder looks the name up
 from .operators import _cumulative_at, cumulative
 
@@ -42,7 +42,7 @@ def _rearranged_cells(f: StepFunction) -> tuple[np.ndarray, np.ndarray]:
     """The edges and values of ``f*``: cells of ``|f|`` sorted by descending
     value (stable for ties), laid out from 0 by a running sum of widths that
     ends at ``f``'s support end; cells the sum cannot advance are dropped."""
-    absvals = np.abs(f.values)
+    absvals = np.abs(_step_function(f).values)
     order = (-absvals).argsort(kind="stable")
     end = f.grid.support_end
     widths = f.grid.widths[order]

@@ -4,9 +4,10 @@ raises InvalidParameterError.
 Every row of :data:`CALLS` passes one argument of a public call each value of
 :data:`BAD` in turn (None, text, a list, NaN, inf and a bool) and expects an
 :class:`InvalidParameterError`, never a raw ``TypeError`` or ``ValueError``.
-Every row of :data:`FUNCTION_CALLS` does the same with None, a list and text
-where a step function or piecewise polynomial belongs (never a raw
-``AttributeError``).
+Every row of :data:`FUNCTION_CALLS` does the same with None, a list, text
+and a function of the other kind where a step function or piecewise
+polynomial belongs (never a raw ``AttributeError``); the calls that read one
+function's grid reject a batch too.
 """
 
 import math
@@ -27,6 +28,7 @@ from hardylab import (
     corollary_int_check,
     cutoff_value,
     CutoffSpec,
+    decreasing_rearrangement,
     HardyLabError,
     hardy_rellich_int_ratio,
     improved_hardy_rellich_ratio,
@@ -128,7 +130,7 @@ def test_bad_value_is_an_invalid_parameter(call, value):
 
 # Calls whose first argument must be a step function or a piecewise
 # polynomial (or a batch of them); each routes it through ``as_batch``.
-FUNCTION_CALLS = {
+BATCH_CALLS = {
     "as_batch": as_batch,
     "p_norm": lambda f: p_norm(f, 2.0),
     "step_csv_text": step_csv_text,
@@ -145,10 +147,25 @@ FUNCTION_CALLS = {
     "hardy_rellich_int_ratio": hardy_rellich_int_ratio,
     "improved_hardy_rellich_ratio": improved_hardy_rellich_ratio,
     "ratio_evaluator()": ratio_evaluator("hardy", 2.0),
+}
+# Calls that read one step function's grid and values, so a batch is not one
+# of their functions either; each routes it through ``grid._step_function``.
+SINGLE_CALLS = {
+    "decreasing_rearrangement": decreasing_rearrangement,
+    "check_norm_preservation": lambda f: check_norm_preservation(f, 2.0),
+    "check_partial_domination": lambda f: check_partial_domination(f, 1.0),
+    "maxform_value": lambda f: maxform_value(f, 1.0, 2.0),
+    "supmin_pointwise_identity_check": lambda f: supmin_pointwise_identity_check(f, 1.0, 2.0),
+    "supmin_candidates": lambda f: supmin_candidates(f, 1.0),
+    "supmin_transform": lambda f: supmin_transform(f, 1.0),
+    "rellich_inner": lambda f: rellich_inner(f, 1.0),
+    "corollary_avg_check": lambda f: corollary_avg_check(f, 2.0),
     "weighted_supmin_check": lambda f: weighted_supmin_check(f, 2.0),
     "corollary_int_check": lambda f: corollary_int_check(f, 2.0),
 }
+FUNCTION_CALLS = {**BATCH_CALLS, **SINGLE_CALLS}
 NOT_A_FUNCTION = {"none": None, "list": [1.0], "text": "x"}
+POLYNOMIAL_CALLS = {"integrate_weighted_power"}
 
 
 @pytest.mark.parametrize("call, value", [
@@ -157,6 +174,22 @@ NOT_A_FUNCTION = {"none": None, "list": [1.0], "text": "x"}
 def test_a_non_function_is_an_invalid_parameter(call, value):
     with pytest.raises(InvalidParameterError):
         call(value)
+
+
+@pytest.mark.parametrize("name", FUNCTION_CALLS)
+def test_a_function_of_the_other_kind_is_an_invalid_parameter(name):
+    if name in POLYNOMIAL_CALLS:
+        other, expected = F, "a piecewise polynomial, got StepFunction"
+    else:
+        other, expected = P, "a step function, got PiecewisePoly"
+    with pytest.raises(InvalidParameterError, match=f"^expected {expected}$"):
+        FUNCTION_CALLS[name](other)
+
+
+@pytest.mark.parametrize("name", SINGLE_CALLS)
+def test_a_batch_is_not_one_step_function(name):
+    with pytest.raises(InvalidParameterError, match="^expected a step function, got StepBatch$"):
+        SINGLE_CALLS[name](as_batch(AWAY))
 
 
 @pytest.mark.parametrize("rng", [0, None, np.random.RandomState(0)])

@@ -388,8 +388,11 @@ class TestCorollaryInt:
             for p in (1.5, 2.0, 3.0):
                 lhs, rhs = corollary_int_check(f, p)
                 assert lhs <= rhs * (1.0 + 1e-6)
-                # the max-form integrand is the sup-min transform to the p-th power
-                assert lhs == new_hardy_ratio(f, p).numerator
+                # the max-form integrand is the sup-min transform to the p-th power,
+                # and the bound is the report's sharp multiple of its denominator
+                report = new_hardy_ratio(f, p)
+                assert lhs == report.numerator
+                assert rhs == report.sharp * report.denominator
 
 
 class TestCorollaryAvg:
@@ -463,6 +466,45 @@ class TestCorollaryAvg:
         lhs, rhs = corollary_avg_check(f, 1.01)
         assert math.isfinite(lhs) and math.isfinite(rhs)
         assert lhs <= rhs
+
+
+# ---------------------------------------------------------------------------
+# Closed-form constant tails
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("p", [1.05, 1.1, 1.5, 2.0, 2.5, 3.0, 4.0])
+def test_every_constant_tail_against_mpmath(p, monkeypatch):
+    """With every Gauss-Legendre total set to 0, each integral that has a
+    closed-form constant tail reads that tail alone, and it is within 2 ulps
+    relative of ``|c|^p R^(1-p) / (p-1)`` in 200-bit arithmetic: the Hardy
+    numerator (``c = F(r_n)``), the sup-min numerator (the peak of ``|F|``)
+    and middle (``F(r_n)``), and the running-average lhs (the peak of
+    ``|F(s)/s|`` over the edges)."""
+    mp = pytest.importorskip("mpmath")
+    import hardylab.quadrature as quadrature
+
+    quad = quadrature._quadrature
+
+    def no_body(*args):
+        return [[[0.0 * total for total in rule] for rule in rules] for rules in quad(*args)]
+
+    monkeypatch.setattr(quadrature, "_quadrature", no_body)
+    monkeypatch.setattr(inequalities, "_quadrature", no_body)
+    rng = make_rng(271)
+    for _ in range(20):
+        f = random_step_function_away_from_zero(rng)
+        edges = f.grid.edges
+        F = np.concatenate(([0.0], np.cumsum(f.values * np.diff(edges))))
+        supmin = new_hardy_ratio(f, p)
+        sites = [(hardy_ratio(f, p).numerator, F[-1]), (supmin.numerator, np.abs(F).max()),
+                 (supmin.middle, F[-1]),
+                 (corollary_avg_check(f, p)[0], np.abs(F[1:] / edges[1:]).max())]
+        with mp.workprec(200):
+            R, q = mp.mpf(float(edges[-1])), mp.mpf(p)
+            for k, (got, c) in enumerate(sites):
+                exact = abs(mp.mpf(float(c))) ** q * R ** (1 - q) / (q - 1)
+                assert abs(got - exact) <= 2 * 2.0 ** -52 * exact, (k, got, mp.nstr(exact, 20))
 
 
 # ---------------------------------------------------------------------------
