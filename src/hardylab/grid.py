@@ -361,21 +361,14 @@ def _step_function(f) -> StepFunction:
     return f
 
 
-def as_batch(x, kind: type = StepBatch):
-    """``x`` as a batch of ``kind``: a :class:`StepBatch` (the default) of one
-    :class:`StepFunction`, or a :class:`PolyBatch` of one
-    :class:`PiecewisePoly`; a batch of ``kind`` is returned as it is.
-    Anything else, the other kind too, raises an
-    :class:`InvalidParameterError` naming the expected kind."""
-    if isinstance(x, kind):
+def as_batch(x):
+    """``x`` as a step batch: a :class:`StepFunction` becomes a batch of
+    one; a :class:`StepBatch` is returned as it is.  Anything else raises an
+    :class:`InvalidParameterError`."""
+    if isinstance(x, StepBatch):
         return x
-    if kind is StepBatch:
-        f = _step_function(x)
-        return StepBatch(GridBatch(f.grid.edges, np.array([0, f.grid.n_cells])), f.values)
-    if not isinstance(x, PiecewisePoly):
-        raise InvalidParameterError(f"expected a piecewise polynomial, got {type(x).__name__}")
-    return PolyBatch(GridBatch(x.grid.edges, np.array([0, x.grid.n_cells])), x.coeffs,
-                     np.array([x.tail_value]), np.array([x.tail_slope]))
+    f = _step_function(x)
+    return StepBatch(GridBatch(f.grid.edges, np.array([0, f.grid.n_cells])), f.values)
 
 
 def _rows(x: np.ndarray, offsets: np.ndarray, fill: float):

@@ -156,15 +156,17 @@ def supmin_branches(f):
         ``M f(r) = max( prefix[i] / r, |F(r)| / r, suffix[i] )``
 
     — past peak, local value, or best future edge — and beyond the support
-    ``M f(r) = prefix[n] / r``.  ``F_edges`` is the running sum of values
-    times widths that :func:`cumulative` builds its pieces from, so it holds
-    the same floats.  For a :class:`StepBatch` the arrays run over all
-    functions in turn, per edge (``F_edges``, ``prefix``) or per cell
-    (``suffix``).
+    ``M f(r) = prefix[n] / r``.  ``F`` at the edges is read off the running
+    sums of :func:`cumulative` (its constant coefficients and tail value).
+    For a :class:`StepBatch` the arrays run over all functions in turn, per
+    edge (``F_edges``, ``prefix``) or per cell (``suffix``).
     """
     batch = as_batch(f)
+    F = cumulative(batch)
     grid = batch.grid
-    F_edges = _running_sum(batch.values * grid.widths, grid.offsets)
+    F_edges = np.empty(grid.edges.size)
+    F_edges[grid.left] = F.coeffs[:, 0]
+    F_edges[grid.ends] = F.tail_value
     absF = np.abs(F_edges)
     prefix = _running_max(absF, grid.offsets + np.arange(len(grid) + 1))
     suffix = _running_max(absF[grid.right] / grid.b, grid.offsets, reverse=True)

@@ -16,9 +16,9 @@ whole-array numpy operations; they equal, bit for bit, those of the
 per-cell loop kept in ``tests/interval_loops.py``.  Each integral job is
 done in one place, shared with :mod:`hardylab.inequalities`: one
 Gauss-Legendre routine, :func:`_quadrature`, for the body, the sloped tails
-and the sup-min integrals; one geometric refinement, :func:`_refine_origin`,
-for the first cell and the sloped tails; one closed form,
-:func:`_power_tail`, for every constant tail.
+and the sup-min integrals; one geometric step table for the first cell and
+the sloped tails; one closed form, :func:`_power_tail`, for every constant
+tail.
 
 The rule is fixed: :data:`QUAD_ORDER` (16) nodes per interval; the error
 indicator compares it with the half-order rule, evaluated in the same pass.
@@ -31,13 +31,14 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DivergentIntegralError
-from .grid import PolyBatch, _fsums, _in_double_range, as_batch, check_exponent, check_real
+from .errors import DivergentIntegralError, InvalidParameterError
+from .grid import (GridBatch, PiecewisePoly, PolyBatch, _fsums, _in_double_range, check_exponent,
+                   check_real)
 
 QUAD_ORDER = 16
 
-# Geometric refinement of the leading cell (and of a sloped tail in
-# u-coordinates): 16 sub-cells with ratio 2 tame the r^alpha singularity for Gauss-Legendre.
+# Geometric refinement of the leading cell (and of the tail in u-coordinates):
+# 16 sub-cells with ratio 2 tame the r^alpha singularity for Gauss-Legendre.
 _ORIGIN_SUBCELLS = 16
 
 _EPS = float(np.finfo(float).eps)
@@ -135,6 +136,18 @@ def _cap_interval_ratio(lo, hi, parent, bounds):
             np.concatenate(([0], np.cumsum(reps)))[bounds])
 
 
+def _poly_batch(P) -> PolyBatch:
+    """``P`` as a polynomial batch: a :class:`PiecewisePoly` becomes a batch
+    of one; a :class:`PolyBatch` is returned as it is.  Anything else raises
+    an :class:`InvalidParameterError`."""
+    if isinstance(P, PolyBatch):
+        return P
+    if not isinstance(P, PiecewisePoly):
+        raise InvalidParameterError(f"expected a piecewise polynomial, got {type(P).__name__}")
+    return PolyBatch(GridBatch(P.grid.edges, np.array([0, P.grid.n_cells])), P.coeffs,
+                     np.array([P.tail_value]), np.array([P.tail_slope]))
+
+
 def _cell_intervals(P, alpha: float):
     """Quadrature intervals ``(lo, hi, x0, coefs, bounds)`` covering (0, r_n].
 
@@ -144,7 +157,7 @@ def _cell_intervals(P, alpha: float):
     singularity.  ``x0`` and ``coefs`` are the left edge and coefficients
     of each interval's cell.
     """
-    P = as_batch(P, PolyBatch)
+    P = _poly_batch(P)
     grid = P.grid
     a = grid.a
     c0, c1, c2 = P.coeffs.T
@@ -213,6 +226,11 @@ def _fused_power(r, vals, alpha: float, p: float) -> np.ndarray:
     return np.power(vals, p, out=vals)
 
 
+# The sub-cells of a sloped tail in u-coordinates: the steps _refine_origin
+# cuts (0, 1] at, as one fixed table, which is cheaper than the ragged routine.
+_TAIL_CUTS = np.concatenate([[0.0], _ORIGIN_STEPS])
+
+
 def _power_tail(c: float, R: float, alpha: float, p: float) -> float:
     """``\\int_R^\\infty r^alpha |c|^p dr = |c|^p R^(alpha+1) / (-alpha-1)``
     (``alpha < -1``): the closed form of every constant tail."""
@@ -225,10 +243,9 @@ def _tail_integrals(P: PolyBatch, alpha: float, p: float) -> list[list[float]]:
 
     A constant tail is :func:`_power_tail`.  For the others ``u = R / r``
     gives ``R^(alpha+1) * \\int_0^1 u^beta |t0 u + t1 R (1-u)|^p du`` with
-    ``beta = -alpha - p - 2``.  The interval (0, 1] is refined towards
-    ``u = 0`` by :func:`_refine_origin`, as the body's first cell is, and
-    split at the root of the affine factor.  The per-function scalars are
-    plain floats; the sub-cells of all functions share one pass.
+    ``beta = -alpha - p - 2``, integrated on 16 geometric sub-cells of
+    (0, 1) split at the root of the affine factor.  The per-function
+    scalars are plain floats; the sub-cells of all functions share one pass.
     """
     tails = []
     lines = []  # (function, lin0, lin1, R^(alpha+1)) of the sloped tails
@@ -251,11 +268,13 @@ def _tail_integrals(P: PolyBatch, alpha: float, p: float) -> list[list[float]]:
     if not lines:
         return out
     which, lin0, lin1, scale = map(np.array, zip(*lines))
-    n = which.size
-    lo, hi, fn, bounds = _refine_origin(np.zeros(n), np.ones(n), np.arange(n), np.arange(n + 1))
+    n_sub = _ORIGIN_SUBCELLS
+    sub = np.arange(n_sub * which.size)
+    fn, cell = sub // n_sub, sub % n_sub    # function and base sub-cell of each interval
     with np.errstate(divide="ignore", invalid="ignore"):
         u_root = -lin0 / lin1
-    lo, hi, parent, bounds = _split_cells(lo, hi, bounds, u_root[fn])
+    lo, hi, parent, bounds = _split_cells(_TAIL_CUTS[cell], _TAIL_CUTS[cell + 1],
+                                          n_sub * np.arange(which.size + 1), u_root[fn])
     fn = fn[parent]
     beta = -alpha - p - 2.0
 
@@ -306,7 +325,7 @@ def integrate_weighted_power(P, alpha: float, p: float, *, return_estimate: bool
     """
     p = check_exponent(p)
     alpha = check_real(alpha, "weight exponent")
-    batch = as_batch(P, PolyBatch)
+    batch = _poly_batch(P)
     _check_origin_convergence(batch, alpha, p)
 
     def integrand(r, x0, coefs):  # r^alpha |P(r)|^p on the body intervals

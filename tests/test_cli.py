@@ -25,14 +25,15 @@ from hardylab.inequalities import RatioReport
 
 def child_env():
     """``os.environ`` with the imported package's parent first on PYTHONPATH,
-    and every warning an error.
+    and a ``RuntimeWarning`` an error.
 
     The path is absolute, so a child started in any working directory runs
     the same ``hardylab`` as this process.  pytest's ``filterwarnings`` only
-    reaches this process, so ``PYTHONWARNINGS`` makes a warning in a child
-    (a numpy ``RuntimeWarning`` on stderr, say) fail it too.
+    reaches this process, so ``PYTHONWARNINGS`` repeats its
+    ``error::RuntimeWarning`` for a child: a numpy floating-point warning
+    there fails the test too.
     """
-    env = dict(os.environ, PYTHONWARNINGS="error")
+    env = dict(os.environ, PYTHONWARNINGS="error::RuntimeWarning")
     package_parent = str(Path(hardylab.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [package_parent, env.get("PYTHONPATH")]))
