@@ -25,8 +25,8 @@ carries the classical numerator on the same quadrature nodes (it is a lower
 bound for the improved one); for ``rellich_chain`` it is the intermediate
 integral sitting between numerator and ``sharp * denominator``.
 
-Every integral uses the fixed Gauss-Legendre rule of :mod:`hardylab.quadrature`,
-and ``refinement_estimate`` compares it with the half-order rule.
+Every integral uses the fixed Gauss rules of :mod:`hardylab.quadrature`, and
+``refinement_estimate`` compares them with the half-order rules.
 
 The two-branch max form of :func:`corollary_int_check` is ``(M f)^p``
 exactly, in floating point too (division by ``r`` and the p-th power are
@@ -45,8 +45,8 @@ from typing import Callable
 import numpy as np
 
 from .config import check_tolerance, default_tolerance
-from .errors import (DivergentIntegralError, HardyLabError, InvalidParameterError,
-                     ZeroDenominatorError)
+from .errors import (DivergentIntegralError, DoubleRangeError, HardyLabError,
+                     InvalidParameterError, ZeroDenominatorError)
 from .grid import (StepBatch, StepFunction, _in_double_range, _step_function, as_batch,
                    check_exponent, p_norm)
 from .quadrature import integrate_weighted_power
@@ -162,7 +162,9 @@ def _evaluate(f: StepBatch, kind: str, p: float) -> list[RatioReport]:
     spec = KINDS[kind]
     den = p_norm(f, p)
     if min(den) <= 0.0:
-        raise ZeroDenominatorError("input function vanishes identically")
+        if not f.values.any():
+            raise ZeroDenominatorError("input function vanishes identically")
+        raise DoubleRangeError("the p-th power mass underflows to 0; rescale the input")
     num, middle, est = spec.numerator(f, p)
     sharp = spec.sharp(p)
     return [RatioReport(kind, p, n, m, d, sharp, n / d, sharp - n / d, e)

@@ -26,12 +26,15 @@ from .grid import _running_max, _running_sum, _sorted_unique, _step_function
 from .quadrature import _split_cells
 
 
-def _columns(*cols) -> np.ndarray:
-    """Polynomial coefficients ``(c0, c1, c2)`` per cell; missing ones are 0."""
-    coeffs = np.zeros((cols[0].size, 3))
-    for k, col in enumerate(cols):
-        coeffs[:, k] = col
-    return coeffs
+def _antiderivative(grid: GridBatch, w0, w1, slope) -> PolyBatch:
+    """``\\int_0^r`` of the piecewise affine ``w0 + w1 (t - a)`` on the cells of
+    ``grid``, continued with ``slope`` beyond r_n: a running sum of
+    ``w0 w + w1 w^2 / 2`` per cell of width ``w``, as piecewise quadratics."""
+    w = grid.widths
+    left = _running_sum(w0 * w + 0.5 * w1 * w * w, grid.offsets)
+    coeffs = np.empty((w.size, 3))
+    coeffs[:, 0], coeffs[:, 1], coeffs[:, 2] = left[grid.left], w0, 0.5 * w1
+    return PolyBatch(grid, coeffs, left[grid.ends], slope)
 
 
 def cumulative(f):
@@ -41,9 +44,7 @@ def cumulative(f):
     :class:`StepBatch`.
     """
     batch = as_batch(f)
-    grid, v = batch.grid, batch.values
-    left = _running_sum(v * grid.widths, grid.offsets)
-    out = PolyBatch(grid, _columns(left[grid.left], v), left[grid.ends], np.zeros(len(grid)))
+    out = _antiderivative(batch.grid, batch.values, 0.0, np.zeros(len(batch.grid)))
     return out if batch is f else out.one(f.grid)
 
 
@@ -59,13 +60,8 @@ def _cumulative_at(edges: np.ndarray, values: np.ndarray, s: np.ndarray) -> np.n
 def double_cumulative(f):
     """``D(r) = \\int_0^r \\int_0^t f``: piecewise quadratic, affine beyond r_n."""
     batch = as_batch(f)
-    grid, v = batch.grid, batch.values
-    w = grid.widths
-    F_left = _running_sum(v * w, grid.offsets)
-    F_a = F_left[grid.left]
-    D_left = _running_sum(F_a * w + 0.5 * v * w * w, grid.offsets)
-    out = PolyBatch(grid, _columns(D_left[grid.left], F_a, 0.5 * v),
-                    D_left[grid.ends], F_left[grid.ends])
+    F = _antiderivative(batch.grid, batch.values, 0.0, np.zeros(len(batch.grid)))
+    out = _antiderivative(batch.grid, F.coeffs[:, 0], batch.values, F.tail_value)
     return out if batch is f else out.one(f.grid)
 
 
@@ -197,9 +193,6 @@ def inner_cumulative(f):
     local = u + v * (mid - a) >= sb * mid
     w0 = np.where(local, u + v * (lo - a), sb * lo)
     w1 = np.where(local, v, sb)
-    width = hi - lo
-    g = _running_sum((w0 + 0.5 * w1 * width) * width, bounds)
     pieces = GridBatch.from_intervals(lo, hi, bounds)
-    out = PolyBatch(pieces, _columns(g[pieces.left], w0, 0.5 * w1),
-                    g[pieces.ends], F_edges[grid.ends])
+    out = _antiderivative(pieces, w0, w1, F_edges[grid.ends])
     return out if isinstance(f, StepBatch) else out.one(Grid(pieces.edges))

@@ -2,23 +2,22 @@
 
 The central routine is :func:`integrate_weighted_power`, which evaluates
 ``\\int_0^\\infty r^alpha |P(r)|^p dr`` for every piecewise polynomial ``P`` of
-a batch (a single :class:`PiecewisePoly` is a batch of one).  The integrand
-is singular at the origin and algebraically decaying at infinity, so cells
-are split at the roots of ``P`` (the only kinks of ``|P|^p``) and the first
-cell is refined geometrically when ``alpha < 0``.  Beyond ``r_n`` a constant
-tail has a closed form; a sloped one is integrated after the substitution
-``u = r_n / r`` on (0, 1], refined the same way.  To dodge overflow for
-radii far below 1 the integrand is always evaluated in the fused form
-``(|P(r)| * r^(alpha/p))^p``.
+a batch (a single :class:`PiecewisePoly` is a batch of one).  Cells are split
+at the roots of ``P`` (the only kinks of ``|P|^p``), with edge ratios capped
+at 2 when ``alpha < 0``.  Beyond ``r_n`` a constant tail has a closed form; a
+sloped one is integrated on ``u = r_n / r`` in (0, 1].  Both singular ends
+take one end rule: a first interval ``(0, c]`` whose integrand is
+``r^gamma |Q(r)|^p`` with ``Q`` smooth and ``gamma != 0`` gets the
+Gauss-Jacobi rule for the weight ``r^gamma`` (Golub-Welsch), every other
+interval Gauss-Legendre.  To dodge overflow for radii far below 1 the
+integrand is always evaluated in the fused form ``(|P(r)| * r^(alpha/p))^p``.
 
 The quadrature intervals of all cells of all functions are built with
 whole-array numpy operations; they equal, bit for bit, those of the
 per-cell loop kept in ``tests/interval_loops.py``.  Each integral job is
-done in one place, shared with :mod:`hardylab.inequalities`: one
-Gauss-Legendre routine, :func:`_quadrature`, for the body, the sloped tails
-and the sup-min integrals; one geometric step table for the first cell and
-the sloped tails; one closed form, :func:`_power_tail`, for every constant
-tail.
+done in one place, shared with :mod:`hardylab.inequalities`: one Gauss
+routine, :func:`_quadrature`, for the body, the sloped tails and the sup-min
+integrals, and one closed form, :func:`_power_tail`, for every constant tail.
 
 The rule is fixed: :data:`QUAD_ORDER` (16) nodes per interval; the error
 indicator compares it with the half-order rule, evaluated in the same pass.
@@ -37,10 +36,6 @@ from .grid import (GridBatch, PiecewisePoly, PolyBatch, _fsums, _in_double_range
 
 QUAD_ORDER = 16
 
-# Geometric refinement of the leading cell (and of the tail in u-coordinates):
-# 16 sub-cells with ratio 2 tame the r^alpha singularity for Gauss-Legendre.
-_ORIGIN_SUBCELLS = 16
-
 _EPS = float(np.finfo(float).eps)
 
 
@@ -57,6 +52,26 @@ def _gauss_legendre(order: int):
     x.flags.writeable = False
     w.flags.writeable = False
     return x, w
+
+
+def _gauss_jacobi(order: int, gamma: float):
+    """Gauss rule for the weight ``(1 + t)^gamma`` on [-1, 1], ``gamma > -1``:
+    Gauss-Legendre at ``gamma = 0``, otherwise Golub-Welsch (the eigenvalues
+    and eigenvectors of the Jacobi matrix of the three-term recurrence)."""
+    if gamma == 0.0:
+        return _gauss_legendre(order)
+    s, n = 2.0 * np.arange(order) + gamma, np.arange(1.0, order)
+    off = 2.0 * n * (n + gamma) / (s[1:] * np.sqrt(s[1:] ** 2 - 1.0))
+    x, v = np.linalg.eigh(np.diag(gamma * gamma / (s * (s + 2.0))) + np.diag(off, -1))
+    return x, 2.0 ** (gamma + 1.0) / (gamma + 1.0) * v[0] ** 2
+
+
+@lru_cache(maxsize=None)
+def _rule(gamma: float):
+    """The fine (QUAD_ORDER) and coarse (half-order) rules for ``(1 + t)^gamma``:
+    their nodes side by side, and per rule its column block (start, stop, weights)."""
+    (x, w), (xc, wc) = (_gauss_jacobi(n, gamma) for n in (QUAD_ORDER, QUAD_ORDER // 2))
+    return np.concatenate((x, xc)), ((0, QUAD_ORDER, w), (QUAD_ORDER, x.size + xc.size, wc))
 
 
 def _split_cells(lo, hi, bounds, points):
@@ -86,26 +101,6 @@ def _split_cells(lo, hi, bounds, points):
     at = (stops - counts)[np.nonzero(keep)[1]] + 1 + rank
     new_lo[at] = new_hi[at - 1] = pts[keep]
     return new_lo, new_hi, parent, np.concatenate(([0], stops))[bounds]
-
-
-_ORIGIN_STEPS = 2.0 ** np.arange(-(_ORIGIN_SUBCELLS - 1), 1.0)
-_SUBCELL = np.arange(_ORIGIN_SUBCELLS)
-
-
-def _refine_origin(lo, hi, parent, bounds):
-    """Split each function's first interval ``(0, c]`` at ``c * 2^-j``,
-    ``j = 1 .. 15``: geometric sub-cells that tame an ``r^alpha`` singularity."""
-    first = bounds[:-1]
-    shift = (_ORIGIN_SUBCELLS - 1) * np.arange(bounds.size)
-    at = (first + shift[:-1])[:, None] + _SUBCELL   # new positions of the sub-cells
-    reps = np.ones(lo.size, dtype=np.intp)
-    reps[first] = _ORIGIN_SUBCELLS
-    take = np.repeat(np.arange(lo.size), reps)
-    sub = hi[first][:, None] * _ORIGIN_STEPS
-    lo, hi = lo[take], hi[take]
-    hi[at] = sub
-    lo[at[:, 1:]] = sub[:, :-1]
-    return lo, hi, parent[take], bounds + shift
 
 
 def _cap_interval_ratio(lo, hi, parent, bounds):
@@ -151,11 +146,9 @@ def _poly_batch(P) -> PolyBatch:
 def _cell_intervals(P, alpha: float):
     """Quadrature intervals ``(lo, hi, x0, coefs, bounds)`` covering (0, r_n].
 
-    Cells are split at interior roots of P (kinks of |P|^p), each
-    function's first piece is refined geometrically towards the origin when
-    alpha < 0, and interval edge ratios are then capped near the
-    singularity.  ``x0`` and ``coefs`` are the left edge and coefficients
-    of each interval's cell.
+    Cells are split at interior roots of P (kinks of |P|^p), and when
+    alpha < 0 interval edge ratios are capped near the singularity.  ``x0``
+    and ``coefs`` are the left edge and coefficients of each interval's cell.
     """
     P = _poly_batch(P)
     grid = P.grid
@@ -172,16 +165,9 @@ def _cell_intervals(P, alpha: float):
                               np.where(linear, np.nan, c0 / q)))
     intervals = _split_cells(a, grid.b, grid.offsets, roots)
     if alpha < 0.0:
-        intervals = _cap_interval_ratio(*_refine_origin(*intervals))
+        intervals = _cap_interval_ratio(*intervals)
     lo, hi, cell, bounds = intervals
     return lo, hi, a[cell], P.coeffs[cell], bounds
-
-
-# The nodes of the fine rule (QUAD_ORDER) and of the coarse, half-order one
-# side by side, and per rule its column block ``(start, stop, weights)``.
-_NODES = np.concatenate([_gauss_legendre(n)[0] for n in (QUAD_ORDER, QUAD_ORDER // 2)])
-_RULES = ((0, QUAD_ORDER, _gauss_legendre(QUAD_ORDER)[1]),
-          (QUAD_ORDER, _NODES.size, _gauss_legendre(QUAD_ORDER // 2)[1]))
 
 
 # Intervals per node pass: a pass works on (intervals, nodes) matrices, and
@@ -189,8 +175,9 @@ _RULES = ((0, QUAD_ORDER, _gauss_legendre(QUAD_ORDER)[1]),
 _NODE_CHUNK = 512
 
 
-def _quadrature(integrand, lo, hi, bounds, *columns):
-    """Per-function Gauss-Legendre totals over the intervals ``(lo, hi)``.
+def _quadrature(integrand, lo, hi, bounds, *columns, gamma: float = 0.0):
+    """Per-function Gauss-Legendre totals over the intervals ``(lo, hi)``, or for
+    ``gamma != 0`` Gauss-Jacobi ones for the weight ``(r - lo)^gamma``, left out of ``integrand``.
 
     ``integrand(r, *rows)`` gets the nodes ``r`` of a chunk of intervals (one
     row per interval, the fine rule's column block, then the coarse one's)
@@ -200,15 +187,17 @@ def _quadrature(integrand, lo, hi, bounds, *columns):
     whatever the matrix shape (BLAS ``gemv`` does not), so no total depends
     on the batch or the chunking.
     """
+    nodes, rules = _rule(gamma)
     terms = None
     for s in range(0, max(lo.size, 1), _NODE_CHUNK):
         e = s + _NODE_CHUNK
         c_lo, c_hi = lo[s:e], hi[s:e]
         half = 0.5 * (c_hi - c_lo)
-        r = half[:, None] * _NODES
+        r = half[:, None] * nodes
         r += 0.5 * (c_hi + c_lo)[:, None]
-        parts = [(np.einsum("ij,j->i", v[:, i:j], w) * half).tolist()
-                 for v in integrand(r, *[col[s:e] for col in columns]) for i, j, w in _RULES]
+        scale = half ** (gamma + 1.0) if gamma else half
+        parts = [(np.einsum("ij,j->i", v[:, i:j], w) * scale).tolist()
+                 for v in integrand(r, *[col[s:e] for col in columns]) for i, j, w in rules]
         if terms is None:
             terms = parts
         else:
@@ -226,9 +215,48 @@ def _fused_power(r, vals, alpha: float, p: float) -> np.ndarray:
     return np.power(vals, p, out=vals)
 
 
-# The sub-cells of a sloped tail in u-coordinates: the steps _refine_origin
-# cuts (0, 1] at, as one fixed table, which is cheaper than the ragged routine.
-_TAIL_CUTS = np.concatenate([[0.0], _ORIGIN_STEPS])
+def _power_integrand(alpha: float, p: float):
+    """The :func:`_quadrature` integrand ``r^alpha |P(r)|^p`` for intervals whose
+    columns are the left edge ``x0`` and the coefficients of their piece."""
+    def integrand(r, x0, coefs):
+        loc = r - x0[:, None]
+        # c0 + loc * (c1 + loc * c2), in place
+        vals = loc * coefs[:, 2, None]
+        vals += coefs[:, 1, None]
+        vals *= loc
+        vals += coefs[:, 0, None]
+        return [_fused_power(r, vals, alpha, p)]
+    return integrand
+
+
+def _power_sums(lo, hi, bounds, x0, coefs, alpha: float, p: float, orders: list):
+    """Per-function totals (fine, coarse) of ``r^alpha |P(r)|^p`` over the intervals.
+
+    Function ``k``'s piece vanishes to order ``orders[k]`` at 0, where its
+    first interval starts (``None``: identically).  Where ``gamma = alpha +
+    orders[k] p`` is not 0 that interval takes the end rule for ``r^gamma`` on
+    the piece divided by ``r^orders[k]`` (coefficients shifted down).  The rest
+    share one Gauss-Legendre pass; with every gamma 0 it is the only pass.
+    """
+    end = [k is not None and alpha + p * k != 0.0 for k in orders]
+    if not any(end):
+        return _quadrature(_power_integrand(alpha, p), lo, hi, bounds, x0, coefs)[0]
+    sums = [[0.0] * len(end), [0.0] * len(end)]
+    if lo.size > sum(end):
+        keep = np.ones(lo.size, dtype=bool)
+        keep[bounds[:-1][end]] = False
+        (sums,) = _quadrature(_power_integrand(alpha, p), lo[keep], hi[keep],
+                              bounds - np.append(0, np.cumsum(end)), x0[keep], coefs[keep])
+    for order in {k for k, e in zip(orders, end) if e}:
+        fns = [i for i, k in enumerate(orders) if k == order]
+        at = bounds[fns]
+        (part,) = _quadrature(_power_integrand(0.0, p), lo[at], hi[at], np.arange(at.size + 1),
+                              x0[at], coefs[at[:, None], [order, (order + 1) % 3, (order + 2) % 3]],
+                              gamma=alpha + p * order)
+        for total, extra in zip(sums, part):
+            for k, v in zip(fns, extra):
+                total[k] += v
+    return sums
 
 
 def _power_tail(c: float, R: float, alpha: float, p: float) -> float:
@@ -243,67 +271,54 @@ def _tail_integrals(P: PolyBatch, alpha: float, p: float) -> list[list[float]]:
 
     A constant tail is :func:`_power_tail`.  For the others ``u = R / r``
     gives ``R^(alpha+1) * \\int_0^1 u^beta |t0 u + t1 R (1-u)|^p du`` with
-    ``beta = -alpha - p - 2``, integrated on 16 geometric sub-cells of
-    (0, 1) split at the root of the affine factor.  The per-function
-    scalars are plain floats; the sub-cells of all functions share one pass.
+    ``beta = -alpha - p - 2``: one end-rule interval (0, 1], split at the
+    root of the affine factor when it lies inside.  The per-function scalars
+    are plain floats; all functions share the passes.
     """
-    tails = []
-    lines = []  # (function, lin0, lin1, R^(alpha+1)) of the sloped tails
+    tails, lines = [], []  # lines: (function, R^(alpha+1), lin0, lin1, 0) of the sloped tails
     ends = P.grid.edges[P.grid.ends].tolist()
     for k, (R, t0, t1) in enumerate(zip(ends, P.tail_value.tolist(), P.tail_slope.tolist())):
         tails.append(0.0)
         if t0 == 0.0 and t1 == 0.0:
             continue
-        deg = 1 if t1 != 0.0 else 0
-        if alpha + p * deg >= -1.0:
+        decay = alpha + p * (t1 != 0.0)
+        if decay >= -1.0:
             raise DivergentIntegralError(
-                f"tail integrand decays like r^{alpha + p * deg:g}, not integrable near infinity"
-            )
+                f"tail integrand decays like r^{decay:g}, not integrable near infinity")
         if t1 == 0.0:
             tails[k] = _power_tail(t0, R, alpha, p)
         else:
             lin0 = t1 * R   # affine integrand factor: lin0 + (t0 - lin0) * u
-            lines.append((k, lin0, t0 - lin0, R ** (alpha + 1.0)))
+            lines.append((k, R ** (alpha + 1.0), lin0, t0 - lin0, 0.0))
     out = [tails, tails.copy()]
     if not lines:
         return out
-    which, lin0, lin1, scale = map(np.array, zip(*lines))
-    n_sub = _ORIGIN_SUBCELLS
-    sub = np.arange(n_sub * which.size)
-    fn, cell = sub // n_sub, sub % n_sub    # function and base sub-cell of each interval
+    which, scale, *coefs = zip(*lines)
+    n, coefs = len(which), np.array(coefs).T
     with np.errstate(divide="ignore", invalid="ignore"):
-        u_root = -lin0 / lin1
-    lo, hi, parent, bounds = _split_cells(_TAIL_CUTS[cell], _TAIL_CUTS[cell + 1],
-                                          n_sub * np.arange(which.size + 1), u_root[fn])
-    fn = fn[parent]
-    beta = -alpha - p - 2.0
-
-    def integrand(u, lin0, lin1):
-        vals = lin1[:, None] * u
-        vals += lin0[:, None]
-        return [_fused_power(u, vals, beta, p)]
-
-    (sums,) = _quadrature(integrand, lo, hi, bounds, lin0[fn], lin1[fn])
+        u_root = -coefs[:, 0] / coefs[:, 1]
+    lo, hi, parent, bounds = _split_cells(np.zeros(n), np.ones(n), np.arange(n + 1), u_root)
+    if lo.size > n:  # a root inside: cap the intervals beyond it
+        lo, hi, parent, bounds = _cap_interval_ratio(lo, hi, parent, bounds)
+    sums = _power_sums(lo, hi, bounds, np.zeros(lo.size), coefs[parent], -alpha - p - 2.0, p,
+                       [0] * n)
     for tail, total in zip(out, sums):
-        for k, c, v in zip(which.tolist(), scale.tolist(), total):
+        for k, c, v in zip(which, scale, total):
             tail[k] = c * v
     return out
 
 
-def _check_origin_convergence(P: PolyBatch, alpha: float, p: float) -> None:
+def _check_origin_convergence(P: PolyBatch, alpha: float, p: float) -> list:
+    """Per function, the order ``k`` to which its first piece vanishes at 0
+    (``None`` where it is 0); raises where ``r^(alpha + k p)`` is not integrable."""
+    orders = []
     for c0, c1, c2 in P.coeffs[P.grid.offsets[:-1]].tolist():
-        if c0 != 0.0:
-            vanishing = 0
-        elif c1 != 0.0:
-            vanishing = 1
-        elif c2 != 0.0:
-            vanishing = 2
-        else:
-            continue  # P vanishes identically near the origin
-        if alpha + p * vanishing <= -1.0:
-            raise DivergentIntegralError(
-                f"integrand behaves like r^{alpha + p * vanishing:g} near 0, not integrable"
-            )
+        k = 0 if c0 != 0.0 else 1 if c1 != 0.0 else 2 if c2 != 0.0 else None
+        if k is not None and alpha + p * k <= -1.0:
+            raise DivergentIntegralError(f"integrand behaves like r^{alpha + p * k:g} near 0, "
+                                         "not integrable")
+        orders.append(k)
+    return orders
 
 
 def _estimate(fine: float, coarse: float) -> float:
@@ -326,19 +341,9 @@ def integrate_weighted_power(P, alpha: float, p: float, *, return_estimate: bool
     p = check_exponent(p)
     alpha = check_real(alpha, "weight exponent")
     batch = _poly_batch(P)
-    _check_origin_convergence(batch, alpha, p)
-
-    def integrand(r, x0, coefs):  # r^alpha |P(r)|^p on the body intervals
-        loc = r - x0[:, None]
-        # c0 + loc * (c1 + loc * c2), in place
-        vals = loc * coefs[:, 2, None]
-        vals += coefs[:, 1, None]
-        vals *= loc
-        vals += coefs[:, 0, None]
-        return [_fused_power(r, vals, alpha, p)]
-
+    orders = _check_origin_convergence(batch, alpha, p)
     lo, hi, x0, coefs, bounds = _cell_intervals(batch, alpha)
-    (body,) = _quadrature(integrand, lo, hi, bounds, x0, coefs)
+    body = _power_sums(lo, hi, bounds, x0, coefs, alpha, p, orders)
     tails = _tail_integrals(batch, alpha, p)
     value, coarse = [[b + t for b, t in zip(*parts)] for parts in zip(body, tails)]
     for totals in (value, coarse):

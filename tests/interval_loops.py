@@ -10,7 +10,6 @@ import math
 import numpy as np
 
 from hardylab.grid import Grid, PiecewisePoly
-from hardylab.quadrature import _ORIGIN_SUBCELLS
 from hardylab.operators import supmin_branches
 
 
@@ -57,10 +56,6 @@ def cell_intervals(P: PiecewisePoly, alpha: float):
             if a < r < b:
                 cuts.append(r)
         cuts = sorted(set(cuts))
-        if i == 0 and alpha < 0.0:
-            first_hi = cuts[1]
-            sub = first_hi * 2.0 ** np.arange(-(_ORIGIN_SUBCELLS - 1), 1.0)
-            cuts = [0.0] + sub.tolist() + cuts[2:]
         if alpha < 0.0:
             cuts = cap_interval_ratio(cuts)
         for lo, hi in zip(cuts[:-1], cuts[1:]):
@@ -137,6 +132,6 @@ def inner_cumulative(f) -> PiecewisePoly:
                 w0, w1 = sb * lo, sb
             new_edges.append(hi)
             coeffs.append((g, w0, 0.5 * w1))
-            g += (w0 + 0.5 * w1 * (hi - lo)) * (hi - lo)
+            g += w0 * (hi - lo) + 0.5 * w1 * (hi - lo) * (hi - lo)
     return PiecewisePoly(Grid(np.asarray(new_edges)), np.asarray(coeffs),
                          tail_value=g, tail_slope=float(F_edges[-1]))

@@ -97,3 +97,36 @@ def weighted_power_integral_mp(edges, coeffs, tail_value, tail_slope, alpha, p, 
             R = mp.mpf(float(edges[-1]))
             total += abs(mp.mpf(float(tail_value))) ** p * R ** (alpha + 1) / -(alpha + 1)
         return float(total)
+
+
+def tail_integral_mp(R, t0, t1, alpha, p, dps=30):
+    """``int_R^inf r^alpha |t0 + t1 (r - R)|^p dr`` in closed form, in
+    ``dps``-digit arithmetic (the tail must decay: ``alpha + p < -1`` when
+    ``t1 != 0``, ``alpha < -1`` otherwise).
+
+    A constant tail is ``|t0|^p R^(alpha+1) / (-alpha-1)``.  For a sloped one
+    ``u = R / r`` gives ``R^(alpha+1) int_0^1 u^beta |lin0 + lin1 u|^p du``
+    with ``beta = -alpha - p - 2``, ``lin0 = t1 R`` and ``lin1 = t0 - lin0``:
+    ``|lin0|^p / (beta+1) 2F1(-p, beta+1; beta+2; -lin1/lin0)`` when the
+    affine factor keeps its sign on (0, 1).  Otherwise it is split at its
+    root ``u0``: ``|lin0|^p u0^(beta+1) B(beta+1, p+1)`` below, and
+    ``|lin1|^p (1-u0)^(p+1) u0^beta / (p+1) 2F1(-beta, p+1; p+2; 1 - 1/u0)``
+    above.  No quadrature is involved: ``mpmath.quad`` is percent-level
+    wrong on these tails for p near 1.
+    """
+    import mpmath as mp
+
+    with mp.workdps(dps):
+        R, t0, t1, alpha, p = (mp.mpf(float(x)) for x in (R, t0, t1, alpha, p))
+        if t1 == 0:
+            return float(abs(t0) ** p * R ** (alpha + 1) / -(alpha + 1))
+        beta, lin0 = -alpha - p - 2, t1 * R
+        lin1 = t0 - lin0
+        u0 = -lin0 / lin1 if lin1 != 0 else mp.inf
+        if not 0 < u0 < 1:
+            body = abs(lin0) ** p / (beta + 1) * mp.hyp2f1(-p, beta + 1, beta + 2, -lin1 / lin0)
+        else:
+            body = (abs(lin0) ** p * u0 ** (beta + 1) * mp.beta(beta + 1, p + 1)
+                    + abs(lin1) ** p * (1 - u0) ** (p + 1) * u0 ** beta / (p + 1)
+                    * mp.hyp2f1(-beta, p + 1, p + 2, 1 - 1 / u0))
+        return float(R ** (alpha + 1) * body)

@@ -167,6 +167,21 @@ def test_a_batch_raises_its_lowest_index_error(kind, p):
     assert str(batch_error.value) == str(alone_error.value)
 
 
+@pytest.mark.parametrize("kind, p", KINDS)
+def test_an_underflowing_mass_keeps_its_batch_order(kind, p):
+    """``|f|^p`` of a tiny nonzero function underflows to 0: a range error,
+    not a zero function, and a batch still raises its lowest-index error."""
+    evaluate = ratio_evaluator(kind, p)
+    tiny = step_function([0.0, 1.0], [1e-250])
+    functions = FUNCTIONS[:4]
+    functions[1], functions[2] = tiny, zero()
+    with pytest.raises(DoubleRangeError, match="underflows"):
+        evaluate(StepBatch.of(functions))
+    functions[1], functions[2] = zero(), tiny
+    with pytest.raises(ZeroDenominatorError, match="vanishes identically"):
+        evaluate(StepBatch.of(functions))
+
+
 def test_overflow_is_not_reported_as_divergence():
     # an edge at 1e-300 puts the weight r^-4 out of range; the integral is finite
     f = step_function([0.0, 1e-300, 1.0], [1.0, 1.0])

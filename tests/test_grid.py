@@ -23,6 +23,7 @@ from hardylab import (
     step_function,
     write_step_csv,
 )
+from hardylab import quadrature, ratio_evaluator
 from hardylab.grid import step_csv_text
 from hardylab.operators import cumulative, double_cumulative
 
@@ -324,6 +325,102 @@ class TestIntegrateWeightedPower:
             integrate_weighted_power(P, -2.0, 1.0)
         with pytest.raises(InvalidParameterError):
             integrate_weighted_power(P, math.nan, 2.0)
+
+
+# ---------------------------------------------------------------------------
+# The Gauss-Jacobi end rule
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("gamma", [-0.9, -0.5, -1e-3, 0.3, 1.7, 5.0])
+def test_end_rules_are_exact_on_their_polynomials(gamma):
+    """The fine rule integrates ``(1+t)^gamma (1+t)^m`` on [-1, 1] exactly for
+    m < 32, the coarse one for m < 16."""
+    nodes, rules = quadrature._rule(gamma)
+    for (start, stop, weights), degree in zip(rules, (32, 16)):
+        t = nodes[start:stop]
+        assert np.all((-1.0 < t) & (t < 1.0))
+        for m in range(degree):
+            exact = 2.0 ** (gamma + m + 1.0) / (gamma + m + 1.0)
+            assert math.fsum(weights * (1.0 + t) ** m) == pytest.approx(exact, rel=1e-13), m
+
+
+def test_end_rule_at_gamma_zero_is_gauss_legendre():
+    nodes, rules = quadrature._rule(0.0)
+    for (start, stop, weights), n in zip(rules, (16, 8)):
+        x, w = np.polynomial.legendre.leggauss(n)
+        assert nodes[start:stop].tobytes() == x.tobytes() and weights.tobytes() == w.tobytes()
+
+
+@pytest.mark.parametrize("alpha", [-0.9, -0.5])
+def test_end_rule_on_a_nonvanishing_first_cell(alpha):
+    """``P = f`` does not vanish at 0, so its first cell carries the bare
+    weight ``r^alpha`` (gamma = alpha); the exact value is a sum over cells."""
+    rng = make_rng(41)
+    for _ in range(10):
+        f = random_step_function(rng)
+        a, b = f.grid.edges[:-1], f.grid.edges[1:]
+        for p in (1.5, 2.0, 3.0):
+            val, est = integrate_weighted_power(PiecewisePoly.from_step(f), alpha, p,
+                                                return_estimate=True)
+            e = alpha + 1.0
+            exact = math.fsum((np.abs(f.values) ** p * (b ** e - a ** e) / e).tolist())
+            assert val == pytest.approx(exact, rel=1e-13)
+            assert abs(val - exact) <= est
+
+
+@pytest.mark.parametrize("k, p, alpha", [(1, 1.5, -2.2), (1, 1.5, -1.2), (1, 2.0, -2.5),
+                                         (1, 3.0, -3.7), (2, 1.5, -3.7), (2, 2.0, -4.5)])
+def test_end_rule_on_a_zero_at_the_origin(k, p, alpha):
+    """``F = v0 r`` and ``D = v0 r^2 / 2`` on the first cell, so with
+    ``gamma = alpha + k p != 0`` that cell is ``|v0 / k|^p r^gamma``, exactly
+    ``|v0 / k|^p c^(gamma+1) / (gamma+1)``.  The other cells are checked
+    against mpmath and the tail against its closed form; ``mpmath.quad``
+    itself is about 5e-11 off on a first cell with gamma = -0.7."""
+    pytest.importorskip("mpmath")
+    rng = make_rng(43)
+    for _ in range(4):
+        f = abs(random_step_function(rng))
+        P = (cumulative, double_cumulative)[k - 1](f)
+        val, est = integrate_weighted_power(P, alpha, p, return_estimate=True)
+        c, gamma = P.grid.edges[1], alpha + k * p
+        ref = ((f.values[0] / k) ** p * c ** (gamma + 1.0) / (gamma + 1.0)
+               + oracles.weighted_power_integral_mp(P.grid.edges[1:], P.coeffs[1:], 0.0, 0.0,
+                                                    alpha, p)
+               + oracles.tail_integral_mp(P.grid.edges[-1], P.tail_value, P.tail_slope, alpha, p))
+        assert val == pytest.approx(ref, rel=1e-13)
+        assert abs(val - ref) <= est
+
+
+@pytest.mark.parametrize("kind, p, passes", [
+    ("hardy", 1.5, 1), ("hardy", 3.0, 1), ("hardy_rellich_int", 2.0, 1),
+    ("rellich_p", 1.5, 2), ("rellich_p", 2.0, 2), ("rellich_p", 3.0, 2),
+    ("rellich_chain", 1.5, 2), ("rellich_chain", 2.0, 2),
+])
+def test_passes_per_table_kind_integral(kind, p, passes, monkeypatch):
+    """One ``integrate_weighted_power`` call of a table kind makes one
+    quadrature pass (the body) for the Hardy kinds and two (body and
+    sloped tail) for the Rellich kinds, none over zero intervals: their first
+    cells are smooth, so no end-rule pass is added."""
+    import hardylab.inequalities as inequalities
+
+    sizes, calls = [], []
+    quad, integrate = quadrature._quadrature, quadrature.integrate_weighted_power
+
+    def counting_quad(integrand, lo, *args, **kwargs):
+        sizes.append(lo.size)
+        return quad(integrand, lo, *args, **kwargs)
+
+    def counting_integrate(*args, **kwargs):
+        calls.append(len(sizes))
+        return integrate(*args, **kwargs)
+
+    monkeypatch.setattr(quadrature, "_quadrature", counting_quad)
+    monkeypatch.setattr(inequalities, "integrate_weighted_power", counting_integrate)
+    rng = make_rng(47)
+    ratio_evaluator(kind, p)(random_step_function(rng, 5))
+    assert calls and np.diff(calls + [len(sizes)]).tolist() == [passes] * len(calls)
+    assert min(sizes) > 0
 
 
 # ---------------------------------------------------------------------------

@@ -32,8 +32,13 @@ from hardylab import (
     step_function,
     weighted_supmin_check,
 )
-from hardylab.grid import Grid
+import oracles
+from hardylab import quadrature
+from hardylab.grid import Grid, StepBatch
 from hardylab.inequalities import KINDS, REPORT_KINDS
+from hardylab.operators import double_cumulative, inner_cumulative
+from hardylab.sharpness import (DEFAULT_EPS_LIST, DEFAULT_SWEEP_RESOLUTION, CutoffSpec,
+                                _sweep_r_min)
 
 INDICATOR = step_function([0.0, 1.0], [1.0])
 SHIFTED = step_function([0.0, 1.0, 2.0], [0.0, 1.0])
@@ -505,6 +510,76 @@ def test_every_constant_tail_against_mpmath(p, monkeypatch):
             for k, (got, c) in enumerate(sites):
                 exact = abs(mp.mpf(float(c))) ** q * R ** (1 - q) / (q - 1)
                 assert abs(got - exact) <= 2 * 2.0 ** -52 * exact, (k, got, mp.nstr(exact, 20))
+
+
+# ---------------------------------------------------------------------------
+# Closed-form sloped tails, and the Rellich numerators, at general p
+# ---------------------------------------------------------------------------
+
+GENERAL_P = [1.05, 1.1, 1.2, 1.5, 2.5, 3.0, 4.0]
+
+
+@pytest.mark.parametrize("p", GENERAL_P)
+def test_sloped_tails_against_closed_form(p):
+    """The sloped tails of ``double_cumulative(|f|)`` and ``inner_cumulative(f)``
+    on random functions and on the sweep profiles are within 1e-12 relative
+    of their ``hyp2f1`` closed form (``oracles.tail_integral_mp``)."""
+    pytest.importorskip("mpmath")
+    rng = make_rng(53)
+    functions = [random_step_function(rng) for _ in range(20)]
+    functions += [minimizing_function(p, eps, CutoffSpec(), DEFAULT_SWEEP_RESOLUTION,
+                                      _sweep_r_min(eps)) for eps in DEFAULT_EPS_LIST]
+    batch = StepBatch.of(functions)
+    for P in (double_cumulative(abs(batch)), inner_cumulative(batch)):
+        fine, _ = quadrature._tail_integrals(P, -2.0 * p, p)
+        ends = P.grid.edges[P.grid.ends].tolist()
+        for k, (R, t0, t1) in enumerate(zip(ends, P.tail_value.tolist(), P.tail_slope.tolist())):
+            assert t1 != 0.0
+            assert fine[k] == pytest.approx(oracles.tail_integral_mp(R, t0, t1, -2.0 * p, p),
+                                            rel=1e-12), k
+
+
+@pytest.mark.parametrize("p", GENERAL_P)
+def test_rellich_numerators_within_their_estimates(p):
+    """The ``rellich_p`` numerator and the ``rellich_chain`` middle term are
+    within their refinement estimates of an oracle that integrates the body
+    with mpmath (``D`` and ``G`` have no roots, so no kinks) and the sloped
+    tail in closed form."""
+    pytest.importorskip("mpmath")
+    rng = make_rng(59)
+    for _ in range(2):
+        f = random_step_function(rng)
+        report = rellich_p_ratio(f, p)
+        middle, middle_estimate = quadrature.integrate_weighted_power(
+            inner_cumulative(f), -2.0 * p, p, return_estimate=True)
+        assert middle == rellich_chain(f, p).middle
+        for got, estimate, P in ((report.numerator, report.refinement_estimate,
+                                  double_cumulative(abs(f))),
+                                 (middle, middle_estimate, inner_cumulative(f))):
+            exact = (oracles.weighted_power_integral_mp(P.grid.edges, P.coeffs, 0.0, 0.0,
+                                                        -2.0 * p, p)
+                     + oracles.tail_integral_mp(P.grid.edges[-1], P.tail_value, P.tail_slope,
+                                                -2.0 * p, p))
+            assert abs(got - exact) <= estimate, (got, exact, estimate)
+
+
+def test_rellich_of_the_indicator_at_p_near_1():
+    """f = 1 on (0, 1] at p = 1.1: ``2^-1.1`` on the body plus the tail
+    ``2F1(-p, p - 1; p; 1/2) / (p - 1)``, 9.97388773899773 (the 16 geometric
+    Gauss-Legendre sub-cells of the tail once gave 8.189)."""
+    report = rellich_p_ratio(INDICATOR, 1.1)
+    assert report.numerator == pytest.approx(9.973887738997739, rel=1e-14)
+    assert report.refinement_estimate < 1e-12
+
+
+@pytest.mark.parametrize("value", [1e-200, 1e-170])
+@pytest.mark.parametrize("kind", REPORT_KINDS)
+def test_an_underflowing_mass_is_not_a_zero_function(kind, value):
+    """``|f|^2`` underflows to 0 although f is not 0: a DoubleRangeError, not
+    the false "vanishes identically" of a ZeroDenominatorError."""
+    f = step_function([0.0, 1.0], [value])
+    with pytest.raises(DoubleRangeError, match="underflows to 0; rescale the input"):
+        ratio_evaluator(kind, 2.0)(f)
 
 
 # ---------------------------------------------------------------------------

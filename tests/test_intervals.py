@@ -117,11 +117,11 @@ def test_hand_step_functions_match_loops(edges, values):
     check_function(step_function(edges, values))
 
 
-def test_refinement_and_cap_only_for_negative_alpha():
+def test_cap_only_for_negative_alpha():
     P = cumulative(step_function([0.0, 1e-300, 1.0], [1.0, 2.0]))
     assert _cell_intervals(P, 0.0)[0].tolist() == [0.0, 1e-300]
     lo = _cell_intervals(P, -1.0)[0]
-    assert lo.size == 16 + 997  # origin sub-cells, then doublings of 1e-300 up to 1
+    assert lo.size == 1 + 997  # the first cell whole, then doublings of 1e-300 up to 1
     assert_identical(cell_intervals(P, -1.0), loops.cell_intervals(P, -1.0))
 
 
