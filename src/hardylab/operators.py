@@ -22,7 +22,7 @@ import numpy as np
 
 from .grid import (Grid, GridBatch, PolyBatch, StepBatch, StepFunction, as_batch, check_exponent,
                    check_real)
-from .grid import _running_max, _running_sum, _sorted_unique, _step_function
+from .grid import _in_double_range, _running_max, _running_sum, _sorted_unique, _step_function
 from .quadrature import _split_cells
 
 
@@ -48,11 +48,16 @@ def cumulative(f):
     return out if batch is f else out.one(f.grid)
 
 
-def _cumulative_at(edges: np.ndarray, values: np.ndarray, s: np.ndarray) -> np.ndarray:
+def _cumulative_edges(edges: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """``F`` at the edges of one step function: :func:`cumulative`'s running sum."""
+    return _running_sum(values * (edges[1:] - edges[:-1]), np.array([0, values.size]))
+
+
+def _cumulative_at(edges: np.ndarray, values: np.ndarray, left: np.ndarray,
+                   s: np.ndarray) -> np.ndarray:
     """``F(s)`` of one step function at positive ``s``, without building
-    :func:`cumulative`: its running sum and its affine piece at ``s``, so the
-    floats are those of evaluating it."""
-    left = _running_sum(values * (edges[1:] - edges[:-1]), np.array([0, values.size]))
+    :func:`cumulative`: ``left`` is its :func:`_cumulative_edges`, read with
+    the affine piece at ``s``, so the floats are those of evaluating it."""
     idx = edges[1:-1].searchsorted(s)  # the cell holding s; the last one beyond r_n
     return np.where(s > edges[-1], left[-1], left[idx] + (s - edges[idx]) * values[idx])
 
@@ -76,7 +81,8 @@ def supmin_candidates(f: StepFunction, r: float) -> list[tuple[float, float]]:
     r = check_real(r, "radius", 0.0)
     edges = _step_function(f).grid.edges
     s = _sorted_unique(np.concatenate([edges[1:], [r]]))
-    vals = np.abs(_cumulative_at(edges, f.values, s)) / np.maximum(s, r)
+    F = _cumulative_at(edges, f.values, _cumulative_edges(edges, f.values), s)
+    vals = np.abs(F) / np.maximum(s, r)
     return list(zip(s.tolist(), vals.tolist()))
 
 
@@ -91,26 +97,28 @@ def rellich_inner(f: StepFunction, tau: float) -> float:
     return tau * supmin_transform(abs(_step_function(f)), tau)
 
 
+@_in_double_range
 def maxform_value(f: StepFunction, r: float, p: float) -> float:
     """``max{ sup_{s<=r} |f(s)|^p / r^p , sup_{s>=r} |f(s)|^p / s^p }``.
 
     Sups over ``s`` range over cell closures; on ``[r, inf)`` each cell's
-    contribution is maximised at its left endpoint clipped to ``r``.
+    contribution is maximised at its left endpoint clipped to ``r``.  An
+    overflow raises :class:`DoubleRangeError`.
     """
     r = check_real(r, "radius", 0.0)
     p = check_exponent(p)
     edges = _step_function(f).grid.edges
-    a = edges[:-1]
-    b = edges[1:]
+    a, b = edges[:-1], edges[1:]
     absv = np.abs(f.values)
     left_mask = a <= r
-    first = float(np.max(absv[left_mask], initial=0.0)) ** p / r ** p
+    first = float(np.max(absv[left_mask], initial=0.0) / r) ** p
     right_mask = b >= r
     s_left = np.maximum(a[right_mask], r)
     second = float(np.max((absv[right_mask] / s_left) ** p, initial=0.0))
     return max(first, second)
 
 
+@_in_double_range
 def supmin_pointwise_identity_check(f: StepFunction, r: float, p: float) -> tuple[float, float]:
     """Both sides of ``(sup_s min{1/r,1/s}|f(s)|)^p == maxform_value(f, r, p)``.
 
@@ -122,8 +130,7 @@ def supmin_pointwise_identity_check(f: StepFunction, r: float, p: float) -> tupl
     r = check_real(r, "radius", 0.0)
     p = check_exponent(p)
     edges = _step_function(f).grid.edges
-    a = edges[:-1]
-    b = edges[1:]
+    a, b = edges[:-1], edges[1:]
     absv = np.abs(f.values)
     candidates = [0.0]
     for i in range(f.grid.n_cells):

@@ -11,11 +11,14 @@ p-th power masses stay within rounding of ``f``'s however many are dropped.
 
 :func:`check_partial_domination` accepts one upper limit ``s`` or a 1-D
 array of them, and reads both partial masses off the running sums of
-:func:`cumulative` without building it.
+:func:`cumulative` without building it.  ``f*`` and both sums are built once
+per ``f`` and kept while it lives, so the same frozen ``f*`` comes back for
+the same ``f`` (a :class:`StepFunction` is immutable).
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +26,7 @@ import numpy as np
 from .errors import InvalidParameterError
 from .grid import Grid, StepFunction, _in_double_range, _real_array, _step_function, p_norm
 # cumulative is not called here; perfbench's span recorder looks the name up
-from .operators import _cumulative_at, cumulative
+from .operators import _cumulative_at, _cumulative_edges, cumulative
 
 
 @dataclass(frozen=True, eq=False)
@@ -63,16 +66,29 @@ def _rearranged_cells(f: StepFunction) -> tuple[np.ndarray, np.ndarray]:
     return edges, values
 
 
+_MEMO = weakref.WeakKeyDictionary()
+
+
+def _rearranged(f: StepFunction) -> tuple[RearrangedFunction, np.ndarray, np.ndarray]:
+    """``(f*, F of |f| at f's edges, F* at f*'s edges)``; no entry refers to ``f``."""
+    entry = _MEMO.get(_step_function(f))
+    if entry is None:
+        edges, values = _rearranged_cells(f)
+        entry = _MEMO[f] = (RearrangedFunction(step=StepFunction(Grid(edges), values)),
+                            _cumulative_edges(f.grid.edges, np.abs(f.values)),
+                            _cumulative_edges(edges, values))
+    return entry
+
+
 def decreasing_rearrangement(f: StepFunction) -> RearrangedFunction:
-    """Sort the cells of ``|f|`` by descending value (stable for ties)."""
-    edges, values = _rearranged_cells(f)
-    return RearrangedFunction(step=StepFunction(Grid(edges), values))
+    """Sort the cells of ``|f|`` by descending value (stable for ties).  The same
+    frozen object comes back for the same ``f``, as a :class:`StepFunction` is immutable."""
+    return _rearranged(f)[0]
 
 
 def check_norm_preservation(f: StepFunction, p: float) -> tuple[float, float]:
     """Return ``(p_norm(f, p), p_norm(f*, p))``; they agree up to summation order."""
-    fstar = decreasing_rearrangement(f).step
-    return p_norm(f, p), p_norm(fstar, p)
+    return p_norm(f, p), p_norm(decreasing_rearrangement(f).step, p)
 
 
 @_in_double_range
@@ -87,7 +103,7 @@ def check_partial_domination(f: StepFunction, s: float | np.ndarray) -> tuple:
         raise InvalidParameterError(f"upper limits must be a scalar or 1-D, got shape {s_arr.shape}")
     if not (s_arr > 0.0).all():
         raise InvalidParameterError(f"upper limits must be positive, got {s}")
-    edges, values = _rearranged_cells(f)
-    lhs = _cumulative_at(f.grid.edges, np.abs(f.values), s_arr)
-    rhs = _cumulative_at(edges, values, s_arr)
+    star, left, star_left = _rearranged(f)
+    lhs = _cumulative_at(f.grid.edges, np.abs(f.values), left, s_arr)
+    rhs = _cumulative_at(star.step.grid.edges, star.step.values, star_left, s_arr)
     return (float(lhs), float(rhs)) if s_arr.ndim == 0 else (lhs, rhs)

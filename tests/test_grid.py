@@ -374,9 +374,9 @@ def test_end_rule_on_a_nonvanishing_first_cell(alpha):
 def test_end_rule_on_a_zero_at_the_origin(k, p, alpha):
     """``F = v0 r`` and ``D = v0 r^2 / 2`` on the first cell, so with
     ``gamma = alpha + k p != 0`` that cell is ``|v0 / k|^p r^gamma``, exactly
-    ``|v0 / k|^p c^(gamma+1) / (gamma+1)``.  The other cells are checked
-    against mpmath and the tail against its closed form; ``mpmath.quad``
-    itself is about 5e-11 off on a first cell with gamma = -0.7."""
+    ``|v0 / k|^p c^(gamma+1) / (gamma+1)``.  The mpmath oracle meets that
+    closed form to 1e-14 (it substitutes the ``r^gamma`` end away), and
+    checks the body; the tail is checked against its closed form."""
     pytest.importorskip("mpmath")
     rng = make_rng(43)
     for _ in range(4):
@@ -384,9 +384,11 @@ def test_end_rule_on_a_zero_at_the_origin(k, p, alpha):
         P = (cumulative, double_cumulative)[k - 1](f)
         val, est = integrate_weighted_power(P, alpha, p, return_estimate=True)
         c, gamma = P.grid.edges[1], alpha + k * p
-        ref = ((f.values[0] / k) ** p * c ** (gamma + 1.0) / (gamma + 1.0)
-               + oracles.weighted_power_integral_mp(P.grid.edges[1:], P.coeffs[1:], 0.0, 0.0,
-                                                    alpha, p)
+        first = oracles.weighted_power_integral_mp(P.grid.edges[:2], P.coeffs[:1], 0.0, 0.0,
+                                                   alpha, p)
+        exact = (f.values[0] / k) ** p * c ** (gamma + 1.0) / (gamma + 1.0)
+        assert first == pytest.approx(exact, rel=1e-14, abs=0.0)
+        ref = (oracles.weighted_power_integral_mp(P.grid.edges, P.coeffs, 0.0, 0.0, alpha, p)
                + oracles.tail_integral_mp(P.grid.edges[-1], P.tail_value, P.tail_slope, alpha, p))
         assert val == pytest.approx(ref, rel=1e-13)
         assert abs(val - ref) <= est

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from hardylab import (
+    DoubleRangeError,
     InvalidParameterError,
     StepFunction,
     cumulative,
@@ -297,6 +298,26 @@ class TestPointwiseIdentity:
                     lhs, rhs = supmin_pointwise_identity_check(f, float(r), p)
                     assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs)), \
                         f"identity off at r={r}, p={p}: {lhs} vs {rhs}"
+
+
+@pytest.mark.parametrize("p", [2.0, 200.0])
+@pytest.mark.parametrize("r", [5e-324, 1e-200, 1e200])
+def test_extreme_radii_give_a_finite_value_or_a_range_error(r, p):
+    """``(sup |f| / r)^p`` overflows at tiny radii (no ``ZeroDivisionError``
+    from ``r^p`` rounding to 0) and both sides agree where they are finite."""
+    f = step_function([0.0, 1.0, 2.0], [1.0, 0.5])
+    try:
+        value = maxform_value(f, r, p)
+    except DoubleRangeError:
+        value = None
+    try:
+        sides = supmin_pointwise_identity_check(f, r, p)
+    except DoubleRangeError:
+        sides = None
+    if value is None:
+        assert sides is None
+    else:
+        assert math.isfinite(value) and sides == (value, value)
 
 
 # ---------------------------------------------------------------------------

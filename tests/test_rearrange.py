@@ -1,6 +1,8 @@
 """Tests for the decreasing rearrangement and its two integral facts."""
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -20,7 +22,8 @@ from hardylab import (
     step_function,
     weighted_supmin_check,
 )
-from hardylab.operators import _cumulative_at, cumulative
+from hardylab import rearrange
+from hardylab.operators import _cumulative_at, _cumulative_edges, cumulative
 
 P_SWEEP = (1.1, 1.5, 2.0, 3.0)
 
@@ -204,8 +207,92 @@ def test_cumulative_at_equals_cumulative_evaluate():
         points = np.concatenate([edges[1:], 0.5 * (edges[:-1] + edges[1:]),
                                  rng.uniform(0.0, end, 20) + 5e-324,
                                  [np.nextafter(end, np.inf), 1.5 * end, 1e300]])
-        assert np.array_equal(_cumulative_at(edges, f.values, points),
+        left = _cumulative_edges(edges, f.values)
+        assert np.array_equal(_cumulative_at(edges, f.values, left, points),
                               cumulative(f).evaluate(points))
+
+
+# ---------------------------------------------------------------------------
+# One rearrangement per function
+# ---------------------------------------------------------------------------
+
+
+def test_same_function_gives_the_same_rearrangement():
+    f = random_step_function(make_rng(29))
+    assert decreasing_rearrangement(f) is decreasing_rearrangement(f)
+
+
+def test_one_check_sequence_sorts_twice(monkeypatch):
+    """The criterion-5/6 checks on one function (the rearrangement, four
+    norms, domination at every merged edge, the weighted sup-min check on
+    ``f`` and on ``f*``) sort ``|f|`` once and ``f*`` once."""
+    sorted_functions = []
+    original = rearrange._rearranged_cells
+
+    def counting(f):
+        sorted_functions.append(f)
+        return original(f)
+
+    monkeypatch.setattr(rearrange, "_rearranged_cells", counting)
+    f = random_step_function(make_rng(31))
+    fstar = decreasing_rearrangement(f).step
+    for p in P_SWEEP:
+        check_norm_preservation(f, p)
+    merged = np.union1d(f.grid.edges, fstar.grid.edges)
+    for s in merged[merged > 0.0].tolist():
+        check_partial_domination(f, s)
+    weighted_supmin_check(f, 2.0)
+    weighted_supmin_check(fstar, 2.0)
+    assert len(merged) > 20
+    assert sorted_functions == [f, fstar]
+
+
+def test_memo_entry_goes_with_its_function():
+    f = random_step_function(make_rng(37))
+    fstar = decreasing_rearrangement(f).step
+    check_partial_domination(fstar, 1.0)  # an entry keyed by f* as well
+    refs = weakref.ref(f), weakref.ref(fstar)
+    gc.collect()
+    size = len(rearrange._MEMO)
+    del f, fstar
+    gc.collect()
+    assert [ref() for ref in refs] == [None, None]
+    assert len(rearrange._MEMO) == size - 2
+
+
+def fresh_partial_masses(f, s):
+    """Both partial masses from a fresh sort and fresh running sums."""
+    edges, values = rearrange._rearranged_cells(f)
+    absv = np.abs(f.values)
+    return (_cumulative_at(f.grid.edges, absv, _cumulative_edges(f.grid.edges, absv), s),
+            _cumulative_at(edges, values, _cumulative_edges(edges, values), s))
+
+
+def test_kept_rearrangement_gives_fresh_results():
+    """Per-point and whole-array partial masses, on the first call for a
+    function and on later ones, equal a fresh computation, and the kept
+    ``f*`` is the fresh one."""
+    rng = make_rng(41)
+    functions = [random_step_function(rng) for _ in range(40)]
+    functions += [step_function(edges, values) for edges, values in SUB_ULP_CELLS]
+    for g in functions:
+        edges, values = rearrange._rearranged_cells(g)
+        merged = np.union1d(g.grid.edges, edges)
+        points = np.concatenate([merged[1:], 0.5 * (merged[:-1] + merged[1:]),
+                                 [1.5 * g.grid.support_end]])
+        expect_lhs, expect_rhs = fresh_partial_masses(g, points)
+        scalar_first = step_function(g.grid.edges, g.values)
+        array_first = step_function(g.grid.edges, g.values)
+        assert check_partial_domination(scalar_first, float(points[0])) == \
+            (expect_lhs[0], expect_rhs[0])
+        for f in (array_first, array_first, scalar_first):
+            lhs, rhs = check_partial_domination(f, points)
+            assert np.array_equal(lhs, expect_lhs) and np.array_equal(rhs, expect_rhs)
+            for k, s in enumerate(points.tolist()):
+                assert check_partial_domination(f, s) == (expect_lhs[k], expect_rhs[k])
+            fstar = decreasing_rearrangement(f).step
+            assert fstar.grid.edges.tobytes() == edges.tobytes()
+            assert fstar.values.tobytes() == values.tobytes()
 
 
 # ---------------------------------------------------------------------------
