@@ -31,7 +31,8 @@ Every integral uses the fixed Gauss rules of :mod:`hardylab.quadrature`, and
 The two-branch max form of :func:`corollary_int_check` is ``(M f)^p``
 exactly, in floating point too (division by ``r`` and the p-th power are
 monotone), so it reads both sides off the new_hardy report;
-:func:`corollary_avg_check` is that form for the average ``F/s``.
+:func:`corollary_avg_check` is that form for the average ``F/s``, its
+integral cut at its kinks and capped like the sup-min one.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ from .grid import (StepBatch, StepFunction, _in_double_range, _step_function, as
                    check_exponent, p_norm)
 from .quadrature import integrate_weighted_power
 from .quadrature import (_cap_interval_ratio, _estimate, _power_tail, _quadrature,  # shared
-                         _split_cells)
+                         _real_roots, _split_cells)
 from .operators import cumulative, double_cumulative, inner_cumulative, supmin_branches
 from .rearrange import decreasing_rearrangement
 
@@ -212,7 +213,17 @@ def _hardy_sharp(p: float) -> float:
 
 
 def _rellich_sharp(p: float) -> float:
-    return p ** (2.0 * p) / ((p - 1.0) ** p * (2.0 * p - 1.0) ** p)
+    """``p^(2p) / ((p-1)^p (2p-1)^p)``; from p = 76.03, where its powers leave the
+    double range, the ratio form ``(p^2 / ((p-1)(2p-1)))^p``."""
+    try:
+        sharp = p ** (2.0 * p) / ((p - 1.0) ** p * (2.0 * p - 1.0) ** p)
+    except OverflowError:
+        sharp = 0.0
+    if sharp == 0.0:
+        sharp = (p * p / ((p - 1.0) * (2.0 * p - 1.0))) ** p
+    if sharp < np.finfo(float).tiny:
+        raise DoubleRangeError(f"the Rellich sharp constant at p = {p} underflows")
+    return sharp
 
 
 KINDS = {
@@ -394,49 +405,50 @@ def _power_moment(f: StepFunction, p: float, beta: float) -> float:
     return math.fsum((np.abs(f.values[nonzero]) ** p * (a ** e - b ** e) / -e).tolist())
 
 
-_AVG_SUBDIV = 8  # even subdivision per cell for the kinked integrand below
-
-
 def _running_average_maxform_integral(f: StepFunction, p: float) -> float:
     """``\\int max{ sup_{s<=r} |A(s)|^p / r^p, sup_{s>=r} |A(s)|^p / s^p } dr``
-    with ``A(s) = F(s)/s`` the running average."""
-    edges, v = f.grid.edges, f.values
-    a, b = edges[:-1], edges[1:]
+    with ``A(s) = F(s)/s`` the running average.
+
+    On a cell ``F(s) = v s + w``: ``A`` is monotone, and ``|A(s)|/s`` has one
+    interior peak, ``|v| / (2 s*)`` at ``s* = -2w/v``.  Cut there, each piece has
+    the integrand ``max(prefix / r, |A(r)| / r, suffix)^p`` (the two branches
+    joined as in :func:`corollary_int_check`): ``prefix`` is the running max of
+    ``|A|`` at the earlier edges, ``suffix`` the reverse running max of
+    ``|A(e)| / e`` from the piece's right edge on.  As in :func:`_supmin_rows`
+    the pieces are cut where two branches cross, then capped; beyond the
+    support the integrand is ``(prefix / r)^p``.  A zero of ``F`` needs no cut:
+    there ``|A(r)| / r = 0`` lies below a positive ``prefix / r`` or ``suffix``.
+    """
+    a, b, v = f.grid.edges[:-1], f.grid.edges[1:], f.values
     F_edges = supmin_branches(f)[0]
-    u = F_edges[:-1]
-    A_edges = np.concatenate(([0.0], F_edges[1:] / b))
-    prefixA = np.maximum.accumulate(np.abs(A_edges))
-
-    # per-cell sup T of |A(s)| / s over (a, b]: A is monotone on each cell, but
-    # A/s = (v s + w)/s^2, w = u - v a, may peak at its critical point
-    # s_star = -2 w / v, where it is v / (2 s_star).  The value at a is the
-    # previous cell's value at its right edge.
-    right = np.abs(A_edges[1:]) / b
+    u, absA = F_edges[:-1], np.abs(F_edges[1:] / b)         # |A| at the right edges
+    prefix = np.maximum.accumulate(np.concatenate(([0.0], absA)))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        s_star = -2.0 * (u - v * a) / v    # inf or NaN for v = 0: never inside a cell
-    inside = (a < s_star) & (s_star < b)
-    s_star = np.where(inside, s_star, -np.inf)
-    peak = np.where(inside, np.abs(v) / (2.0 * s_star), 0.0)
-    T = np.maximum(right, peak)
-    suffixT = np.append(np.maximum.accumulate(T[::-1])[::-1][1:], 0.0)
+        w = u - v * a
+        s_star = -2.0 * w / v              # inf or NaN for v = 0: never inside a cell
+    lo, hi, cell, bounds = _split_cells(a, b, np.array([0, a.size]), s_star)
+    a, u, v, w, mp = a[cell], u[cell], v[cell], w[cell], prefix[cell]
+    peak = hi < b[cell]
+    at_edge = absA[cell] / hi
+    at_edge[peak] = np.abs(v[peak]) / (2.0 * hi[peak])
+    sb = np.maximum.accumulate(at_edge[::-1])[::-1]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        cand = np.concatenate(([-w / (v - mp),    # |A(r)| overtakes the past peak
+                                -w / (v + mp),
+                                mp / sb],         # past-peak branch meets the future one
+                               _real_roots(-w, -v, sb),   # F(r) = +-suffix * r^2
+                               _real_roots(w, v, sb)))
+    lo, hi, piece, bounds = _cap_interval_ratio(*_split_cells(lo, hi, bounds, cand))
 
-    def integrand(r, a, u, v, prefix, later, s_star, peak):
-        # branches max(prefix, |A(r)|) / r and max(|A(r)| / r, rest of the cell,
-        # later cells); division by r is monotone, so the first dominates
-        # |A(r)| / r, and one max raised to the p-th power is the max form
-        top = np.abs(u[:, None] + v[:, None] * (r - a[:, None])) / r
-        np.maximum(top, prefix[:, None], out=top)
+    def integrand(r, a, u, v, mp, sb):
+        top = np.abs(u[:, None] + v[:, None] * (r - a[:, None])) / r     # |A(r)|
+        np.maximum(top, mp[:, None], out=top)
         top /= r
-        np.maximum(top, later[:, None], out=top)
-        np.maximum(top, np.where(r < s_star[:, None], peak[:, None], 0.0), out=top)
+        np.maximum(top, sb[:, None], out=top)
         return [np.power(top, p, out=top)]
 
-    sub = np.linspace(a, b, _AVG_SUBDIV + 1, axis=1)
-    cell = np.repeat(np.arange(a.size), _AVG_SUBDIV)
-    columns = (a, u, v, prefixA[:-1], np.maximum(right, suffixT), s_star, peak)
-    ((body, _),) = _quadrature(integrand, sub[:, :-1].ravel(), sub[:, 1:].ravel(),
-                               np.array([0, cell.size]), *(c[cell] for c in columns))
-    return float(body[0] + _power_tail(prefixA[-1], f.grid.support_end, -p, p))
+    ((body, _),) = _quadrature(integrand, lo, hi, bounds, *(c[piece] for c in (a, u, v, mp, sb)))
+    return float(body[0] + _power_tail(prefix[-1], f.grid.support_end, -p, p))
 
 
 @_in_double_range

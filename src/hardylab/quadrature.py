@@ -143,6 +143,17 @@ def _poly_batch(P) -> PolyBatch:
                      np.array([P.tail_value]), np.array([P.tail_slope]))
 
 
+def _real_roots(c0, c1, c2):
+    """The real roots of ``c0 + c1 t + c2 t^2``, elementwise, in the numerically
+    stable form, stacked as a ``(2, n)`` array.  No root (``c1 = c2 = 0``, or a
+    negative discriminant) and a division by a zero ``q`` come out as inf or
+    NaN, which :func:`_split_cells` drops; call it with those errors ignored."""
+    sq = np.sqrt(c1 * c1 - 4.0 * c2 * c0)
+    q = -0.5 * (c1 + np.where(c1 != 0.0, np.copysign(sq, c1), sq))
+    linear = c2 == 0.0
+    return np.stack((np.where(linear, -c0 / c1, q / c2), np.where(linear, np.nan, c0 / q)))
+
+
 def _cell_intervals(P, alpha: float):
     """Quadrature intervals ``(lo, hi, x0, coefs, bounds)`` covering (0, r_n].
 
@@ -153,16 +164,8 @@ def _cell_intervals(P, alpha: float):
     P = _poly_batch(P)
     grid = P.grid
     a = grid.a
-    c0, c1, c2 = P.coeffs.T
-    # Real roots of c0 + c1 t + c2 t^2 in the numerically stable form.  No
-    # root (c1 = c2 = 0, or a negative discriminant) and a division by a
-    # zero q come out as inf or NaN, which never lie strictly inside a cell.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        sq = np.sqrt(c1 * c1 - 4.0 * c2 * c0)
-        q = -0.5 * (c1 + np.where(c1 != 0.0, np.copysign(sq, c1), sq))
-        linear = c2 == 0.0
-        roots = a + np.stack((np.where(linear, -c0 / c1, q / c2),
-                              np.where(linear, np.nan, c0 / q)))
+        roots = a + _real_roots(*P.coeffs.T)
     intervals = _split_cells(a, grid.b, grid.offsets, roots)
     if alpha < 0.0:
         intervals = _cap_interval_ratio(*intervals)

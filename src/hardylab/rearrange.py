@@ -50,20 +50,14 @@ def _rearranged_cells(f: StepFunction) -> tuple[np.ndarray, np.ndarray]:
     end = f.grid.support_end
     widths = f.grid.widths[order]
     sums = widths.cumsum()
-    edges = np.minimum(np.concatenate([[0.0], sums]), end)
+    # carry the width of each step that left the sum unchanged into the edges
+    # after it, so dropped widths move the next kept edge instead of being
+    # lost one by one (with none lost this adds zeros)
+    lost = sums == np.concatenate([[0.0], sums[:-1]])
+    edges = np.minimum(np.concatenate([[0.0], sums + (widths * lost).cumsum()]), end)
     edges[-1] = end
-    values = absvals[order]
     keep = edges[1:] > edges[:-1]
-    if not keep.all():
-        # carry the width of each step that left the sum unchanged into the
-        # edges after it, so dropped widths move the next kept edge instead
-        # of being lost one by one
-        lost = sums == np.concatenate([[0.0], sums[:-1]])
-        edges = np.minimum(np.concatenate([[0.0], sums + (widths * lost).cumsum()]), end)
-        edges[-1] = end
-        keep = edges[1:] > edges[:-1]
-        edges, values = np.concatenate([[0.0], edges[1:][keep]]), values[keep]
-    return edges, values
+    return np.concatenate([[0.0], edges[1:][keep]]), absvals[order][keep]
 
 
 _MEMO = weakref.WeakKeyDictionary()

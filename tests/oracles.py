@@ -148,3 +148,87 @@ def tail_integral_mp(R, t0, t1, alpha, p, dps=30):
                     + abs(lin1) ** p * (1 - u0) ** (p + 1) * u0 ** beta / (p + 1)
                     * mp.hyp2f1(-beta, p + 1, p + 2, 1 - 1 / u0))
         return float(R ** (alpha + 1) * body)
+
+
+
+def running_average_maxform_mp(edges, values, ps, dps=40):
+    """``int_0^inf max{ sup_{s<=r} |A(s)|^p / r^p, sup_{s>=r} |A(s)|^p / s^p } dr``
+    with ``A(s) = F(s) / s``, for each ``p`` in ``ps``, by mpmath from that
+    definition (``f`` must vanish on its first cell).
+
+    ``F`` is summed exactly from the cells.  On a cell ``F(s) = w + v s``, so
+    ``A`` is monotone there and the first sup is taken over the edges up to
+    ``r`` and ``r`` itself; ``|A(s)| / s = |w + v s| / s^2`` has its only
+    interior peak at ``s* = -2w/v``, so the second sup is taken over ``r``,
+    the edges from ``r`` on and each in-cell ``s* >= r``.  Beyond the
+    support the integrand is ``(max over the edges of |A|)^p / r^p``, which
+    has a closed form.  Each cell is cut wherever the site that attains the
+    larger sup, or the sign of ``F(r)`` there, changes: a change between two
+    of 65 points (geometric in ``r`` where the cell starts above 0) is
+    located by bisection in ``dps`` digits.  On each piece that site's
+    expression is integrated: ``|A(r)| / r`` by ``mpmath.quad``, a constant
+    or ``c / r`` in closed form.
+    """
+    import mpmath as mp
+
+    if values[0] != 0.0:
+        raise ValueError("f must vanish on its first cell")
+    with mp.workdps(dps):
+        x = [mp.mpf(float(e)) for e in edges]
+        v = [mp.mpf(float(c)) for c in values]
+        F = [mp.mpf(0)]
+        for a, b, c in zip(x, x[1:], v):
+            F.append(F[-1] + c * (b - a))
+        n = len(v)
+        w = [F[i] - v[i] * x[i] for i in range(n)]
+        star = [-2 * w[i] / v[i] if v[i] != 0 and x[i] < -2 * w[i] / v[i] < x[i + 1] else None
+                for i in range(n)]
+        at_edge = [abs(F[j] / x[j]) for j in range(1, n + 1)]  # |A| at edges 1..n
+        # per cell: the sup of |A| over the edges up to its left end, and that
+        # of |A(s)|/s over the sites beyond its right end (edges and peaks)
+        before = [max([mp.mpf(0)] + at_edge[:i]) for i in range(n)]
+        later = [max([at_edge[j - 1] / x[j] for j in range(i + 1, n + 1)]
+                     + [abs(v[k]) / (2 * star[k]) for k in range(i + 1, n) if star[k] is not None])
+                 for i in range(n)]
+        # the sites' expressions at r in cell i: edges up to r over r, |A(r)| / r
+        # (the "r itself" site of both sups), later sites, this cell's peak
+        terms = [lambda i, r: before[i] / r, lambda i, r: abs(w[i] + v[i] * r) / r ** 2,
+                 lambda i, r: later[i], lambda i, r: abs(v[i]) / (2 * star[i])]
+
+        def label(i, r):
+            """The site attaining the larger sup at r, and the sign of F(r)."""
+            sites = range(4 if star[i] is not None and r <= star[i] else 3)
+            k = max(sites, key=lambda k: terms[k](i, r))
+            return k, mp.sign(w[i] + v[i] * r) if k == 1 else 0
+
+        pieces = []  # (a, b, cell, site)
+        samples, tiny = 64, mp.mpf(10) ** (5 - dps)
+        for i in range(n):
+            a, b = x[i], x[i + 1]
+            ts = ([a * (b / a) ** (mp.mpf(k) / samples) for k in range(samples + 1)] if a > 0
+                  else [b * mp.mpf(k) / samples for k in range(samples + 1)])
+            ts[0], ts[-1] = a + (b - a) * tiny, b - (b - a) * tiny
+            labels = [label(i, t) for t in ts]
+            cuts = [a]
+            for lo, hi, l_lo, l_hi in zip(ts, ts[1:], labels, labels[1:]):
+                if l_lo != l_hi:
+                    while hi - lo > hi * tiny:
+                        mid = (lo + hi) / 2
+                        lo, hi = (mid, hi) if label(i, mid) == l_lo else (lo, mid)
+                    cuts.append(lo)
+            cuts.append(b)
+            pieces += [(lo, hi, i, label(i, (lo + hi) / 2)[0]) for lo, hi in zip(cuts, cuts[1:])]
+        top = max(at_edge)
+        out = []
+        for p in ps:
+            p = mp.mpf(p)
+            total = top ** p * x[-1] ** (1 - p) / (p - 1)
+            for lo, hi, i, k in pieces:
+                if k == 1:
+                    total += mp.quad(lambda r: terms[1](i, r) ** p, [lo, hi])
+                elif k == 0:
+                    total += before[i] ** p * (lo ** (1 - p) - hi ** (1 - p)) / (p - 1)
+                else:
+                    total += terms[k](i, lo) ** p * (hi - lo)
+            out.append(float(total))
+        return out

@@ -80,6 +80,16 @@ def test_verify_json_rows_have_the_advertised_shape():
         assert row["violations"] == []
 
 
+def test_verify_rellich_at_large_p_exits_0(capsys):
+    """At p = 78 the Rellich constant's powers overflow; a constant of 0.0 would
+    make every case a violation."""
+    rc = cli.main(["verify", "--kind", "rellich_p", "--p", "78", "--count", "3",
+                   "--seed", "0", "--no-timestamp"])
+    rows = json.loads(capsys.readouterr().out)
+    assert rc == 0
+    assert all(row["sharp"] > 0.0 and row["violations"] == [] for row in rows)
+
+
 def test_verify_timestamp_is_present_by_default():
     res = run_cli("verify", "--kind", "hardy", "--p", "2", "--count", "1",
                   "--seed", "0")

@@ -212,6 +212,8 @@ def test_valid_pairs_of_the_table_are_accepted():
     lhs, rhs = check_partial_domination(F, [1.0])
     assert lhs.tolist() == [0.75] and rhs.tolist() == [0.75]
     assert REPORT.violations(None) == []
+    sharp = sharp_constant("rellich_p", 81)
+    assert type(sharp) is float and sharp > 0.0
 
 
 @pytest.mark.parametrize("value, expected", [

@@ -80,6 +80,22 @@ class TestSharpConstant:
             assert sharp_constant("rellich_p", p) == expected
             assert sharp_constant("rellich_chain", p) == expected
 
+    @pytest.mark.parametrize("p", [76.5, 78.0, 81.0, 100.0, 256.0])
+    def test_rellich_at_large_p_against_mpmath(self, p):
+        """From p = 76.03 the powers of ``p^(2p) / ((p-1)^p (2p-1)^p)`` leave
+        the double range (the product overflows to inf, and from p = 80.8
+        ``p^(2p)`` raises ``OverflowError``)."""
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(60):
+            q = mp.mpf(p)
+            exact = q ** (2 * q) / ((q - 1) ** q * (2 * q - 1) ** q)
+        for kind in ("rellich_p", "rellich_chain"):
+            assert abs(sharp_constant(kind, p) - exact) <= 2e-14 * exact
+
+    def test_rellich_below_the_normal_range_is_a_range_error(self):
+        with pytest.raises(DoubleRangeError):
+            sharp_constant("rellich_p", 1100.0)
+
     def test_restrictions(self):
         with pytest.raises(InvalidParameterError):
             sharp_constant("hardy_rellich_int", 3.0)
@@ -417,12 +433,33 @@ class TestCorollaryAvg:
             corollary_avg_check(ZERO, 2.0)
 
     def test_bound_on_random_inputs(self):
+        """The bound holds, and the lhs does not move when one cell is split
+        into two with the same value: its intervals follow the kinks, not the grid."""
         rng = make_rng(263)
         for _ in range(50):
             f = random_step_function_away_from_zero(rng)
+            k = int(rng.integers(f.grid.n_cells))
+            a, b = f.grid.edges[k:k + 2]
+            split = step_function(np.insert(f.grid.edges, k + 1, a + rng.uniform(0.1, 0.9) * (b - a)),
+                                  np.insert(f.values, k, f.values[k]))
             for p in (1.5, 2.0, 3.0):
                 lhs, rhs = corollary_avg_check(f, p)
                 assert lhs <= rhs * (1.0 + 1e-6), f"p={p}: {lhs} > {rhs}"
+                assert relclose(corollary_avg_check(split, p)[0], lhs, 1e-13), f"p={p}, cell {k}"
+
+    def test_lhs_against_maxform_oracle(self):
+        """The lhs against the max form evaluated from its definition in 40
+        digits, on random functions and on a cell with hi/lo = 1000, where
+        intervals that miss a kink are percent-level low."""
+        pytest.importorskip("mpmath")
+        rng = make_rng(3)
+        cases = [(random_step_function_away_from_zero(rng), (1.5, 2.0, 3.0)) for _ in range(20)]
+        cases.append((step_function([0.0, 1e-3, 1.0, 1.5], [0.0, -2.0, 5.0]), (2.0, 3.0)))
+        for i, (f, ps) in enumerate(cases):
+            refs = oracles.running_average_maxform_mp(f.grid.edges.tolist(), f.values.tolist(), ps)
+            for p, ref in zip(ps, refs):
+                lhs, _ = corollary_avg_check(f, p)
+                assert abs(lhs - ref) <= 1e-12 * ref, f"case {i} p={p}: {lhs!r} vs {ref!r}"
 
     def test_rhs_against_per_cell_oracle(self):
         """The closed-form rhs against the per-cell formula
@@ -458,7 +495,7 @@ class TestCorollaryAvg:
         """Edge powers on a zero cell may overflow; only nonzero cells count."""
         f = step_function([0.0, 1e-170, 1e-3, 1.0, 2.0], [0.0, 0.0, 1.0, 2.0])
         lhs, rhs = corollary_avg_check(f, 2.0)
-        assert relclose(lhs, 412.89075372409525, 2e-15)
+        assert relclose(lhs, 417.582666750665993, 2e-15)  # the 40-digit max-form oracle
         assert relclose(rhs, 1341344.0, 2e-15)
 
     @pytest.mark.filterwarnings("error")
