@@ -2,8 +2,9 @@
 
 The package draws a ``verify`` case stream as one batch, formats every
 case's CSV text in one pass, encodes its JSON rows with the C encoder and
-builds the cutoff band of a minimizing function as one node matrix.  These
-are the per-case and per-cell forms that code replaced; it must reproduce
+builds the cutoff band of a minimizing function as one node matrix; the
+maximize probe evaluates its proposals in lookahead batches.  These are the
+per-case, per-cell and per-trial forms that code replaced; it must reproduce
 their output bit for bit (``tests/test_cases.py``, ``tests/test_sharpness.py``).
 """
 
@@ -13,7 +14,9 @@ from dataclasses import fields
 
 import numpy as np
 
-from hardylab.grid import Grid, StepFunction, make_graded_grid
+from hardylab import sharpness
+from hardylab.generator import make_rng
+from hardylab.grid import Grid, StepFunction, check_exponent, check_integer, make_graded_grid
 from hardylab.inequalities import RatioReport
 from hardylab.quadrature import _gauss_legendre
 from hardylab.sharpness import _chi
@@ -97,3 +100,42 @@ def minimizing_function(p, eps, spec, n_cells, r_min):
             total += float(np.dot(r ** q * _chi(spec, r), w)) * half
         values[i] = total / (float(b[i]) - float(a[i]))
     return StepFunction(grid, values)
+
+
+def ratio_maximize(kind, p, n_cells=32, seed=0, iters=200):
+    """``sharpness.ratio_maximize`` with one evaluator call per trial: the
+    coordinate ascent as it reads one proposal at a time.  The evaluator is
+    looked up on the module when called, so a patched one reaches both."""
+    p = check_exponent(p)
+    n_cells = check_integer(n_cells, "n_cells", 4)
+    iters = check_integer(iters, "iters", 1)
+    rng = make_rng(seed)
+    evaluator = sharpness.ratio_evaluator(kind, p)
+    grid = make_graded_grid(1.0, n_cells, "geometric", r_min=sharpness._MAXIMIZE_R_MIN)
+    values = np.ones(n_cells)
+    best_report = evaluator(StepFunction(grid, values))
+    best = best_report.ratio
+    delta = 0.5
+    visit = rng.permutation(n_cells)
+    pos = 0
+    improved_in_pass = False
+    for _ in range(iters):
+        if pos == n_cells:
+            if not improved_in_pass:
+                delta *= 0.5
+                if delta < 1e-9:
+                    break
+            improved_in_pass = False
+            visit = rng.permutation(n_cells)
+            pos = 0
+        i = int(visit[pos])
+        pos += 1
+        for factor in (1.0 + delta, 1.0 - delta):
+            trial = values.copy()
+            trial[i] *= factor
+            rep = evaluator(StepFunction(grid, trial))
+            if rep.ratio > best:
+                values, best, best_report = trial, rep.ratio, rep
+                improved_in_pass = True
+                break
+    return StepFunction(grid, values), best_report

@@ -5,6 +5,7 @@ formats, determinism, and the exit-code contract (0 ok, 1 violation, 2
 usage/input error, 3 internal error).
 """
 
+import hashlib
 import json
 import os
 import subprocess
@@ -312,6 +313,41 @@ def test_maximize_stdout_only(tmp_path):
     doc = json.loads(res.stdout)
     assert doc["ratio"] <= 0.729 * (1.0 + 1e-6)
     assert list(tmp_path.glob("*.csv")) == []
+
+
+# ``maximize --iters 200 --no-timestamp`` as the one-trial-at-a-time ascent
+# wrote it; ``best_hash`` is the SHA-256 of the ``.best.csv`` bytes
+MAXIMIZE_PINS = [
+    {"command": "maximize", "kind": "hardy", "p": 2.0, "cells": 32, "seed": 7, "iters": 200,
+     "best_hash": "sha256:88fc55629b93607b4e3800ff1a0823e506a87788d4a78e71c2f219293af2287e",
+     "numerator": 4.916949099975158, "middle": None, "denominator": 1.5025697848089108,
+     "sharp": 4.0, "ratio": 3.2723598928221964, "slack": 0.7276401071778036,
+     "refinement_estimate": 7.076222772149034e-14},
+    {"command": "maximize", "kind": "rellich_chain", "p": 3.0, "cells": 32, "seed": 2,
+     "iters": 200,
+     "best_hash": "sha256:6a63db709d659fe76f93381edbfe1747d0c3f8915c9ea6c757300597413de2e1",
+     "numerator": 1.46860343456069, "middle": 1.46860343456069,
+     "denominator": 2.5578021281610566, "sharp": 0.729, "ratio": 0.5741661633601615,
+     "slack": 0.15483383663983852, "refinement_estimate": 4.218430929542734e-14},
+    {"command": "maximize", "kind": "new_hardy", "p": 1.5, "cells": 32, "seed": 11,
+     "iters": 200,
+     "best_hash": "sha256:5569d374a23fc3c52416d4f93a415c6ad84fe18fa0e086e2831b2d38afe0366a",
+     "numerator": 4.190401214633281, "middle": 4.16297680427205,
+     "denominator": 1.0139592010690495, "sharp": 5.196152422706632,
+     "ratio": 4.1327118588353535, "slack": 1.0634405638712785,
+     "refinement_estimate": 5.954918285955957e-14},
+]
+
+
+@pytest.mark.parametrize("doc", MAXIMIZE_PINS, ids=lambda doc: doc["kind"])
+def test_maximize_output_is_pinned(tmp_path, doc):
+    out = tmp_path / "probe.json"
+    rc = cli.main(["maximize", "--kind", doc["kind"], "--p", str(doc["p"]), "--seed",
+                   str(doc["seed"]), "--iters", "200", "--output", str(out), "--no-timestamp"])
+    assert rc == 0
+    assert out.read_text(encoding="utf-8") == json.dumps(doc, indent=2) + "\n"
+    csv_bytes = (tmp_path / "probe.best.csv").read_bytes()
+    assert "sha256:" + hashlib.sha256(csv_bytes).hexdigest() == doc["best_hash"]
 
 
 def test_maximize_exits_1_on_any_violation(monkeypatch, capsys):

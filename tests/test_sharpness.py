@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 import case_loops as loops
-from hardylab.errors import FitDegenerateError, InvalidParameterError
+from hardylab import inequalities, sharpness
+from hardylab.errors import DoubleRangeError, FitDegenerateError, InvalidParameterError
 from hardylab.grid import p_norm
 from hardylab.inequalities import rellich_chain, sharp_constant
 from hardylab.sharpness import (CUTOFF_KINDS, DEFAULT_EPS_LIST, SWEEP_KINDS,
@@ -295,6 +296,97 @@ class TestRatioMaximize:
             ratio_maximize("hardy", 2.0, iters=0)
         with pytest.raises(InvalidParameterError):
             ratio_maximize("hardy", 2.0, seed=-1)
+
+
+# --------------------------------------------------------------------------
+# Lookahead batches against the one-trial-at-a-time ascent
+# --------------------------------------------------------------------------
+
+# the criterion-10 kind/p pairs
+PROBE_CASES = ([(kind, p) for kind in ("hardy", "new_hardy", "rellich_p", "rellich_chain")
+                for p in (1.5, 2.0, 3.0)]
+               + [("hardy_rellich_int", 2.0), ("improved_hardy_rellich", 2.0)])
+
+
+def _assert_same_probe(got, want):
+    assert got[0].values.tobytes() == want[0].values.tobytes()
+    assert got[1] == want[1]
+
+
+@pytest.mark.parametrize("kind, p", PROBE_CASES)
+def test_lookahead_equals_one_trial_at_a_time(kind, p):
+    for seed in range(4):
+        for iters in (1, 7, 40, 200):
+            _assert_same_probe(ratio_maximize(kind, p, seed=seed, iters=iters),
+                               loops.ratio_maximize(kind, p, seed=seed, iters=iters))
+
+
+@pytest.mark.parametrize("kind, p", PROBE_CASES[:3])
+def test_lookahead_equals_one_trial_at_a_time_down_to_the_last_delta(kind, p):
+    # 4 cells: many pass ends and halvings of delta, then the delta < 1e-9
+    # exit, which the unchanged result at 100 times the iterations shows
+    probe = ratio_maximize(kind, p, n_cells=4, seed=1, iters=400)
+    _assert_same_probe(probe, loops.ratio_maximize(kind, p, n_cells=4, seed=1, iters=400))
+    _assert_same_probe(probe, ratio_maximize(kind, p, n_cells=4, seed=1, iters=40000))
+
+
+def _patch_evaluator(monkeypatch, on_call):
+    """Route every evaluation of ``ratio_maximize`` (and of the reference
+    loop) through ``on_call(rows)``, ``rows`` the functions' values as bytes."""
+    real = inequalities.ratio_evaluator
+
+    def factory(kind, p):
+        evaluate = real(kind, p)
+
+        def run(f):
+            on_call([row.tobytes() for row in np.reshape(f.values, (-1, 32))])
+            return evaluate(f)
+        return run
+    monkeypatch.setattr(sharpness, "ratio_evaluator", factory)
+
+
+def _trials_evaluated(monkeypatch, maximize):
+    seen = []
+    _patch_evaluator(monkeypatch, seen.extend)
+    maximize("hardy", 2.0, seed=0, iters=40)
+    return seen
+
+
+def _poison(monkeypatch, trial, message):
+    def on_call(rows):
+        if trial in rows:
+            raise DoubleRangeError(message)
+    _patch_evaluator(monkeypatch, on_call)
+
+
+def test_an_error_on_a_lookahead_only_trial_is_not_raised(monkeypatch):
+    reached = _trials_evaluated(monkeypatch, loops.ratio_maximize)
+    unused = [t for t in _trials_evaluated(monkeypatch, ratio_maximize) if t not in reached]
+    assert unused
+    want = loops.ratio_maximize("hardy", 2.0, seed=0, iters=40)
+    for trial in unused[:3]:
+        _poison(monkeypatch, trial, "lookahead-only trial")
+        _assert_same_probe(ratio_maximize("hardy", 2.0, seed=0, iters=40), want)
+
+
+def test_an_error_on_a_reached_trial_is_raised_as_it_was(monkeypatch):
+    reached = _trials_evaluated(monkeypatch, loops.ratio_maximize)
+    for index in (1, 2, len(reached) // 2, len(reached) - 1):
+        _poison(monkeypatch, reached[index], f"trial {index}")
+        with pytest.raises(DoubleRangeError) as want:
+            loops.ratio_maximize("hardy", 2.0, seed=0, iters=40)
+        with pytest.raises(DoubleRangeError) as got:
+            ratio_maximize("hardy", 2.0, seed=0, iters=40)
+        assert got.type is want.type and str(got.value) == str(want.value) == f"trial {index}"
+
+
+def test_lookahead_cuts_the_evaluator_calls(monkeypatch):
+    calls = []
+    _patch_evaluator(monkeypatch, calls.append)
+    for kind, p in PROBE_CASES:
+        ratio_maximize(kind, p, seed=0, iters=40)
+    # one trial per call, the reference makes 50.4 calls per run here
+    assert len(calls) <= 20 * len(PROBE_CASES)
 
 
 # --------------------------------------------------------------------------
