@@ -187,7 +187,7 @@ def cmd_sweep(args) -> int:
     result = sharpness_sweep(args.kind, args.p, eps_list, CutoffSpec(args.cutoff),
                              args.resolution)
     print(f"sharp {result.sharp:.12g}  limit {result.limit:.12g}  "
-          f"relative_gap {result.relative_gap:.3e}")
+          f"relative_gap {result.relative_gap:.3e}", file=sys.stderr)
     if args.format == "json":
         doc = result.to_json_dict()
         if not args.no_timestamp:

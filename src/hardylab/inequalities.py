@@ -18,8 +18,9 @@ rellich_chain           rellich_p together with the intermediate term built
                         from ``rellich_inner``, reported as ``middle``
 
 Each kind is one row of :data:`KINDS` (numerator, sharp constant, p = 2
-restriction, sweep flag); the per-kind functions ``hardy_ratio`` ...
-``improved_hardy_rellich_ratio`` are shorthands for :func:`ratio_evaluator`.
+restriction, the kind its sweep evaluates); the per-kind functions
+``hardy_ratio`` ... ``improved_hardy_rellich_ratio`` are shorthands for
+:func:`ratio_evaluator`.
 For ``new_hardy`` and ``improved_hardy_rellich`` the ``middle`` field
 carries the classical numerator on the same quadrature nodes (it is a lower
 bound for the improved one); for ``rellich_chain`` it is the intermediate
@@ -70,14 +71,16 @@ class Kind:
     ``numerator(f, p)`` takes a :class:`StepBatch` and returns,
     per function, the numerator, the ``middle`` term (``None`` instead of
     the list for the plain kinds) and the error estimate; ``sharp(p)`` is
-    the sharp constant.  ``p2_only`` kinds are stated for p = 2 only;
-    ``sweep`` kinds have a minimizing family for :mod:`hardylab.sharpness`.
+    the sharp constant.  ``p2_only`` kinds are stated for p = 2 only.
+    ``sweep`` names the kind a sweep of this kind evaluates (``None``: no
+    sweep); ``rellich_chain`` sweeps ``rellich_p``, which has its numerator
+    and sharp constant but no ``middle`` (see ``sharpness_sweep``).
     """
 
     numerator: Callable
     sharp: Callable[[float], float]
     p2_only: bool = False
-    sweep: bool = False
+    sweep: str | None = None
 
 
 @dataclass(frozen=True)
@@ -227,12 +230,12 @@ def _rellich_sharp(p: float) -> float:
 
 
 KINDS = {
-    "hardy": Kind(_classical, _hardy_sharp, sweep=True),
-    "new_hardy": Kind(_supmin, _hardy_sharp, sweep=True),
-    "hardy_rellich_int": Kind(_classical, _hardy_sharp, p2_only=True, sweep=True),
+    "hardy": Kind(_classical, _hardy_sharp, sweep="hardy"),
+    "new_hardy": Kind(_supmin, _hardy_sharp, sweep="new_hardy"),
+    "hardy_rellich_int": Kind(_classical, _hardy_sharp, p2_only=True, sweep="hardy_rellich_int"),
     "improved_hardy_rellich": Kind(_supmin, _hardy_sharp, p2_only=True),
     "rellich_p": Kind(_rellich, _rellich_sharp),
-    "rellich_chain": Kind(_rellich_chain, _rellich_sharp, sweep=True),
+    "rellich_chain": Kind(_rellich_chain, _rellich_sharp, sweep="rellich_p"),
 }
 
 # kinds accepted by ratio_evaluator / the CLI

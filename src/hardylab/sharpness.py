@@ -64,6 +64,8 @@ class CutoffSpec:
 
 
 def _chi(spec: CutoffSpec, r: np.ndarray) -> np.ndarray:
+    if not isinstance(spec, CutoffSpec):
+        raise InvalidParameterError(f"cutoff spec must be a CutoffSpec, got {type(spec).__name__}")
     t = np.clip(np.asarray(r, dtype=float) - 1.0, 0.0, 1.0)
     if spec.kind == "quintic_smoothstep":
         ramp = t * t * t * (10.0 + t * (-15.0 + 6.0 * t))
@@ -164,6 +166,11 @@ def sharpness_sweep(kind: str, p: float, eps_list=DEFAULT_EPS_LIST,
 
     The limit is the intercept of a least-squares affine fit ``ratio(eps)
     ~= c0 + c1 eps`` over the smallest half of the eps list.
+
+    The reports come from the kind named by ``KINDS[kind].sweep``.  For
+    ``rellich_chain`` that is ``rellich_p``: a sweep point keeps the ratio,
+    numerator and denominator, which the two kinds compute alike, and not
+    the chain's ``middle`` integral, which would double the quadrature work.
     """
     if kind not in SWEEP_KINDS:
         raise InvalidParameterError(f"sweep kind must be one of {SWEEP_KINDS}, got {kind!r}")
@@ -176,7 +183,7 @@ def sharpness_sweep(kind: str, p: float, eps_list=DEFAULT_EPS_LIST,
         raise FitDegenerateError("affine extrapolation needs at least 2 eps values")
     if any(e2 >= e1 for e1, e2 in zip(eps_values, eps_values[1:])):
         raise InvalidParameterError("eps values must be strictly decreasing")
-    evaluator = ratio_evaluator(kind, p)
+    evaluator = ratio_evaluator(KINDS[kind].sweep, p)
     points = []
     for eps in eps_values:
         f_eps = minimizing_function(p, eps, spec, resolution, _sweep_r_min(eps))

@@ -214,11 +214,53 @@ def test_sweep_end_to_end_csv(tmp_path):
                   "--resolution", "512", "--gap", "0.5", "--format", "csv",
                   "--output", str(out), "--no-timestamp")
     assert res.returncode == 0, res.stderr
-    assert "sharp 4" in res.stdout
-    assert "limit" in res.stdout and "relative_gap" in res.stdout
+    assert "sharp 4" in res.stderr
+    assert "limit" in res.stderr and "relative_gap" in res.stderr
     lines = out.read_text(encoding="utf-8").strip().split("\n")
     assert lines[0] == "eps,ratio,numerator,denominator"
     assert len(lines) == 3
+
+
+SMALL_SWEEP = ("sweep", "--kind", "hardy", "--p", "2", "--eps", "0.2,0.1",
+               "--resolution", "64", "--gap", "0.5", "--no-timestamp")
+
+
+def test_sweep_stdout_is_a_json_document():
+    res = run_cli(*SMALL_SWEEP)
+    assert res.returncode == 0, res.stderr
+    doc = json.loads(res.stdout)
+    assert doc["kind"] == "hardy" and len(doc["points"]) == 2
+    assert res.stderr.startswith("sharp 4  limit ")
+
+
+def test_sweep_stdout_is_a_csv_document():
+    res = run_cli(*SMALL_SWEEP, "--format", "csv")
+    assert res.returncode == 0, res.stderr
+    lines = res.stdout.split("\n")
+    assert lines[0] == "eps,ratio,numerator,denominator"
+    assert [float(line.split(",")[0]) for line in lines[1:3]] == [0.2, 0.1]
+    assert lines[3:] == [""]
+
+
+# SHA-256 of the ``sweep --no-timestamp --output`` JSON of the six acceptance
+# sweeps (default eps list, resolution and cutoff).  ROADMAP item 2 (the
+# C_p(h) correction) changes these on purpose and re-pins them.
+SWEEP_PINS = {
+    ("hardy_rellich_int", "2"): "e306ad68bb87e3165f8e86513dd738a4682f13a57c76d44c7103694a0ceceb3f",
+    ("rellich_chain", "2"): "d535e5ff83fd173fc63d5b59538dead9c7c740ec8d1f5fd9310e0efd0afce82d",
+    ("hardy", "1.5"): "2f24d7e686b578abf82338c5ddb47ac2f55f4ffa764c382fa8472b5a066c650b",
+    ("hardy", "2"): "8dda4e9d541a564e74f692aff3d6373e23e5081894796978ed72141e69aa53b3",
+    ("hardy", "3"): "cc9797a9fb753bc905785ab33d55b2379f1340a17e61424537b283cbb48f9014",
+    ("rellich_chain", "3"): "56f88c6622afe94f703d5b20787a41f6aac3a9edcc8062b5a6b44f69b7d04fff",
+}
+
+
+@pytest.mark.parametrize("kind, p", SWEEP_PINS, ids="-".join)
+def test_sweep_output_is_pinned(tmp_path, kind, p):
+    out = tmp_path / "sweep.json"
+    rc = cli.main(["sweep", "--kind", kind, "--p", p, "--output", str(out), "--no-timestamp"])
+    assert rc == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == SWEEP_PINS[kind, p]
 
 
 def test_sweep_json_timestamp_toggle(tmp_path):

@@ -102,13 +102,16 @@ CALLS = {
     "check_partial_domination": lambda v: check_partial_domination(F, v),
     "CutoffSpec": CutoffSpec,
     "cutoff_value": lambda v: cutoff_value(CutoffSpec(), v),
+    "cutoff_value-spec": lambda v: cutoff_value(v, 1.5),
     "minimizing_function-p": lambda v: minimizing_function(v, 0.1, n_cells=16),
     "minimizing_function-eps": lambda v: minimizing_function(2.0, v, n_cells=16),
     "minimizing_function-r_min": lambda v: minimizing_function(2.0, 0.1, n_cells=16, r_min=v),
+    "minimizing_function-spec": lambda v: minimizing_function(2.0, 0.1, v, n_cells=16),
     "sharpness_sweep-kind": lambda v: sharpness_sweep(v, 2.0, resolution=16),
     "sharpness_sweep-p": lambda v: sharpness_sweep("hardy", v, resolution=16),
     "sharpness_sweep-eps_list": lambda v: sharpness_sweep("hardy", 2.0, v, resolution=16),
     "sharpness_sweep-eps": lambda v: sharpness_sweep("hardy", 2.0, [0.2, v], resolution=16),
+    "sharpness_sweep-spec": lambda v: sharpness_sweep("hardy", 2.0, (0.2, 0.1), v, 16),
     "ratio_maximize-kind": lambda v: ratio_maximize(v, 2.0, iters=1),
     "ratio_maximize-p": lambda v: ratio_maximize("hardy", v, iters=1),
     "make_rng": make_rng,

@@ -1,6 +1,7 @@
 """Tests for the sharpness machinery: cutoff profiles, the near-extremal
 power profiles, extrapolation sweeps, and the coordinate-ascent maximizer."""
 
+import functools
 import math
 
 import numpy as np
@@ -11,8 +12,8 @@ from hardylab import inequalities, sharpness
 from hardylab.errors import DoubleRangeError, FitDegenerateError, InvalidParameterError
 from hardylab.grid import p_norm
 from hardylab.inequalities import rellich_chain, sharp_constant
-from hardylab.sharpness import (CUTOFF_KINDS, DEFAULT_EPS_LIST, SWEEP_KINDS,
-                                CutoffSpec, SweepPoint, SweepResult,
+from hardylab.sharpness import (CUTOFF_KINDS, DEFAULT_EPS_LIST, DEFAULT_SWEEP_RESOLUTION,
+                                SWEEP_KINDS, CutoffSpec, SweepPoint, SweepResult,
                                 cutoff_value, minimizing_function,
                                 ratio_maximize, sharpness_sweep, _sweep_r_min)
 
@@ -56,6 +57,14 @@ class TestCutoff:
     def test_rejects_unknown_kind(self):
         with pytest.raises(InvalidParameterError):
             CutoffSpec(kind="cosine")
+
+    @pytest.mark.parametrize("call", [
+        lambda spec: cutoff_value(spec, 1.5),
+        lambda spec: minimizing_function(2.0, 0.1, spec, 16),
+        lambda spec: sharpness_sweep("hardy", 2.0, (0.2, 0.1), spec, 16)])
+    def test_rejects_a_spec_that_is_not_a_cutoff_spec(self, call):
+        with pytest.raises(InvalidParameterError, match="CutoffSpec, got str"):
+            call("linear")
 
 
 # --------------------------------------------------------------------------
@@ -237,6 +246,58 @@ class TestSharpnessSweep:
     def test_sweep_kinds_have_sharp_constants(self):
         for kind in SWEEP_KINDS:
             assert sharp_constant(kind, 2.0) > 0.0
+
+
+def test_each_sweep_kind_sweeps_a_kind_with_its_sharp_constant():
+    assert SWEEP_KINDS == ("hardy", "new_hardy", "hardy_rellich_int", "rellich_chain")
+    for kind in SWEEP_KINDS:
+        target = inequalities.KINDS[inequalities.KINDS[kind].sweep]
+        assert target.sharp is inequalities.KINDS[kind].sharp
+        assert target.p2_only == inequalities.KINDS[kind].p2_only
+
+
+def test_chain_sweep_builds_no_inner_cumulative(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("inner_cumulative called")
+
+    monkeypatch.setattr(inequalities, "inner_cumulative", forbidden)
+    f = minimizing_function(2.0, 0.1, n_cells=256)
+    with pytest.raises(AssertionError, match="inner_cumulative called"):
+        rellich_chain(f, 2.0)  # the patch reaches the chain's own evaluation
+    res = sharpness_sweep("rellich_chain", 2.0, resolution=256)
+    assert res.kind == "rellich_chain" and len(res.points) == len(DEFAULT_EPS_LIST)
+
+
+@functools.cache
+def _chain_sweep_and_reports(p, cutoff):
+    """A default ``rellich_chain`` sweep, and the full chain report of each of its profiles."""
+    spec = CutoffSpec(cutoff)
+    res = sharpness_sweep("rellich_chain", p, spec=spec)
+    evaluator = inequalities.ratio_evaluator("rellich_chain", p)
+    reports = [evaluator(minimizing_function(p, pt.eps, spec, DEFAULT_SWEEP_RESOLUTION,
+                                             _sweep_r_min(pt.eps))) for pt in res.points]
+    return res, reports
+
+
+CHAIN_SWEEPS = [(p, cutoff) for p in (1.5, 2.0, 3.0) for cutoff in CUTOFF_KINDS]
+
+
+@pytest.mark.parametrize("p, cutoff", CHAIN_SWEEPS)
+def test_chain_sweep_points_equal_the_chain_reports(p, cutoff):
+    res, reports = _chain_sweep_and_reports(p, cutoff)
+    assert res.sharp == sharp_constant("rellich_chain", p)
+    for pt, rep in zip(res.points, reports, strict=True):
+        assert (pt.ratio, pt.numerator, pt.denominator) == (
+            rep.ratio, rep.numerator, rep.denominator), pt.eps
+
+
+@pytest.mark.parametrize("p, cutoff", CHAIN_SWEEPS)
+def test_chain_contract_holds_on_the_sweep_profiles(p, cutoff):
+    # the profiles nearest to sharp: a sweep reads no middle term, so check it here
+    _, reports = _chain_sweep_and_reports(p, cutoff)
+    for rep in reports:
+        assert rep.middle is not None
+        assert rep.violations(1e-6) == [], rep
 
 
 class TestSweepResultValidation:
