@@ -57,9 +57,12 @@ def _cumulative_at(edges: np.ndarray, values: np.ndarray, left: np.ndarray,
                    s: np.ndarray) -> np.ndarray:
     """``F(s)`` of one step function at positive ``s``, without building
     :func:`cumulative`: ``left`` is its :func:`_cumulative_edges`, read with
-    the affine piece at ``s``, so the floats are those of evaluating it."""
-    idx = edges[1:-1].searchsorted(s)  # the cell holding s; the last one beyond r_n
-    return np.where(s > edges[-1], left[-1], left[idx] + (s - edges[idx]) * values[idx])
+    the affine piece at ``s``, so the floats are those of evaluating it.
+    Beyond r_n, ``s`` is clipped to r_n, where the last piece gives the
+    running sum's own last step, ``left[-1]``."""
+    s = np.minimum(s, edges[-1])
+    idx = edges[1:-1].searchsorted(s)  # the cell holding s
+    return left[idx] + (s - edges[idx]) * values[idx]
 
 
 def double_cumulative(f):

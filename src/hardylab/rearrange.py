@@ -13,18 +13,24 @@ p-th power masses stay within rounding of ``f``'s however many are dropped.
 array of them, and reads both partial masses off the running sums of
 :func:`cumulative` without building it.  ``f*`` and both sums are built once
 per ``f`` and kept while it lives, so the same frozen ``f*`` comes back for
-the same ``f`` (a :class:`StepFunction` is immutable).
+the same ``f`` (a :class:`StepFunction` is immutable).  A positive finite
+``float`` limit is read in Python floats off lists kept with them: the same
+two operations on the same doubles as the array path, so each result equals
+that path's element bit for bit.
 """
 
 from __future__ import annotations
 
+import math
 import weakref
+from bisect import bisect_left
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InvalidParameterError
-from .grid import Grid, StepFunction, _in_double_range, _real_array, _step_function, p_norm
+from .errors import DoubleRangeError, InvalidParameterError
+from .grid import Grid, StepFunction, _real_array, _step_function, p_norm
 # cumulative is not called here; perfbench's span recorder looks the name up
 from .operators import _cumulative_at, _cumulative_edges, cumulative
 
@@ -60,24 +66,62 @@ def _rearranged_cells(f: StepFunction) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate([[0.0], edges[1:][keep]]), absvals[order][keep]
 
 
+class _Side(NamedTuple):
+    """One step function's edges, values and ``F`` at its edges (its
+    :func:`_cumulative_edges`), as arrays and as lists of Python floats."""
+
+    edges: np.ndarray
+    values: np.ndarray
+    left: np.ndarray
+    lists: tuple[list, list, list]
+
+    @classmethod
+    def of(cls, edges: np.ndarray, values: np.ndarray) -> _Side:
+        left = _cumulative_edges(edges, values)
+        return cls(edges, values, left, (edges.tolist(), values.tolist(), left.tolist()))
+
+    def mass_at(self, s: float) -> float:
+        """:func:`_cumulative_at` for one positive float ``s``, in Python
+        floats: the same two operations on the same doubles, so the same float."""
+        edges, values, left = self.lists
+        n = len(values)
+        if s >= edges[n]:
+            return left[n]
+        i = bisect_left(edges, s, 1, n) - 1
+        return left[i] + (s - edges[i]) * values[i]
+
+
+class _Entry(NamedTuple):
+    """What :func:`_rearranged` keeps per function; no entry refers to ``f``."""
+
+    star: RearrangedFunction
+    absf: _Side
+    fstar: _Side
+    finite: bool  # both total masses are finite
+
+
 _MEMO = weakref.WeakKeyDictionary()
 
 
-def _rearranged(f: StepFunction) -> tuple[RearrangedFunction, np.ndarray, np.ndarray]:
-    """``(f*, F of |f| at f's edges, F* at f*'s edges)``; no entry refers to ``f``."""
+def _rearranged(f: StepFunction) -> _Entry:
     entry = _MEMO.get(_step_function(f))
     if entry is None:
-        edges, values = _rearranged_cells(f)
-        entry = _MEMO[f] = (RearrangedFunction(step=StepFunction(Grid(edges), values)),
-                            _cumulative_edges(f.grid.edges, np.abs(f.values)),
-                            _cumulative_edges(edges, values))
+        # the same entry whichever caller builds it: an overflowing running sum
+        # is kept as inf and reported by check_partial_domination
+        with np.errstate(over="ignore"):
+            edges, values = _rearranged_cells(f)
+            absf, fstar = _Side.of(f.grid.edges, np.abs(f.values)), _Side.of(edges, values)
+        # sums of non-negative terms never decrease, so the totals are the largest
+        entry = _MEMO[f] = _Entry(RearrangedFunction(step=StepFunction(Grid(edges), values)),
+                                  absf, fstar,
+                                  math.isfinite(absf.left[-1]) and math.isfinite(fstar.left[-1]))
     return entry
 
 
 def decreasing_rearrangement(f: StepFunction) -> RearrangedFunction:
     """Sort the cells of ``|f|`` by descending value (stable for ties).  The same
     frozen object comes back for the same ``f``, as a :class:`StepFunction` is immutable."""
-    return _rearranged(f)[0]
+    return _rearranged(f).star
 
 
 def check_norm_preservation(f: StepFunction, p: float) -> tuple[float, float]:
@@ -85,19 +129,30 @@ def check_norm_preservation(f: StepFunction, p: float) -> tuple[float, float]:
     return p_norm(f, p), p_norm(decreasing_rearrangement(f).step, p)
 
 
-@_in_double_range
 def check_partial_domination(f: StepFunction, s: float | np.ndarray) -> tuple:
     """Return ``(int_0^s |f|, int_0^s f*)``; the rearrangement dominates.
 
     ``s`` is one positive finite upper limit, giving two floats, or a 1-D
     array of them, giving two arrays whose elements equal the scalar calls.
+    A mass that leaves the double range raises :class:`DoubleRangeError`.
     """
+    if type(s) is float and 0.0 < s < math.inf:
+        entry = _rearranged(f)
+        # below the finite totals neither side can overflow
+        if entry.finite:
+            return entry.absf.mass_at(s), entry.fstar.mass_at(s)
+    return _partial_masses(f, s)
+
+
+def _partial_masses(f: StepFunction, s) -> tuple:
     s_arr = _real_array(s, "upper limits")
     if s_arr.ndim > 1:
         raise InvalidParameterError(f"upper limits must be a scalar or 1-D, got shape {s_arr.shape}")
     if not (s_arr > 0.0).all():
         raise InvalidParameterError(f"upper limits must be positive, got {s}")
-    star, left, star_left = _rearranged(f)
-    lhs = _cumulative_at(f.grid.edges, np.abs(f.values), left, s_arr)
-    rhs = _cumulative_at(star.step.grid.edges, star.step.values, star_left, s_arr)
+    entry = _rearranged(f)
+    if not entry.finite:
+        raise DoubleRangeError("values leave the double-precision range (overflow); rescale the input")
+    lhs, rhs = (_cumulative_at(side.edges, side.values, side.left, s_arr)
+                for side in (entry.absf, entry.fstar))
     return (float(lhs), float(rhs)) if s_arr.ndim == 0 else (lhs, rhs)

@@ -27,7 +27,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import FitDegenerateError, HardyLabError, InvalidParameterError
+from .errors import DoubleRangeError, FitDegenerateError, HardyLabError, InvalidParameterError
 from .grid import (GridBatch, StepBatch, StepFunction, check_exponent, check_integer, check_real,
                    make_graded_grid)
 from .generator import make_rng
@@ -171,6 +171,9 @@ def sharpness_sweep(kind: str, p: float, eps_list=DEFAULT_EPS_LIST,
     ``rellich_chain`` that is ``rellich_p``: a sweep point keeps the ratio,
     numerator and denominator, which the two kinds compute alike, and not
     the chain's ``middle`` integral, which would double the quadrature work.
+
+    At a p too large for doubles the :class:`DoubleRangeError` names p: the
+    sharp constant's underflow is checked first, then each profile's ratio.
     """
     if kind not in SWEEP_KINDS:
         raise InvalidParameterError(f"sweep kind must be one of {SWEEP_KINDS}, got {kind!r}")
@@ -183,18 +186,21 @@ def sharpness_sweep(kind: str, p: float, eps_list=DEFAULT_EPS_LIST,
         raise FitDegenerateError("affine extrapolation needs at least 2 eps values")
     if any(e2 >= e1 for e1, e2 in zip(eps_values, eps_values[1:])):
         raise InvalidParameterError("eps values must be strictly decreasing")
+    sharp = sharp_constant(kind, p)
     evaluator = ratio_evaluator(KINDS[kind].sweep, p)
     points = []
     for eps in eps_values:
-        f_eps = minimizing_function(p, eps, spec, resolution, _sweep_r_min(eps))
-        rep = evaluator(f_eps)
+        try:
+            rep = evaluator(minimizing_function(p, eps, spec, resolution, _sweep_r_min(eps)))
+        except DoubleRangeError as err:  # the profile is the sweep's own, not the caller's
+            raise DoubleRangeError(f"the {kind} ratio of the sweep profile f_eps leaves the "
+                                   f"double-precision range at p = {p}, eps = {eps}") from err
         points.append(SweepPoint(eps=eps, ratio=rep.ratio, numerator=rep.numerator,
                                  denominator=rep.denominator))
     k = max(2, len(points) // 2)
     tail = points[-k:]
     coeffs = np.polyfit([pt.eps for pt in tail], [pt.ratio for pt in tail], 1)
     limit = float(coeffs[1])
-    sharp = sharp_constant(kind, p)
     return SweepResult(kind=kind, p=p, points=tuple(points), limit=limit, sharp=sharp,
                        relative_gap=(limit - sharp) / sharp)
 

@@ -320,6 +320,16 @@ def test_extreme_radii_give_a_finite_value_or_a_range_error(r, p):
         assert math.isfinite(value) and sides == (value, value)
 
 
+def test_radii_far_past_the_support_end_do_not_overflow():
+    """Beyond r_n, ``F`` is the total mass, read without continuing the last
+    cell's affine piece out to ``r`` (``1e308 * 10`` overflowed there)."""
+    f = step_function([0.0, 1.0, 2.0], [1.0, 10.0])
+    r = 1e308
+    assert supmin_candidates(f, r) == [(1.0, 1.0 / r), (2.0, 11.0 / r), (r, 11.0 / r)]
+    assert supmin_transform(f, r) == 11.0 / r
+    assert rellich_inner(f, r) == r * (11.0 / r)
+
+
 # ---------------------------------------------------------------------------
 # Branch decomposition (shared by the integral evaluators)
 # ---------------------------------------------------------------------------

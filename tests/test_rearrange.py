@@ -114,6 +114,62 @@ def test_partial_domination_overflow_is_a_range_error():
         check_partial_domination(f, 1.0)
 
 
+@pytest.mark.parametrize("edges, values", [([0.0, 1e300], [1e300]),
+                                           ([0.0, 10.0, 20.0], [1e308, 1.0])])
+def test_an_overflowing_mass_is_a_range_error_after_the_rearrangement(edges, values):
+    """The rearrangement is built without a warning, and the partial masses
+    raise whether or not it was built first."""
+    f = step_function(edges, values)
+    assert decreasing_rearrangement(f).step.values[0] == max(values)
+    for s in (1.0, 15.0, [1.0, 15.0]):
+        with pytest.raises(DoubleRangeError, match="double-precision range"):
+            check_partial_domination(f, s)
+
+
+def test_limits_far_past_the_support_end_give_the_total_mass():
+    """``1e308 * 10`` of the last cell's affine piece is not computed."""
+    f = step_function([0.0, 1.0, 2.0], [1.0, 10.0])
+    assert check_partial_domination(f, 1e308) == (11.0, 11.0)
+    lhs, rhs = check_partial_domination(f, [3.0, 1e308, np.finfo(float).max])
+    assert lhs.tolist() == rhs.tolist() == [11.0, 11.0, 11.0]
+
+
+# the InvalidParameterError message of each rejected upper limit
+BAD_LIMITS = [
+    (0.0, "upper limits must be positive, got 0.0"),
+    (-0.0, "upper limits must be positive, got -0.0"),
+    (-1.0, "upper limits must be positive, got -1.0"),
+    (math.nan, "upper limits must be finite real numbers"),
+    (math.inf, "upper limits must be finite real numbers"),
+    (True, "upper limits must be finite real numbers"),
+    (np.float64("nan"), "upper limits must be finite real numbers"),
+    ("1", "upper limits must be finite real numbers"),
+    (None, "upper limits must be finite real numbers"),
+]
+
+
+@pytest.mark.parametrize("bad, message", BAD_LIMITS)
+def test_rejected_limits_name_their_fault(bad, message):
+    filled = step_function([0.0, 1.0, 2.0], [1.0, 3.0])
+    check_partial_domination(filled, 1.0)
+    for f in (filled, step_function([0.0, 1.0, 2.0], [1.0, 3.0])):  # the memo filled and empty
+        with pytest.raises(InvalidParameterError) as err:
+            check_partial_domination(f, bad)
+        assert str(err.value) == message
+
+
+def test_numpy_and_integer_limits_give_the_float_results():
+    f = random_step_function(make_rng(43))
+    limits = [(s, np.float64(s), np.array(s)) for s in f.grid.edges[1:].tolist() + [1e300]]
+    limits += [(float(n), n, np.int64(n)) for n in (1, 2, 3, 2**53)]
+    for s, *others in limits:
+        expect = check_partial_domination(f, s)
+        for limit in others:
+            got = check_partial_domination(f, limit)
+            assert [type(x) for x in got] == [float, float]
+            assert [x.hex() for x in got] == [x.hex() for x in expect], limit
+
+
 # cells narrower than an ulp of the running edge sum: the 1e-20 cell, and the
 # one-ulp last cell of a grid whose re-summed widths overshoot its support end
 SUB_ULP_CELLS = [
@@ -188,6 +244,29 @@ def test_partial_domination_equals_cumulative_evaluate():
         assert np.array_equal(lhs, expect_lhs) and np.array_equal(rhs, expect_rhs)
         for k, s in enumerate(points.tolist()):
             assert check_partial_domination(f, s) == (lhs[k], rhs[k])
+
+
+def test_float_limits_equal_the_array_elements():
+    """A float limit, read in Python floats, gives the array path's element
+    bit for bit: at every edge of f and f*, at the doubles next to them, inside
+    the cells, at the smallest subnormal and past the support end."""
+    rng = make_rng(47)
+    functions = [random_step_function(rng) for _ in range(100)]
+    for edges, values in SUB_ULP_CELLS:
+        functions += [step_function(edges, values), step_function(edges, -np.asarray(values))]
+    for f in functions:
+        fstar = decreasing_rearrangement(f).step
+        edges = np.union1d(f.grid.edges, fstar.grid.edges)[1:]
+        end = f.grid.support_end
+        points = np.concatenate([edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf),
+                                 0.5 * (edges[:-1] + edges[1:]),
+                                 [5e-324, 1.5 * end, 1e300, 1e308]])
+        points = points[points > 0.0]
+        lhs, rhs = check_partial_domination(f, points)
+        for k, s in enumerate(points.tolist()):
+            got = check_partial_domination(f, s)
+            assert [type(x) for x in got] == [float, float]
+            assert [x.hex() for x in got] == [float(lhs[k]).hex(), float(rhs[k]).hex()], s
 
 
 def test_cumulative_at_equals_cumulative_evaluate():

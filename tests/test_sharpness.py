@@ -243,6 +243,21 @@ class TestSharpnessSweep:
         with pytest.raises(InvalidParameterError):
             sharpness_sweep("hardy", 2.0, eps_list=(0.05, 0.1))
 
+    def test_an_underflowing_sharp_constant_is_reported_before_any_profile(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("minimizing_function called")
+
+        monkeypatch.setattr(sharpness, "minimizing_function", forbidden)
+        with pytest.raises(DoubleRangeError,
+                           match=r"^the Rellich sharp constant at p = 1030\.0 underflows$"):
+            sharpness_sweep("rellich_chain", 1030.0, (0.2, 0.1), resolution=64)
+
+    def test_an_overflowing_profile_names_p_and_eps(self):
+        with pytest.raises(DoubleRangeError,
+                           match=r"^the hardy ratio of the sweep profile f_eps leaves the "
+                                 r"double-precision range at p = 2000\.0, eps = 0\.2$"):
+            sharpness_sweep("hardy", 2000.0, (0.2, 0.1), resolution=64)
+
     def test_sweep_kinds_have_sharp_constants(self):
         for kind in SWEEP_KINDS:
             assert sharp_constant(kind, 2.0) > 0.0
