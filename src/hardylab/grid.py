@@ -49,7 +49,7 @@ def check_real(value, name: str, lower: float = -math.inf, upper: float = math.i
     parameter."""
     try:
         x = float(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         x = math.nan
     if isinstance(value, (bool, np.bool_)) or not lower < x < upper:
         raise InvalidParameterError(
@@ -76,13 +76,20 @@ def check_integer(value, name: str, minimum: int) -> int:
 
 
 def _real_array(values, name: str, shape: tuple | None = None) -> np.ndarray:
-    """``values`` as a float array of finite real numbers (not bools or text),
-    of ``shape`` if one is given; otherwise an :class:`InvalidParameterError`
-    about ``name``."""
-    try:
-        arr = np.asarray(values)
-    except ValueError:  # ragged nesting
-        arr = np.array(None)
+    """``values`` as a float array of finite real numbers, of ``shape`` if one
+    is given; otherwise an :class:`InvalidParameterError` about ``name``.  An
+    ndarray or numpy scalar must have an integer or float dtype.  Anything
+    else is read element by element as ``float`` reads it, so a Python int
+    beyond the int64 range is taken and a bool or text in a list is not."""
+    if not isinstance(values, (np.ndarray, np.generic)):
+        try:
+            values = np.array(values, dtype=object)
+            if any(issubclass(t, (bool, np.bool_, str, bytes)) for t in set(map(type, values.flat))):
+                raise TypeError
+            values = values.astype(float)
+        except (TypeError, ValueError, OverflowError):  # also ragged nesting
+            values = None
+    arr = np.asarray(values)
     if arr.dtype.kind not in "fiu" or not np.isfinite(arr).all():
         raise InvalidParameterError(f"{name} must be finite real numbers")
     if shape is not None and arr.shape != shape:
@@ -170,7 +177,8 @@ class StepFunction:
 
 def step_function(edges: Iterable[float], values: Iterable[float]) -> StepFunction:
     """Build a :class:`StepFunction` from edge and value sequences."""
-    return StepFunction(Grid(list(edges)), list(values))
+    edges, values = (x if isinstance(x, np.ndarray) else list(x) for x in (edges, values))
+    return StepFunction(Grid(edges), values)
 
 
 @dataclass(frozen=True, eq=False)
@@ -478,16 +486,6 @@ def p_norm(f, p: float):
     batch = as_batch(f)
     out = _fsums((np.abs(batch.values) ** p * batch.grid.widths).tolist(), batch.grid.offsets)
     return out if batch is f else out[0]
-
-
-def _sorted_unique(values: np.ndarray) -> np.ndarray:
-    """Sorted distinct values.
-
-    Same result as ``np.unique``, which on numpy 2.x imports ``numpy.ma`` on
-    first use (about 10 ms of start-up and 1.7 MB resident).
-    """
-    values = np.sort(values)
-    return values[np.concatenate(([True], values[1:] != values[:-1]))]
 
 
 def _fsums(terms: list[float], bounds: np.ndarray) -> list[float]:

@@ -54,7 +54,8 @@ from .grid import (StepBatch, StepFunction, _in_double_range, _step_function, as
 from .quadrature import integrate_weighted_power
 from .quadrature import (_cap_interval_ratio, _estimate, _power_tail, _quadrature,  # shared
                          _real_roots, _split_cells)
-from .operators import cumulative, double_cumulative, inner_cumulative, supmin_branches
+from .operators import (_cumulative_edges, cumulative, double_cumulative, inner_cumulative,
+                        supmin_branches)
 from .rearrange import decreasing_rearrangement
 
 # A batch is evaluated in groups of consecutive functions holding at most this
@@ -323,7 +324,9 @@ def _supmin_rows(f):
     # a division by zero gives inf or NaN, which _split_cells drops
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         cand = np.stack((
-            a - u / v,                      # zero of F: kink of |F|
+            # zero of F: no kink of M f, but one of the classical |F|/r that new_hardy's
+            # middle integrates on these same nodes, so the cut stays
+            a - u / v,
             a + (mp - u) / v,               # |F(r)| overtakes the past peak
             a + (-mp - u) / v,
             mp / sb,                        # past-peak branch meets the future one
@@ -423,7 +426,7 @@ def _running_average_maxform_integral(f: StepFunction, p: float) -> float:
     there ``|A(r)| / r = 0`` lies below a positive ``prefix / r`` or ``suffix``.
     """
     a, b, v = f.grid.edges[:-1], f.grid.edges[1:], f.values
-    F_edges = supmin_branches(f)[0]
+    F_edges = _cumulative_edges(f.grid.edges, f.values)
     u, absA = F_edges[:-1], np.abs(F_edges[1:] / b)         # |A| at the right edges
     prefix = np.maximum.accumulate(np.concatenate(([0.0], absA)))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):

@@ -8,7 +8,8 @@ For a step function ``f`` write ``F(r) = \\int_0^r f`` and
 i.e. the best bound on ``|F(s)|`` penalised by ``max(r, s)``.  Because
 ``F`` is piecewise affine, the sup is attained either at ``s = r``, at a
 grid edge, or in the constant tail beyond the support, so it can be
-computed exactly by enumerating those candidates — no sampling.
+computed exactly by enumerating those candidates — no sampling.  Only
+:class:`_CumulativeReader` evaluates ``F`` at a point; rearrange uses it too.
 
 ``rellich_inner(f, tau) = tau * M_{|f|}(tau)`` is the integrand whose
 cumulative replaces ``D`` in the strengthened second-order inequality; for
@@ -18,11 +19,13 @@ breakpoint per cell (where the running branch overtakes the local one).
 
 from __future__ import annotations
 
+from bisect import bisect_left
+
 import numpy as np
 
 from .grid import (Grid, GridBatch, PolyBatch, StepBatch, StepFunction, as_batch, check_exponent,
                    check_real)
-from .grid import _in_double_range, _running_max, _running_sum, _sorted_unique, _step_function
+from .grid import _in_double_range, _running_max, _running_sum, _step_function
 from .quadrature import _split_cells
 
 
@@ -53,16 +56,26 @@ def _cumulative_edges(edges: np.ndarray, values: np.ndarray) -> np.ndarray:
     return _running_sum(values * (edges[1:] - edges[:-1]), np.array([0, values.size]))
 
 
-def _cumulative_at(edges: np.ndarray, values: np.ndarray, left: np.ndarray,
-                   s: np.ndarray) -> np.ndarray:
-    """``F(s)`` of one step function at positive ``s``, without building
-    :func:`cumulative`: ``left`` is its :func:`_cumulative_edges`, read with
-    the affine piece at ``s``, so the floats are those of evaluating it.
-    Beyond r_n, ``s`` is clipped to r_n, where the last piece gives the
-    running sum's own last step, ``left[-1]``."""
-    s = np.minimum(s, edges[-1])
-    idx = edges[1:-1].searchsorted(s)  # the cell holding s
-    return left[idx] + (s - edges[idx]) * values[idx]
+class _CumulativeReader:
+    """``F(s)`` of one step function at one positive float ``s``, read in
+    Python floats off its :func:`_cumulative_edges` ``left``: on the cell
+    ``(e_i, e_(i+1)]`` holding ``s`` the affine piece ``left[i] + (s - e_i) v_i``,
+    the floats of evaluating :func:`cumulative`, and beyond r_n the total
+    ``left[n]``.  At an edge ``e_j`` this equals ``left[j]``."""
+
+    __slots__ = ("edges", "values", "left")
+
+    def __init__(self, edges: np.ndarray, values: np.ndarray):
+        self.edges, self.values = edges.tolist(), values.tolist()
+        self.left = _cumulative_edges(edges, values).tolist()
+
+    def at(self, s: float) -> float:
+        edges, values, left = self.edges, self.values, self.left
+        n = len(values)
+        if s >= edges[n]:
+            return left[n]
+        i = bisect_left(edges, s, 1, n) - 1
+        return left[i] + (s - edges[i]) * values[i]
 
 
 def double_cumulative(f):
@@ -82,11 +95,10 @@ def supmin_candidates(f: StepFunction, r: float) -> list[tuple[float, float]]:
     ``r`` itself), so the enumeration is exhaustive.
     """
     r = check_real(r, "radius", 0.0)
-    edges = _step_function(f).grid.edges
-    s = _sorted_unique(np.concatenate([edges[1:], [r]]))
-    F = _cumulative_at(edges, f.values, _cumulative_edges(edges, f.values), s)
-    vals = np.abs(F) / np.maximum(s, r)
-    return list(zip(s.tolist(), vals.tolist()))
+    F = _CumulativeReader(_step_function(f).grid.edges, f.values)
+    masses = dict(zip(F.edges[1:], F.left[1:]))
+    masses[r] = F.at(r)
+    return [(s, abs(masses[s]) / (s if s > r else r)) for s in sorted(masses)]
 
 
 def supmin_transform(f: StepFunction, r: float) -> float:

@@ -10,20 +10,18 @@ running sum that carries each dropped width into the next kept cell, so the
 p-th power masses stay within rounding of ``f``'s however many are dropped.
 
 :func:`check_partial_domination` accepts one upper limit ``s`` or a 1-D
-array of them, and reads both partial masses off the running sums of
-:func:`cumulative` without building it.  ``f*`` and both sums are built once
-per ``f`` and kept while it lives, so the same frozen ``f*`` comes back for
-the same ``f`` (a :class:`StepFunction` is immutable).  A positive finite
-``float`` limit is read in Python floats off lists kept with them: the same
-two operations on the same doubles as the array path, so each result equals
-that path's element bit for bit.
+array of them.  ``f*`` and the running sums of ``|f|`` and ``f*`` are built
+once per ``f`` and kept while it lives, so the same frozen ``f*`` comes back
+for the same ``f`` (a :class:`StepFunction` is immutable).  Each partial mass
+is read off those sums by the reader of :mod:`hardylab.operators`, the one
+code that evaluates ``F(s)`` at a point, in the floats of evaluating
+:func:`cumulative`.
 """
 
 from __future__ import annotations
 
 import math
 import weakref
-from bisect import bisect_left
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -32,7 +30,7 @@ import numpy as np
 from .errors import DoubleRangeError, InvalidParameterError
 from .grid import Grid, StepFunction, _real_array, _step_function, p_norm
 # cumulative is not called here; perfbench's span recorder looks the name up
-from .operators import _cumulative_at, _cumulative_edges, cumulative
+from .operators import _CumulativeReader, cumulative
 
 
 @dataclass(frozen=True, eq=False)
@@ -66,37 +64,12 @@ def _rearranged_cells(f: StepFunction) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate([[0.0], edges[1:][keep]]), absvals[order][keep]
 
 
-class _Side(NamedTuple):
-    """One step function's edges, values and ``F`` at its edges (its
-    :func:`_cumulative_edges`), as arrays and as lists of Python floats."""
-
-    edges: np.ndarray
-    values: np.ndarray
-    left: np.ndarray
-    lists: tuple[list, list, list]
-
-    @classmethod
-    def of(cls, edges: np.ndarray, values: np.ndarray) -> _Side:
-        left = _cumulative_edges(edges, values)
-        return cls(edges, values, left, (edges.tolist(), values.tolist(), left.tolist()))
-
-    def mass_at(self, s: float) -> float:
-        """:func:`_cumulative_at` for one positive float ``s``, in Python
-        floats: the same two operations on the same doubles, so the same float."""
-        edges, values, left = self.lists
-        n = len(values)
-        if s >= edges[n]:
-            return left[n]
-        i = bisect_left(edges, s, 1, n) - 1
-        return left[i] + (s - edges[i]) * values[i]
-
-
 class _Entry(NamedTuple):
     """What :func:`_rearranged` keeps per function; no entry refers to ``f``."""
 
     star: RearrangedFunction
-    absf: _Side
-    fstar: _Side
+    absf: _CumulativeReader
+    fstar: _CumulativeReader
     finite: bool  # both total masses are finite
 
 
@@ -110,7 +83,8 @@ def _rearranged(f: StepFunction) -> _Entry:
         # is kept as inf and reported by check_partial_domination
         with np.errstate(over="ignore"):
             edges, values = _rearranged_cells(f)
-            absf, fstar = _Side.of(f.grid.edges, np.abs(f.values)), _Side.of(edges, values)
+            absf = _CumulativeReader(f.grid.edges, np.abs(f.values))
+            fstar = _CumulativeReader(edges, values)
         # sums of non-negative terms never decrease, so the totals are the largest
         entry = _MEMO[f] = _Entry(RearrangedFunction(step=StepFunction(Grid(edges), values)),
                                   absf, fstar,
@@ -140,11 +114,7 @@ def check_partial_domination(f: StepFunction, s: float | np.ndarray) -> tuple:
         entry = _rearranged(f)
         # below the finite totals neither side can overflow
         if entry.finite:
-            return entry.absf.mass_at(s), entry.fstar.mass_at(s)
-    return _partial_masses(f, s)
-
-
-def _partial_masses(f: StepFunction, s) -> tuple:
+            return entry.absf.at(s), entry.fstar.at(s)
     s_arr = _real_array(s, "upper limits")
     if s_arr.ndim > 1:
         raise InvalidParameterError(f"upper limits must be a scalar or 1-D, got shape {s_arr.shape}")
@@ -153,6 +123,7 @@ def _partial_masses(f: StepFunction, s) -> tuple:
     entry = _rearranged(f)
     if not entry.finite:
         raise DoubleRangeError("values leave the double-precision range (overflow); rescale the input")
-    lhs, rhs = (_cumulative_at(side.edges, side.values, side.left, s_arr)
-                for side in (entry.absf, entry.fstar))
-    return (float(lhs), float(rhs)) if s_arr.ndim == 0 else (lhs, rhs)
+    lhs, rhs, points = entry.absf.at, entry.fstar.at, s_arr.tolist()
+    if s_arr.ndim == 0:
+        return lhs(points), rhs(points)
+    return np.array([lhs(x) for x in points]), np.array([rhs(x) for x in points])

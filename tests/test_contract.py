@@ -2,7 +2,8 @@
 raises InvalidParameterError.
 
 Every row of :data:`CALLS` passes one argument of a public call each value of
-:data:`BAD` in turn (None, text, a list, NaN, inf and a bool) and expects an
+:data:`BAD` in turn (None, text, a list, NaN, inf, a bool, a bool or text in a
+list, and an int beyond the double range) and expects an
 :class:`InvalidParameterError`, never a raw ``TypeError`` or ``ValueError``.
 Every row of :data:`FUNCTION_CALLS` does the same with None, a list, text
 and a function of the other kind where a step function or piecewise
@@ -57,7 +58,8 @@ from hardylab.operators import (cumulative, double_cumulative, inner_cumulative,
                                 rellich_inner, supmin_branches, supmin_candidates,
                                 supmin_pointwise_identity_check, supmin_transform)
 
-BAD = {"none": None, "text": "x", "list": [1.0], "nan": math.nan, "inf": math.inf, "bool": True}
+BAD = {"none": None, "text": "x", "list": [1.0], "nan": math.nan, "inf": math.inf, "bool": True,
+       "bool_in_list": [1.0, True], "text_in_list": [1.0, "2"], "huge_int": 10**400}
 
 F = step_function([0.0, 0.5, 1.0, 2.0], [1.0, -0.5, 0.25])
 AWAY = step_function([0.0, 0.5, 1.0, 2.0], [0.0, -0.5, 0.25])
@@ -118,9 +120,10 @@ CALLS = {
 }
 
 # (call, value) pairs that are valid input: a list of evaluation points or of
-# upper limits, and the default tolerance
+# upper limits, the default tolerance and a seed beyond the double range
 VALID = {("StepFunction.evaluate", "list"), ("PiecewisePoly.evaluate", "list"),
-         ("check_partial_domination", "list"), ("RatioReport.violations", "none")}
+         ("check_partial_domination", "list"), ("RatioReport.violations", "none"),
+         ("make_rng", "huge_int")}
 
 
 @pytest.mark.parametrize("call, value", [
@@ -250,7 +253,8 @@ def test_cutoff_argument_zero_is_accepted_and_negatives_are_not():
         cutoff_value(CutoffSpec(), -5e-324)
 
 
-@pytest.mark.parametrize("values", [[True], ["1.0"], [None], [[1.0], 2.0], [1j]])
+@pytest.mark.parametrize("values", [[True], ["1.0"], [None], [[1.0], 2.0], [1j], [1.0, True],
+                                    [1.0, np.True_], [1.0, "1.0"], [10**400]])
 def test_cell_values_must_be_real_numbers(values):
     with pytest.raises(InvalidParameterError, match="cell values must be finite real numbers"):
         step_function(range(len(values) + 1), values)
@@ -260,3 +264,13 @@ def test_integer_edges_and_values_become_floats():
     f = step_function([0, 1, 3], [2, -1])
     assert f.grid.edges.dtype == float and f.values.dtype == float
     assert f.evaluate(2) == -1.0 and type(f.evaluate(2)) is float
+
+
+def test_python_ints_beyond_int64_are_real_numbers():
+    """``float`` takes an int beyond the int64 range, and so does every check."""
+    f = step_function([0, 1, 2], [1, 3])
+    assert check_partial_domination(f, 10**300) == (4.0, 4.0)
+    lhs, rhs = check_partial_domination(f, [1.0, 10**300])
+    assert lhs.tolist() == [1.0, 4.0] and rhs.tolist() == [3.0, 4.0]
+    assert supmin_transform(f, 10**300) == 4.0 / 1e300
+    assert step_function([0, 10**300], [2**70]).values.tolist() == [2.0**70]

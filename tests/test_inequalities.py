@@ -238,6 +238,16 @@ class TestNewHardyRatio:
                 assert report.middle <= report.numerator * (1.0 + 1e-12)
                 assert report.violations(1e-6) == []
 
+    @pytest.mark.parametrize("p, gap", [(1.5, 1e-6), (3.0, 1e-12)])
+    def test_middle_is_the_classical_numerator(self, p, gap):
+        """``middle`` integrates ``(|F|/r)^p`` on the sup-min nodes, which cut
+        each cell at the zero of ``F``, where ``|F|`` has a kink; without the
+        cut the gap grew to 3.3e-5 at p = 1.5 and 5.7e-7 at p = 3 (at p = 2
+        the integrand is a polynomial, so the cut changes nothing there)."""
+        batch = random_step_function(make_rng(227), 100)
+        for improved, classical in zip(new_hardy_ratio(batch, p), hardy_ratio(batch, p)):
+            assert abs(improved.middle - classical.numerator) <= gap * classical.numerator
+
     def test_zero_function_rejected(self):
         with pytest.raises(ZeroDenominatorError):
             new_hardy_ratio(ZERO, 2.0)

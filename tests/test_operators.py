@@ -22,6 +22,7 @@ from hardylab import (
     supmin_transform,
 )
 from hardylab.operators import inner_cumulative, supmin_branches
+from test_rearrange import SUB_ULP_CELLS
 
 INDICATOR = step_function([0.0, 1.0], [1.0])
 SHIFTED = step_function([0.0, 1.0, 2.0], [0.0, 1.0])
@@ -153,15 +154,22 @@ class TestSupminTransform:
 
 
 def test_supmin_candidates_evaluate_the_cumulative():
-    """The candidate values are ``|F(s)| / max(r, s)`` with ``F(s)`` the
-    floats of evaluating the validated cumulative, at radii on the edges,
-    inside the cells and beyond the support."""
+    """The candidates are the positive edges and ``r``, once each, valued
+    ``|F(s)| / max(r, s)`` with ``F(s)`` the floats of evaluating the
+    validated cumulative: at radii on every edge, inside the cells and beyond
+    the support, for random functions and for the sub-ulp cells and their
+    negations."""
     rng = make_rng(17)
-    for _ in range(100):
-        f = random_step_function(rng)
-        F = cumulative(f)
-        for r in np.concatenate([f.grid.edges[1:4], radii_mesh(f, rng, 4)]).tolist():
+    functions = [random_step_function(rng) for _ in range(100)]
+    for edges, values in SUB_ULP_CELLS:
+        functions += [step_function(edges, values), step_function(edges, -np.asarray(values))]
+    for f in functions:
+        F, edges, end = cumulative(f), f.grid.edges, f.grid.support_end
+        radii = np.concatenate([edges[1:], radii_mesh(f, rng, 4),
+                                [np.nextafter(end, np.inf), 2.0 * end, 1e300]])
+        for r in radii.tolist():
             s, values = map(np.array, zip(*supmin_candidates(f, r)))
+            assert s.tolist() == sorted({*edges[1:].tolist(), r})
             assert values.tolist() == (np.abs(F.evaluate(s)) / np.maximum(s, r)).tolist()
 
 

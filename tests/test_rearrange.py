@@ -23,7 +23,7 @@ from hardylab import (
     weighted_supmin_check,
 )
 from hardylab import rearrange
-from hardylab.operators import _cumulative_at, _cumulative_edges, cumulative
+from hardylab.operators import _CumulativeReader, cumulative
 
 P_SWEEP = (1.1, 1.5, 2.0, 3.0)
 
@@ -270,10 +270,10 @@ def test_float_limits_equal_the_array_elements():
 
 
 def test_cumulative_at_equals_cumulative_evaluate():
-    """``F(s)`` read off the running sums is the float that evaluating the
-    validated cumulative gives: at the edges, inside the cells and beyond
-    the support, for signed values and for the sub-ulp cells and their
-    rearrangements."""
+    """``F(s)`` read off the running sums in Python floats is the float that
+    evaluating the validated cumulative gives: at the edges, inside the cells
+    and beyond the support, for signed values and for the sub-ulp cells and
+    their rearrangements."""
     rng = make_rng(5)
     functions = [random_step_function(rng) for _ in range(200)]
     for edges, values in SUB_ULP_CELLS:
@@ -286,9 +286,8 @@ def test_cumulative_at_equals_cumulative_evaluate():
         points = np.concatenate([edges[1:], 0.5 * (edges[:-1] + edges[1:]),
                                  rng.uniform(0.0, end, 20) + 5e-324,
                                  [np.nextafter(end, np.inf), 1.5 * end, 1e300]])
-        left = _cumulative_edges(edges, f.values)
-        assert np.array_equal(_cumulative_at(edges, f.values, left, points),
-                              cumulative(f).evaluate(points))
+        F = _CumulativeReader(edges, f.values)
+        assert [F.at(s) for s in points.tolist()] == cumulative(f).evaluate(points).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -340,11 +339,10 @@ def test_memo_entry_goes_with_its_function():
 
 
 def fresh_partial_masses(f, s):
-    """Both partial masses from a fresh sort and fresh running sums."""
+    """Both partial masses from a fresh sort, evaluating the validated cumulatives."""
     edges, values = rearrange._rearranged_cells(f)
-    absv = np.abs(f.values)
-    return (_cumulative_at(f.grid.edges, absv, _cumulative_edges(f.grid.edges, absv), s),
-            _cumulative_at(edges, values, _cumulative_edges(edges, values), s))
+    return (cumulative(abs(f)).evaluate(s),
+            cumulative(step_function(edges, values)).evaluate(s))
 
 
 def test_kept_rearrangement_gives_fresh_results():
