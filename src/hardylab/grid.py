@@ -10,9 +10,9 @@ is what :class:`PiecewisePoly` stores.
 Many functions are evaluated together as a batch (:class:`StepBatch`,
 :class:`PolyBatch`): their edges, values and coefficients concatenated, plus
 per-function offsets.  A single function is a batch of one.  Per-function
-running sums use padded rows and per-function totals one ``fsum`` each, so a
-function's results do not depend on the batch it is in.  Weighted-power
-quadrature lives in :mod:`hardylab.quadrature`.
+running sums and maxima run over each function's own slice and per-function
+totals are one ``fsum`` each, so a function's results do not depend on the
+batch it is in.  Weighted-power quadrature lives in :mod:`hardylab.quadrature`.
 
 Index
 -----
@@ -306,7 +306,11 @@ class StepBatch:
 
     @classmethod
     def of(cls, functions: Iterable[StepFunction]) -> "StepBatch":
-        functions = list(functions)
+        try:
+            functions = [_step_function(f) for f in functions]
+        except TypeError:
+            raise InvalidParameterError(
+                f"a batch is built from step functions, got {type(functions).__name__}") from None
         if not functions:
             raise InvalidParameterError("a batch needs at least one function")
         offsets = np.cumsum([0] + [f.grid.n_cells for f in functions])
@@ -317,8 +321,16 @@ class StepBatch:
         return len(self.grid)
 
     def __getitem__(self, index: slice) -> "StepBatch":
-        """The functions ``start:stop`` as a batch of their own."""
-        start, stop, _ = index.indices(len(self))
+        """The functions ``start:stop`` as a batch of their own; ``index`` must be
+        a slice with step 1 that names at least one function."""
+        try:
+            start, stop, step = index.indices(len(self))
+        except (AttributeError, TypeError, ValueError):  # not a slice, or step 0
+            step = None
+        if step != 1:
+            raise InvalidParameterError(f"a batch takes a slice with step 1, got {index!r}")
+        if start >= stop:
+            raise InvalidParameterError("a batch needs at least one function")
         lo, hi = self.grid.offsets[start], self.grid.offsets[stop]
         return StepBatch(GridBatch(self.grid.edges[lo + start:hi + stop],
                                    self.grid.offsets[start:stop + 1] - lo),
@@ -326,18 +338,6 @@ class StepBatch:
 
     def __abs__(self) -> "StepBatch":
         return StepBatch(self.grid, np.abs(self.values))
-
-    def groups(self, max_cells: int):
-        """Consecutive sub-batches of at most ``max_cells`` cells each; a
-        function larger than that forms a group of its own."""
-        counts = np.diff(self.grid.offsets).tolist()
-        start, cells = 0, 0
-        for k, n in enumerate(counts):
-            if k > start and cells + n > max_cells:
-                yield self[start:k]
-                start, cells = k, 0
-            cells += n
-        yield self[start:]
 
 
 class PolyBatch:
@@ -379,43 +379,29 @@ def as_batch(x):
     return StepBatch(GridBatch(f.grid.edges, np.array([0, f.grid.n_cells])), f.values)
 
 
-def _rows(x: np.ndarray, offsets: np.ndarray, fill: float):
-    """Ragged ``x`` (function ``k`` owns ``x[offsets[k]:offsets[k + 1]]``) as a
-    matrix with one row per function, padded at the end with ``fill``, and
-    the mask of its real entries."""
-    counts = np.diff(offsets)
-    mask = np.arange(counts.max()) < counts[:, None]
-    rows = np.full(mask.shape, fill)
-    rows[mask] = x
-    return rows, mask
-
-
 def _running_sum(x: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     """Each function's ``[0, x_0, x_0 + x_1, ...]``, concatenated.
 
-    The sums run along padded rows, so each restarts at its function and
-    adds in the same order as for that function alone (a single function is
-    its own row).
+    Each function's sum is its own ``np.add.accumulate`` (``np.cumsum``
+    without its dispatch cost), so it adds in the same order as for that
+    function alone.
     """
-    if offsets.size == 2:
-        return np.concatenate(([0.0], np.cumsum(x)))
-    rows, mask = _rows(x, offsets, 0.0)
-    out = np.zeros((rows.shape[0], rows.shape[1] + 1))
-    np.cumsum(rows, axis=1, out=out[:, 1:])
-    return out[np.column_stack((np.ones(mask.shape[0], dtype=bool), mask))]
+    out = np.zeros(x.size + offsets.size - 1)
+    b = offsets.tolist()
+    for k, (s, e) in enumerate(zip(b[:-1], b[1:]), start=1):
+        np.add.accumulate(x[s:e], out=out[s + k:e + k])
+    return out
 
 
 def _running_max(x: np.ndarray, offsets: np.ndarray, reverse: bool = False) -> np.ndarray:
     """Each function's running maximum of ``x``, from its start or (reverse)
     from its end."""
-    if offsets.size == 2:
-        return np.maximum.accumulate(x[::-1])[::-1] if reverse else np.maximum.accumulate(x)
-    rows, mask = _rows(x, offsets, -np.inf)
-    if reverse:
-        rows = np.maximum.accumulate(rows[:, ::-1], axis=1)[:, ::-1]
-    else:
-        rows = np.maximum.accumulate(rows, axis=1)
-    return rows[mask]
+    out = np.empty_like(x)
+    b = offsets.tolist()
+    step = -1 if reverse else 1
+    for s, e in zip(b[:-1], b[1:]):
+        np.maximum.accumulate(x[s:e][::step], out=out[s:e][::step])
+    return out
 
 
 def make_graded_grid(R: float, n_cells: int, grading: str = "uniform",
@@ -502,7 +488,7 @@ def _fsums(terms: list[float], bounds: np.ndarray) -> list[float]:
 
 def write_step_csv(f: StepFunction, path) -> None:
     """Write ``f`` to `edge,value` CSV (first row is the origin edge)."""
-    Path(path).write_text(step_csv_text(f), encoding="utf-8")
+    Path(path).write_text(step_csv_text(_step_function(f)), encoding="utf-8")
 
 
 def step_csv_text(f):

@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import wraps
 from itertools import repeat
 from typing import Callable
 
@@ -58,12 +57,6 @@ from .operators import (_cumulative_edges, cumulative, double_cumulative, inner_
                         supmin_branches)
 from .rearrange import decreasing_rearrangement
 
-# A batch is evaluated in groups of consecutive functions holding at most this
-# many cells.  The groups bound the memory a pass holds (its interval arrays
-# and padded rows), not its time: a 10,000-case verify job peaks at about half
-# the resident memory of one group (101 MB against 205-213 MB) in times within noise.
-MAX_GROUP_CELLS = 1024
-
 
 @dataclass(frozen=True)
 class Kind:
@@ -75,7 +68,8 @@ class Kind:
     the sharp constant.  ``p2_only`` kinds are stated for p = 2 only.
     ``sweep`` names the kind a sweep of this kind evaluates (``None``: no
     sweep); ``rellich_chain`` sweeps ``rellich_p``, which has its numerator
-    and sharp constant but no ``middle`` (see ``sharpness_sweep``).
+    and sharp constant but no ``middle``, and ``new_hardy`` sweeps ``hardy``
+    (see ``sharpness_sweep``).
     """
 
     numerator: Callable
@@ -132,36 +126,7 @@ class RatioReport:
         return msgs
 
 
-def _batched(evaluate):
-    """Let ``evaluate(batch, ...) -> list of reports`` take one function or a batch.
-
-    One :class:`StepFunction` is a batch of one and gets its report back.  A
-    :class:`StepBatch` is evaluated in groups of consecutive functions
-    holding at most ``MAX_GROUP_CELLS`` cells (a larger function forms a
-    group of its own) and gets a list of reports.  When a group fails, its
-    functions are evaluated one at a time, so the error raised is the one
-    the lowest-index failing function raises alone.
-    """
-    evaluate = _in_double_range(evaluate)
-
-    @wraps(evaluate)
-    def run(f, *args, **kwargs):
-        if not isinstance(f, StepBatch):
-            return evaluate(as_batch(f), *args, **kwargs)[0]
-        reports: list[RatioReport] = []
-        for group in f.groups(MAX_GROUP_CELLS):
-            try:
-                reports += evaluate(group, *args, **kwargs)
-            except HardyLabError:
-                if len(group) == 1:
-                    raise
-                for k in range(len(group)):
-                    reports += evaluate(group[k:k + 1], *args, **kwargs)
-        return reports
-    return run
-
-
-@_batched
+@_in_double_range
 def _evaluate(f: StepBatch, kind: str, p: float) -> list[RatioReport]:
     """The reports of ``kind`` for a batch (``p`` already checked)."""
     spec = KINDS[kind]
@@ -232,7 +197,7 @@ def _rellich_sharp(p: float) -> float:
 
 KINDS = {
     "hardy": Kind(_classical, _hardy_sharp, sweep="hardy"),
-    "new_hardy": Kind(_supmin, _hardy_sharp, sweep="new_hardy"),
+    "new_hardy": Kind(_supmin, _hardy_sharp, sweep="hardy"),
     "hardy_rellich_int": Kind(_classical, _hardy_sharp, p2_only=True, sweep="hardy_rellich_int"),
     "improved_hardy_rellich": Kind(_supmin, _hardy_sharp, p2_only=True),
     "rellich_p": Kind(_rellich, _rellich_sharp),
@@ -263,7 +228,21 @@ def ratio_evaluator(kind: str, p: float) -> Callable:
     and ``StepBatch -> list[RatioReport]`` with one report per function."""
     p = check_exponent(p)
     _kind(kind, p)
-    return lambda f: _evaluate(f, kind, p)
+
+    def evaluate(f):
+        """One report for one function; a list of reports for a batch,
+        evaluated in one pass.  When that pass fails, the functions are
+        evaluated one at a time, so the error raised is the one the
+        lowest-index failing function raises alone."""
+        if not isinstance(f, StepBatch):
+            return _evaluate(as_batch(f), kind, p)[0]
+        try:
+            return _evaluate(f, kind, p)
+        except HardyLabError:
+            if len(f) == 1:
+                raise
+            return [_evaluate(f[k:k + 1], kind, p)[0] for k in range(len(f))]
+    return evaluate
 
 
 # Shorthands: each takes one StepFunction (and returns its RatioReport) or a

@@ -171,6 +171,8 @@ def sharpness_sweep(kind: str, p: float, eps_list=DEFAULT_EPS_LIST,
     ``rellich_chain`` that is ``rellich_p``: a sweep point keeps the ratio,
     numerator and denominator, which the two kinds compute alike, and not
     the chain's ``middle`` integral, which would double the quadrature work.
+    For ``new_hardy`` it is ``hardy``: every ``f_eps`` is non-negative and
+    non-increasing, where ``M f = F/r`` and the two reports agree bit for bit.
 
     At a p too large for doubles the :class:`DoubleRangeError` names p: the
     sharp constant's underflow is checked first, then each profile's ratio.

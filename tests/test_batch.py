@@ -1,10 +1,10 @@
 """Batch evaluation: a function's report does not depend on its batch.
 
 ``ratio_evaluator`` accepts one step function or a ``StepBatch``.  A batch
-is evaluated in groups of at most ``MAX_GROUP_CELLS`` cells with whole-array
-passes; every report must equal, bit for bit, the report of the same
-function evaluated alone, whatever the batch order or grouping.  numpy
-warnings are errors here: overflow must surface as ``DoubleRangeError``.
+is evaluated in one pass of whole-array operations; every report must
+equal, bit for bit, the report of the same function evaluated alone,
+whatever the batch order or split.  numpy warnings are errors here:
+overflow must surface as ``DoubleRangeError``.
 """
 
 import json
@@ -13,11 +13,12 @@ import struct
 import numpy as np
 import pytest
 
-from hardylab import (DoubleRangeError, StepBatch, StepFunction, ZeroDenominatorError,
-                      make_graded_grid, make_rng, p_norm, random_step_function,
-                      random_step_function_away_from_zero, ratio_evaluator, step_function)
+from hardylab import (DoubleRangeError, InvalidParameterError, StepBatch, StepFunction,
+                      ZeroDenominatorError, make_graded_grid, make_rng, p_norm,
+                      random_step_function, random_step_function_away_from_zero,
+                      ratio_evaluator, step_function)
 from hardylab.grid import as_batch, step_csv_text
-from hardylab.inequalities import MAX_GROUP_CELLS, _supmin_rows
+from hardylab.inequalities import _supmin_rows
 from hardylab.operators import cumulative, double_cumulative, inner_cumulative, supmin_branches
 from hardylab.quadrature import _cell_intervals, integrate_weighted_power
 from hardylab.sharpness import _MAXIMIZE_R_MIN
@@ -40,12 +41,15 @@ def inputs():
                   StepFunction(grid, rng.uniform(0.0, 2.0, 32))]
     functions.append(step_function([0.0, 1.5], [0.7]))
     functions += [random_step_function_away_from_zero(rng) for _ in range(5)]
-    # mix the special cases into the random ones, so groups hold all sorts
+    # mix the special cases into the random ones, so a batch holds all sorts
     order = make_rng(12).permutation(len(functions))
     return [functions[i] for i in order]
 
 
 FUNCTIONS = inputs()
+# a function far longer than the others: per-function sums and maxima must
+# not depend on the longest function of the batch
+LONG = step_function(np.linspace(0.0, 1.0, 1325), np.ones(1324))
 
 
 def bits(report):
@@ -57,34 +61,15 @@ def bits(report):
 @pytest.mark.parametrize("kind, p", KINDS)
 def test_reports_do_not_depend_on_the_batch(kind, p):
     evaluate = ratio_evaluator(kind, p)
-    alone = [bits(evaluate(f)) for f in FUNCTIONS]
-    batch = [bits(r) for r in evaluate(StepBatch.of(FUNCTIONS))]
-    backwards = [bits(r) for r in evaluate(StepBatch.of(FUNCTIONS[::-1]))][::-1]
-    # a split that moves every later group boundary
-    split = [bits(r) for part in (FUNCTIONS[:37], FUNCTIONS[37:])
+    functions = FUNCTIONS[:40] + [LONG] + FUNCTIONS[40:]
+    alone = [bits(evaluate(f)) for f in functions]
+    batch = [bits(r) for r in evaluate(StepBatch.of(functions))]
+    backwards = [bits(r) for r in evaluate(StepBatch.of(functions[::-1]))][::-1]
+    split = [bits(r) for part in (functions[:37], functions[37:])
              for r in evaluate(StepBatch.of(part))]
     assert batch == alone
     assert backwards == alone
     assert split == alone
-
-
-def test_groups_hold_at_most_the_cell_limit():
-    n_big = MAX_GROUP_CELLS + 300
-    big = step_function(np.linspace(0.0, 1.0, n_big + 1), np.ones(n_big))
-    functions = FUNCTIONS[:40] + [big] + FUNCTIONS[40:60]
-    batch = StepBatch.of(functions)
-    groups = list(batch.groups(MAX_GROUP_CELLS))
-    assert sum(len(g) for g in groups) == len(functions)
-    assert [g.grid.n_cells for g in groups if len(g) == 1 and
-            g.grid.n_cells > MAX_GROUP_CELLS] == [big.grid.n_cells]
-    assert all(g.grid.n_cells <= MAX_GROUP_CELLS for g in groups if len(g) > 1)
-    # consecutive: the groups put back together are the batch
-    assert np.array_equal(np.concatenate([g.values for g in groups]), batch.values)
-    assert np.array_equal(np.concatenate([g.grid.edges for g in groups]), batch.grid.edges)
-    # every group is full: adding the next function would cross the limit
-    starts = np.cumsum([0] + [len(g) for g in groups])
-    for g, nxt in zip(groups[:-1], starts[1:-1]):
-        assert g.grid.n_cells + functions[nxt].grid.n_cells > MAX_GROUP_CELLS
 
 
 def test_slices_are_the_functions_they_name():
@@ -98,8 +83,25 @@ def test_slices_are_the_functions_they_name():
                                           FUNCTIONS[3].grid.n_cells + FUNCTIONS[4].grid.n_cells]
 
 
+@pytest.mark.parametrize("index", [slice(None, None, 2), slice(None, None, -1), 1,
+                                   slice(0, 3, 0)],
+                         ids=["step-2", "reversed", "integer", "step-0"])
+def test_a_batch_takes_only_a_slice_with_step_1(index):
+    batch = StepBatch.of(FUNCTIONS[:3])
+    with pytest.raises(InvalidParameterError, match="^a batch takes a slice with step 1, got"):
+        batch[index]
+
+
+@pytest.mark.parametrize("index", [slice(1, 1), slice(0, 0), slice(2, 1)], ids=str)
+def test_an_empty_slice_is_not_a_batch(index):
+    # it used to make a batch of none, on which the numeric functions raised raw errors
+    batch = StepBatch.of(FUNCTIONS[:3])
+    with pytest.raises(InvalidParameterError, match="^a batch needs at least one function$"):
+        batch[index]
+
+
 def test_batch_transforms_concatenate_the_single_ones():
-    functions = FUNCTIONS[:30]
+    functions = FUNCTIONS[:15] + [LONG] + FUNCTIONS[15:30]
     batch = StepBatch.of(functions)
     assert p_norm(batch, 1.5) == [p_norm(f, 1.5) for f in functions]
     for build in (cumulative, double_cumulative, inner_cumulative):

@@ -78,6 +78,7 @@ CALLS = {
     "Grid": Grid,
     "step_function-values": lambda v: step_function([0.0, 1.0], [v]),
     "StepBatch.checked": lambda v: StepBatch.checked(as_batch(F).grid, v),
+    "StepBatch.of": StepBatch.of,
     "PiecewisePoly-coeffs": lambda v: PiecewisePoly(CELL, v),
     "PiecewisePoly-tail_value": lambda v: PiecewisePoly(CELL, np.zeros((1, 3)), tail_value=v),
     "PiecewisePoly-tail_slope": lambda v: PiecewisePoly(CELL, np.zeros((1, 3)), tail_slope=v),
@@ -140,7 +141,6 @@ BATCH_CALLS = {
     "as_batch": as_batch,
     "p_norm": lambda f: p_norm(f, 2.0),
     "step_csv_text": step_csv_text,
-    "write_step_csv": lambda f: write_step_csv(f, os.devnull),
     "cumulative": cumulative,
     "double_cumulative": double_cumulative,
     "inner_cumulative": inner_cumulative,
@@ -157,6 +157,9 @@ BATCH_CALLS = {
 # Calls that read one step function's grid and values, so a batch is not one
 # of their functions either; each routes it through ``grid._step_function``.
 SINGLE_CALLS = {
+    "StepBatch.of-first": lambda f: StepBatch.of([f]),
+    "StepBatch.of-second": lambda f: StepBatch.of([F, f]),
+    "write_step_csv": lambda f: write_step_csv(f, os.devnull),
     "decreasing_rearrangement": decreasing_rearrangement,
     "check_norm_preservation": lambda f: check_norm_preservation(f, 2.0),
     "check_partial_domination": lambda f: check_partial_domination(f, 1.0),

@@ -271,6 +271,18 @@ def test_each_sweep_kind_sweeps_a_kind_with_its_sharp_constant():
         assert target.p2_only == inequalities.KINDS[kind].p2_only
 
 
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+def test_new_hardy_reports_equal_hardy_on_the_sweep_profiles(p):
+    # f_eps is non-negative and non-increasing, so M f = F/r: a new_hardy
+    # sweep evaluates hardy reports
+    assert inequalities.KINDS["new_hardy"].sweep == "hardy"
+    for eps in DEFAULT_EPS_LIST:
+        f = minimizing_function(p, eps, CutoffSpec(), DEFAULT_SWEEP_RESOLUTION, _sweep_r_min(eps))
+        new, old = inequalities.new_hardy_ratio(f, p), inequalities.hardy_ratio(f, p)
+        assert (new.ratio, new.numerator, new.denominator) == (
+            old.ratio, old.numerator, old.denominator), eps
+
+
 def test_chain_sweep_builds_no_inner_cumulative(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("inner_cumulative called")
