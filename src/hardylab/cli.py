@@ -45,11 +45,18 @@ def _timestamp() -> str:
     return datetime.now(timezone.utc).isoformat()
 
 
+def _write(path, text: str) -> None:
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise HardyLabError(f"cannot write {path}: {exc}") from exc
+
+
 def _emit(text: str, output: str | None) -> None:
     if output is None:
         sys.stdout.write(text)
     else:
-        Path(output).write_text(text, encoding="utf-8")
+        _write(output, text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -168,7 +175,7 @@ def cmd_verify(args) -> int:
         if violations:
             exit_code = 1
             dump = _violation_dump_path(args.output, index)
-            dump.write_text(text, encoding="utf-8")
+            _write(dump, text)
             print(f"violation in case {index}: {'; '.join(violations)} "
                   f"(function dumped to {dump})", file=sys.stderr)
     if args.format == "json":

@@ -14,6 +14,12 @@ running sums and maxima run over each function's own slice and per-function
 totals are one ``fsum`` each, so a function's results do not depend on the
 batch it is in.  Weighted-power quadrature lives in :mod:`hardylab.quadrature`.
 
+The `edge,value` CSV text writes every number as ``"%.17g" % x`` does.  For
+a function whose numbers are all 0 or of magnitude in ``[1e-4, 1e17)``,
+where ``%.17g`` is fixed notation, a whole-array kernel computes the 17
+correctly rounded digits from an exact product and lays the text out with
+byte masks; any other function is formatted by ``%``.
+
 Index
 -----
 check_real                validate a real parameter in an open interval
@@ -40,7 +46,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import DoubleRangeError, InvalidParameterError, MalformedCSVError
+from .errors import DoubleRangeError, HardyLabError, InvalidParameterError, MalformedCSVError
 
 def check_real(value, name: str, lower: float = -math.inf, upper: float = math.inf) -> float:
     """``value`` as a float if it is a real number strictly inside ``(lower,
@@ -486,33 +492,176 @@ def _fsums(terms: list[float], bounds: np.ndarray) -> list[float]:
 # --------------------------------------------------------------------------
 
 
+def _csv_path(path) -> Path:
+    try:
+        return Path(path)
+    except TypeError:
+        raise InvalidParameterError(f"a CSV path must be a str or path, got {path!r}") from None
+
+
 def write_step_csv(f: StepFunction, path) -> None:
     """Write ``f`` to `edge,value` CSV (first row is the origin edge)."""
-    Path(path).write_text(step_csv_text(_step_function(f)), encoding="utf-8")
+    file = _csv_path(path)
+    text = step_csv_text(_step_function(f))
+    try:
+        file.write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise HardyLabError(f"cannot write {path}: {exc}") from exc
+
+
+_CSV_HEADER = "edge,value\n0,\n"
+# numbers per call of ``_fixed_17g``, whose temporaries take about 240 bytes a number
+_CSV_CHUNK = 1 << 14
 
 
 def step_csv_text(f):
     """The `edge,value` CSV text of ``f``: a string for one function, a list
-    with one string per function for a :class:`StepBatch`."""
+    with one string per function for a :class:`StepBatch`.
+
+    Every number is written as ``"%.17g" % x``.  A function whose numbers are
+    all 0 or of magnitude in ``[1e-4, 1e17)`` (where ``%.17g`` is fixed
+    notation) is formatted by :func:`_fixed_17g`, a whole-array kernel; any
+    other function by ``%`` itself."""
     batch = as_batch(f)
     grid = batch.grid
     pairs = np.empty((batch.values.size, 2))
     pairs[:, 0] = grid.edges[grid.right]
     pairs[:, 1] = batch.values
-    numbers = tuple(pairs.ravel().tolist())
-    b = (2 * grid.offsets).tolist()
-    texts = [("edge,value\n0,\n" + "%.17g,%.17g\n" * ((e - s) // 2)) % numbers[s:e]
-             for s, e in zip(b[:-1], b[1:])]
+    numbers = pairs.ravel()
+    b = 2 * grid.offsets
+    # runs of whole functions, starting at the function that holds number
+    # 0, _CSV_CHUNK, 2 * _CSV_CHUNK, ...
+    firsts = sorted(set(
+        (np.searchsorted(b, np.arange(0, b[-1], _CSV_CHUNK), side="right") - 1).tolist()))
+    texts = []
+    for i, j in zip(firsts, firsts[1:] + [len(batch)]):
+        texts += _csv_texts(numbers[b[i]:b[j]], b[i:j + 1] - b[i])
     return texts if batch is f else texts[0]
+
+
+def _csv_texts(numbers: np.ndarray, bounds: np.ndarray) -> list[str]:
+    """The CSV texts of the functions whose edge, value pairs are
+    ``numbers[bounds[i]:bounds[i + 1]]``."""
+    magnitude = np.abs(numbers)
+    fixed = (magnitude == 0.0) | ((magnitude >= 1e-4) & (magnitude < 1e17))
+    text, ends = _fixed_17g(np.where(fixed, numbers, 0.0))
+    cuts = np.concatenate(([0], ends))[bounds].tolist()
+    kernel = np.logical_and.reduceat(fixed, bounds[:-1]).tolist()
+    b = bounds.tolist()
+    return [_CSV_HEADER + text[cuts[i]:cuts[i + 1]] if kernel[i] else
+            (_CSV_HEADER + "%.17g,%.17g\n" * ((b[i + 1] - b[i]) // 2))
+            % tuple(numbers[b[i]:b[i + 1]].tolist())
+            for i in range(len(kernel))]
+
+
+# ``%.17g`` of numbers whose decimal exponent is -4..16, where it is fixed
+# notation, as whole-array operations.  A number's 17 significant digits are
+# the integer nearest to ``|x| * 10**(16 - k)`` (ties to even), k its decimal
+# exponent; the product is exact as ``p + e`` (T. J. Dekker, Numer. Math. 18,
+# 1971), so the digits are those of the correctly rounded ``%``.  They are
+# laid out in 40 bytes, ``-0.000`` then each digit followed by a ``.``; a
+# mask per (sign, exponent, trailing zeros) zeroes every byte the number's
+# text does not use, and deleting the zero bytes of the whole array leaves
+# the texts one after another.
+_POW10 = np.array([float(10 ** s) for s in range(22)])  # exact: 5**21 < 2**53
+
+
+def _halves(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Veltkamp's split ``a == hi + lo`` into halves of at most 26 bits."""
+    c = 134217729.0 * a  # 2**27 + 1
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+_POW10_HI, _POW10_LO = _halves(_POW10)
+
+
+def _scaled(a: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``a * 10**(16 - k) == p + e`` exactly (Dekker's product), for
+    ``0 <= 16 - k <= 21``."""
+    s = 16 - k
+    p = a * _POW10[s]
+    ah, al = _halves(a)
+    bh, bl = _POW10_HI[s], _POW10_LO[s]
+    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
+
+def _fixed_17g_tables():
+    """The byte layouts of a leading digit and of four digits, the trailing
+    zeros of four digits, and the masks with the text lengths they keep."""
+    four = np.arange(10000, dtype=np.uint16)[:, None]
+    quad = np.full((10000, 8), ord("."), dtype=np.uint8)
+    quad[:, ::2] = four // np.array([1000, 100, 10, 1], dtype=np.uint16) % 10 + ord("0")
+    lead = np.tile(np.frombuffer(b"-0.0000.", dtype=np.uint8), (10, 1))
+    lead[:, 6] += np.arange(10, dtype=np.uint8)
+    zeros4 = (four % np.array([10, 100, 1000, 10000], dtype=np.uint16) == 0).sum(axis=1)
+    # keep[sign, exponent + 5 (0 for the number 0), trailing zeros, byte]
+    keep = np.zeros((2, 22, 17, 40), dtype=bool)
+    keep[..., 39] = True  # the separator
+    keep[1, ..., 0] = True
+    keep[:, 0, :, 1] = True
+    k = np.arange(-4, 17)[:, None, None]
+    last = 16 - np.arange(17)[:, None]  # the last digit that is not a trailing zero
+    digit = np.arange(17)
+    keep[:, 1:, :, 1:6] = k <= np.array([-1, -1, -2, -3, -4])  # the "0.000" of k < 0
+    keep[:, 1:, :, 6::2] = (digit <= last) | (digit <= k)
+    keep[:, 1:, :, 7:39:2] = (digit[:16] == k) & (last > k)  # the point after digit k >= 0
+    keep = keep.reshape(-1, 40)
+    masks = (keep * np.uint8(255)).view(np.uint64)
+    return (lead.view(np.uint64).ravel(), quad.view(np.uint64).ravel(), zeros4, masks,
+            keep.sum(axis=1))
+
+
+_LEAD, _QUAD, _ZEROS4, _MASKS, _LENGTHS = _fixed_17g_tables()
+
+
+def _fixed_17g(x: np.ndarray) -> tuple[str, np.ndarray]:
+    """``"%.17g,%.17g\n" * (x.size // 2) % tuple(x)`` for an even number of
+    numbers that are 0 or of magnitude in ``[1e-4, 1e17)``, and the end of
+    each number's text, its separator included, in that string."""
+    a = np.abs(x)
+    zero = a == 0.0
+    a[zero] = 1.0  # laid out as 1, masked to the 0 of "-0.000"
+    # the decimal exponent, one off where log10 rounds across a power of ten
+    k = np.floor(np.log10(a)).astype(np.intp)
+    np.clip(k, -5, 16, out=k)
+    p, e = _scaled(a, k)
+    low = (p < 1e16) | ((p == 1e16) & (e < 0.0))
+    high = (p > 1e17) | ((p == 1e17) & (e >= 0.0))
+    off = np.flatnonzero(low | high)
+    if off.size:
+        k[off] += high[off].astype(np.intp) - low[off]
+        p[off], e[off] = _scaled(a[off], k[off])
+    # 1e16 <= p <= 1e17 is an even integer, so rounding e half to even rounds
+    # p + e half to even.  n < 10**17: were x written as 10**(k + 1), x would
+    # be the double nearest that power of ten and below it, but for k + 1 in
+    # -3..17 the nearest double is the power itself or lies above it
+    n = p.astype(np.int64) + np.rint(e).astype(np.int64)
+    high8, low8 = np.divmod(n, 10 ** 8)
+    first, high8 = np.divmod(high8, 10 ** 8)
+    q1, q2 = np.divmod(high8, 10 ** 4)
+    q3, q4 = np.divmod(low8, 10 ** 4)
+    words = np.empty((x.size, 5), dtype=np.uint64)
+    _LEAD.take(first, out=words[:, 0])
+    for column, q in enumerate((q1, q2, q3, q4), start=1):
+        _QUAD.take(q, out=words[:, column])
+    zeros = np.where(low8 == 0, 8 + np.where(q2 == 0, 4 + _ZEROS4[q1], _ZEROS4[q2]),
+                     np.where(q4 == 0, 4 + _ZEROS4[q3], _ZEROS4[q4]))
+    k += 5
+    k[zero] = 0
+    mask = (np.signbit(x) * 22 + k) * 17 + zeros
+    words &= _MASKS.take(mask, axis=0)
+    chars = words.view(np.uint8)
+    chars[0::2, 39] = ord(",")
+    chars[1::2, 39] = ord("\n")
+    return (words.tobytes().translate(None, b"\0").decode("ascii"),
+            np.cumsum(_LENGTHS.take(mask)))
 
 
 def read_step_csv(path) -> StepFunction:
     """Parse a step function from the `edge,value` format written by
     :func:`write_step_csv`."""
-    try:
-        file = Path(path)
-    except TypeError:
-        raise InvalidParameterError(f"a CSV path must be a str or path, got {path!r}") from None
+    file = _csv_path(path)
     try:
         text = file.read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:

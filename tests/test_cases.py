@@ -8,15 +8,18 @@ output bytes, on the passing path and on the exit-1 (violation) path.
 
 import dataclasses
 import json
+from itertools import accumulate
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import case_loops as loops
 from hardylab import StepBatch, StepFunction, cli, make_rng, random_step_function, step_function
 from hardylab.config import default_tolerance
 from hardylab.errors import InvalidParameterError
-from hardylab.grid import GridBatch, as_batch, step_csv_text
+from hardylab.grid import GridBatch, _fixed_17g, as_batch, step_csv_text
 from hardylab.inequalities import KINDS, REPORT_KINDS, ratio_evaluator
 from test_cli import run_cli
 
@@ -103,6 +106,79 @@ def test_csv_text_of_a_batch_equals_per_function_text():
     for f in SPECIAL + cases[:10]:
         assert step_csv_text(f) == loops.step_csv_text(f)
         assert step_csv_text(as_batch(f)) == [loops.step_csv_text(f)]
+
+
+# Cells at the ends of the kernel's range, 0 or 1e-4 <= |x| < 1e17: the
+# first function is all inside it, the second holds the double below 1e-4
+# (9.9999999999999991e-05), so ``%`` formats it.
+BOUNDARY = [
+    step_function([0.0, 1e-4, 1.0, 1e16, 9.999999999999999e16],
+                  [1e-4, -9.999999999999999e16, 1e16, -0.0]),
+    step_function([0.0, np.nextafter(1e-4, 0.0), 1e16], [np.nextafter(1e-4, 0.0), 1e16]),
+]
+
+
+def test_kernel_and_percent_functions_in_one_batch():
+    ref_rng = make_rng(6)
+    functions = []
+    for special in SPECIAL + BOUNDARY:
+        functions += [loops.random_step_function(ref_rng), special]
+    functions += [loops.random_step_function(ref_rng) for _ in range(20)]
+    assert step_csv_text(StepBatch.of(functions)) == [loops.step_csv_text(f) for f in functions]
+
+
+def in_kernel_range(x):
+    return x == 0.0 or 1e-4 <= abs(x) < 1e17
+
+
+def assert_formatted_as_percent(numbers):
+    """Each number in the kernel's range as ``%.17g`` writes it, and each
+    function of one cell as ``%`` writes it, whichever path it takes."""
+    kernel = [x for x in numbers if in_kernel_range(x)]
+    if kernel:
+        text, ends = _fixed_17g(np.repeat(kernel, 2))
+        assert text == "".join("%.17g,%.17g\n" % (x, x) for x in kernel)
+        assert ends.tolist() == list(accumulate(len("%.17g," % x) for x in np.repeat(kernel, 2)))
+    functions = [step_function([0.0, 1.0], [x]) for x in numbers]
+    assert step_csv_text(StepBatch.of(functions)) == [
+        "edge,value\n0,\n1,%.17g\n" % x for x in numbers]
+
+
+def powers_of_ten_and_neighbours():
+    powers = [float(f"1e{j}") for j in range(-5, 18)]
+    return [y for x in powers for y in (np.nextafter(x, 0.0), x, np.nextafter(x, np.inf))]
+
+
+def decimal_ties():
+    """Doubles ``M * 2**(k - 17)``, M odd, whose 17-digit rounding is an
+    exact tie: ``M * 5**(16 - k) / 2`` is half an odd integer in [1e16, 1e17)."""
+    rng = np.random.default_rng(0)
+    ties = []
+    for k in range(-4, 16):
+        low, high = -(-2 * 10 ** 16 // 5 ** (16 - k)), min(2 * 10 ** 17 // 5 ** (16 - k), 2 ** 53)
+        ties += [(int(m) | 1) * 2.0 ** (k - 17) for m in rng.integers(low, high - 1, 20)]
+    return ties
+
+
+# 0.3 and 0.7 are written with runs of 9s, 0.1 + 0.2 with a run of 0s
+FIXED_NUMBERS = (powers_of_ten_and_neighbours() + decimal_ties()
+                 + [0.0, 1e-4, 1e17, 5e-324, 2.0 ** 60, 0.3, 0.7, 0.1 + 0.2, 2.675,
+                    1.0 - 2.0 ** -53, 99999999999999984.0, 123456789.0, 1.5e300,
+                    1.7976931348623157e308])
+
+
+def test_kernel_equals_percent_on_fixed_numbers():
+    numbers = FIXED_NUMBERS + [-x for x in FIXED_NUMBERS]
+    assert sum(map(in_kernel_range, numbers)) > 300
+    assert_formatted_as_percent(numbers)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                          st.floats(1e-4, 1e17, exclude_max=True),
+                          st.floats(-1e17, -1e-4, exclude_min=True)), min_size=1, max_size=20))
+def test_kernel_equals_percent_on_every_double(numbers):
+    assert_formatted_as_percent(numbers)
 
 
 # --------------------------------------------------------------------------

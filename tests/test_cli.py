@@ -5,6 +5,7 @@ formats, determinism, and the exit-code contract (0 ok, 1 violation, 2
 usage/input error, 3 internal error).
 """
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -21,7 +22,7 @@ from hardylab import cli
 from hardylab.config import default_tolerance
 from hardylab.errors import InvalidParameterError
 from hardylab.grid import read_step_csv, step_function, write_step_csv
-from hardylab.inequalities import RatioReport
+from hardylab.inequalities import RatioReport, ratio_evaluator
 
 
 def child_env():
@@ -63,6 +64,26 @@ def test_verify_is_byte_identical_without_timestamp():
     assert second.returncode == 0
     assert first.stdout == second.stdout
     assert first.stdout.strip(), "expected a JSON report on stdout"
+
+
+# SHA-256 of ``verify --count 1000 --seed 0 --no-timestamp`` stdout, as the
+# per-float ``%.17g`` formatting of each case's CSV text hashed it
+VERIFY_PINS = {
+    ("hardy", "2", "json"): "f23709b26a26968871b17267d7c052be228977e2cef5c9ec3df431a3ddee1d25",
+    ("new_hardy", "1.5", "json"): "de42fc493cbd9dabccd228ac3b44add183998ed40c913218192afd5a2f106f1f",
+    ("rellich_chain", "3", "json"):
+        "0d4bd2df8c47a73736d8f761e239d4f7f5e3eb2be04dda25e2f623d7f3500ae9",
+    ("hardy", "2", "csv"): "a462359d0bc1b97cdfae77c2d5b1b4c2a11e3f56f9e0d82a64b61886a0e93411",
+}
+
+
+@pytest.mark.parametrize("kind, p, fmt", VERIFY_PINS, ids="-".join)
+def test_verify_output_is_pinned(kind, p, fmt, capsys):
+    argv = ["verify", "--kind", kind, "--p", p, "--count", "1000", "--seed", "0",
+            "--format", fmt, "--no-timestamp"]
+    assert cli.main(argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == VERIFY_PINS[kind, p, fmt]
 
 
 def test_verify_json_rows_have_the_advertised_shape():
@@ -180,6 +201,49 @@ def test_bad_parameters_exit_2(args, tmp_path):
 def test_usage_errors_exit_2(args):
     res = run_cli(*args)
     assert res.returncode == 2, f"{args}: rc={res.returncode}"
+
+
+@pytest.mark.parametrize("args", [
+    ("verify", "--kind", "hardy", "--p", "2", "--count", "2"),
+    ("maximize", "--kind", "hardy", "--p", "2", "--iters", "2"),
+    ("rearrange", "--input", "{csv}"),
+])
+def test_unwritable_output_exits_2(args, tmp_path):
+    csv = tmp_path / "in.csv"
+    write_step_csv(step_function([0.0, 1.0], [1.0]), csv)
+    output = tmp_path / "missing" / "out"
+    res = run_cli(*[str(csv) if arg == "{csv}" else arg for arg in args], "--output", str(output))
+    assert res.returncode == 2, res.stderr
+    assert res.stderr.startswith(f"error: cannot write {output}: ")
+    assert len(res.stderr.splitlines()) == 1 and res.stdout == ""
+
+
+def test_unwritable_best_csv_exits_2(tmp_path, capsys):
+    (tmp_path / "probe.best.csv").mkdir()
+    argv = ["maximize", "--kind", "hardy", "--p", "2", "--iters", "2", "--no-timestamp",
+            "--output", str(tmp_path / "probe.json")]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {tmp_path / 'probe.best.csv'}: ")
+    assert len(err.splitlines()) == 1
+
+
+def test_unwritable_violation_dump_exits_2(monkeypatch, tmp_path, capsys):
+    def violating_evaluator(kind, p):
+        def evaluate(f):
+            return [dataclasses.replace(report, ratio=2.0 * report.sharp)
+                    for report in ratio_evaluator(kind, p)(f)]
+        return evaluate
+
+    monkeypatch.setattr(cli, "ratio_evaluator", violating_evaluator)
+    (tmp_path / "report-violation-0.csv").mkdir()
+    argv = ["verify", "--kind", "hardy", "--p", "2", "--count", "1",
+            "--output", str(tmp_path / "report.json")]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {tmp_path / 'report-violation-0.csv'}: ")
+    assert len(err.splitlines()) == 1
+    assert not (tmp_path / "report.json").exists()
 
 
 def test_internal_error_exits_3(monkeypatch, capsys):

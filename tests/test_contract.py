@@ -13,6 +13,7 @@ function's grid reject a batch too.
 
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -213,6 +214,19 @@ def test_random_step_function_needs_a_generator(rng):
 def test_read_step_csv_of_a_non_path_is_a_hardylab_error(path):
     with pytest.raises(HardyLabError):
         read_step_csv(path)
+
+
+@pytest.mark.parametrize("path", [None, 3.5])
+def test_write_step_csv_of_a_non_path_is_an_invalid_parameter(path):
+    with pytest.raises(InvalidParameterError, match="^a CSV path must be a str or path, got "):
+        write_step_csv(F, path)
+
+
+@pytest.mark.parametrize("name", ["missing/f.csv", "."])
+def test_unwritable_csv_path_is_a_hardylab_error_naming_it(tmp_path, name):
+    path = tmp_path / name
+    with pytest.raises(HardyLabError, match=f"^cannot write {re.escape(str(path))}: "):
+        write_step_csv(F, path)
 
 
 def test_valid_pairs_of_the_table_are_accepted():
