@@ -19,11 +19,11 @@ from dataclasses import fields
 from datetime import datetime, timezone
 from pathlib import Path
 
-from .config import check_tolerance, default_tolerance
 from .errors import HardyLabError, InvalidParameterError
 from .generator import make_rng, random_step_function
-from .grid import as_batch, check_exponent, read_step_csv, step_csv_text, write_step_csv
-from .inequalities import REPORT_KINDS, RatioReport, ratio_evaluator
+from .grid import _write_texts, as_batch, check_exponent, read_step_csv, step_csv_text
+from .inequalities import (DEFAULT_TOLERANCE, REPORT_KINDS, RatioReport, check_tolerance,
+                           ratio_evaluator)
 from .rearrange import check_norm_preservation, decreasing_rearrangement
 from .sharpness import (CUTOFF_KINDS, DEFAULT_EPS_LIST, DEFAULT_SWEEP_RESOLUTION,
                         SWEEP_KINDS, CutoffSpec, ratio_maximize, sharpness_sweep)
@@ -45,18 +45,13 @@ def _timestamp() -> str:
     return datetime.now(timezone.utc).isoformat()
 
 
-def _write(path, text: str) -> None:
-    try:
-        Path(path).write_text(text, encoding="utf-8")
-    except OSError as exc:
-        raise HardyLabError(f"cannot write {path}: {exc}") from exc
-
-
-def _emit(text: str, output: str | None) -> None:
-    if output is None:
-        sys.stdout.write(text)
-    else:
-        _write(output, text)
+def _emit(*outputs: tuple) -> None:
+    """Each ``(path, text)`` of a run, a ``None`` path meaning stdout.  The files
+    go first, in one write that leaves none of them and prints nothing if it fails."""
+    _write_texts([out for out in outputs if out[0] is not None])
+    for path, text in outputs:
+        if path is None:
+            sys.stdout.write(text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -71,8 +66,8 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--kind", choices=kinds, required=True, help="inequality kind")
         cmd.add_argument("--p", type=float, required=True, help="Lebesgue exponent (> 1)")
         if tol:
-            cmd.add_argument("--tol", type=float, default=None,
-                             help="relative tolerance (default: HARDYLAB_DEFAULT_TOL or 1e-6)")
+            cmd.add_argument("--tol", type=float, default=DEFAULT_TOLERANCE,
+                             help="relative tolerance (default: 1e-6)")
         cmd.add_argument("--output", default=None, help="output file (default: stdout)")
         if fmt:
             cmd.add_argument("--format", choices=("json", "csv"), default="json",
@@ -119,9 +114,10 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
-def _violation_dump_path(output: str | None, index: int) -> Path:
-    base = Path(output) if output is not None else Path("hardylab-verify")
-    return base.with_name(f"{base.stem}-violation-{index}.csv")
+def _sibling(output: str, ending: str) -> Path:
+    """``output``'s stem and ``ending`` as a file next to it; a nameless path is no error."""
+    base = Path(output)
+    return base.parent / (base.stem + ending)
 
 
 def _json_rows(rows: list[dict]) -> str:
@@ -150,7 +146,7 @@ def _csv_rows(rows: list[dict]) -> str:
 
 
 def cmd_verify(args) -> int:
-    tol = default_tolerance() if args.tol is None else check_tolerance(args.tol, "--tol")
+    tol = check_tolerance(args.tol, "--tol")
     evaluator = ratio_evaluator(args.kind, args.p)
     if args.input is not None:
         cases = as_batch(read_step_csv(args.input))
@@ -159,8 +155,7 @@ def cmd_verify(args) -> int:
             raise InvalidParameterError(f"--count must be >= 1, got {args.count}")
         cases = random_step_function(make_rng(args.seed), args.count)
     timestamp = None if args.no_timestamp else _timestamp()
-    rows = []
-    exit_code = 0
+    rows, dumps, messages = [], [], []
     # one evaluator call for all cases; a case's report does not depend on
     # the batch it is evaluated in
     reports = evaluator(cases)
@@ -173,16 +168,15 @@ def cmd_verify(args) -> int:
             row["timestamp"] = timestamp
         rows.append({**row, **report.to_json_dict(), "violations": violations})
         if violations:
-            exit_code = 1
-            dump = _violation_dump_path(args.output, index)
-            _write(dump, text)
-            print(f"violation in case {index}: {'; '.join(violations)} "
-                  f"(function dumped to {dump})", file=sys.stderr)
-    if args.format == "json":
-        _emit(_json_rows(rows) + "\n", args.output)
-    else:
-        _emit(_csv_rows(rows), args.output)
-    return exit_code
+            dump = _sibling(args.output or "hardylab-verify", f"-violation-{index}.csv")
+            dumps.append((dump, text))
+            messages.append(f"violation in case {index}: {'; '.join(violations)} "
+                            f"(function dumped to {dump})")
+    body = _json_rows(rows) + "\n" if args.format == "json" else _csv_rows(rows)
+    _emit(*dumps, (args.output, body))
+    for message in messages:
+        print(message, file=sys.stderr)
+    return 1 if dumps else 0
 
 
 def cmd_sweep(args) -> int:
@@ -199,9 +193,9 @@ def cmd_sweep(args) -> int:
         doc = result.to_json_dict()
         if not args.no_timestamp:
             doc["timestamp"] = _timestamp()
-        _emit(json.dumps(doc, indent=2) + "\n", args.output)
+        _emit((args.output, json.dumps(doc, indent=2) + "\n"))
     else:
-        _emit(result.to_csv_text(), args.output)
+        _emit((args.output, result.to_csv_text()))
     ok = abs(result.relative_gap) <= gap and all(
         pt.ratio < result.sharp for pt in result.points)
     return 0 if ok else 1
@@ -210,19 +204,16 @@ def cmd_sweep(args) -> int:
 def cmd_rearrange(args) -> int:
     f = read_step_csv(args.input)
     p = check_exponent(args.p)
-    fstar = decreasing_rearrangement(f).step
-    if args.output is None:
-        sys.stdout.write(step_csv_text(fstar))
-    else:
-        write_step_csv(fstar, args.output)
+    _emit((args.output, step_csv_text(decreasing_rearrangement(f).step)))
     before, after = check_norm_preservation(f, p)
     print(f"p-mass before {before:.17g}  after {after:.17g}  (p = {p:g})", file=sys.stderr)
     return 0
 
 
 def cmd_maximize(args) -> int:
-    tol = default_tolerance() if args.tol is None else check_tolerance(args.tol, "--tol")
+    tol = check_tolerance(args.tol, "--tol")
     best, report = ratio_maximize(args.kind, args.p, args.cells, args.seed, args.iters)
+    best_text = step_csv_text(best)
     doc: dict = {
         "command": "maximize",
         "kind": args.kind,
@@ -230,14 +221,13 @@ def cmd_maximize(args) -> int:
         "cells": args.cells,
         "seed": args.seed,
         "iters": args.iters,
-        "best_hash": _input_hash(step_csv_text(best)),
+        "best_hash": _input_hash(best_text),
     }
     if not args.no_timestamp:
         doc["timestamp"] = _timestamp()
     doc.update(report.to_json_dict())
-    _emit(json.dumps(doc, indent=2) + "\n", args.output)
-    if args.output is not None:
-        write_step_csv(best, Path(args.output).with_suffix(".best.csv"))
+    best_csv = [] if args.output is None else [(_sibling(args.output, ".best.csv"), best_text)]
+    _emit((args.output, json.dumps(doc, indent=2) + "\n"), *best_csv)
     violations = report.violations(tol)
     if violations:
         print(f"violation at the best function: {'; '.join(violations)}", file=sys.stderr)

@@ -499,14 +499,22 @@ def _csv_path(path) -> Path:
         raise InvalidParameterError(f"a CSV path must be a str or path, got {path!r}") from None
 
 
+def _write_texts(files: list) -> None:
+    """Write each ``(path, text)`` in turn.  An ``OSError`` removes the files
+    already written and becomes a :class:`HardyLabError` naming the path."""
+    for k, (path, text) in enumerate(files):
+        try:
+            Path(path).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            for done, _ in files[:k]:
+                Path(done).unlink(missing_ok=True)
+            raise HardyLabError(f"cannot write {path}: {exc}") from exc
+
+
 def write_step_csv(f: StepFunction, path) -> None:
     """Write ``f`` to `edge,value` CSV (first row is the origin edge)."""
-    file = _csv_path(path)
-    text = step_csv_text(_step_function(f))
-    try:
-        file.write_text(text, encoding="utf-8")
-    except OSError as exc:
-        raise HardyLabError(f"cannot write {path}: {exc}") from exc
+    _csv_path(path)
+    _write_texts([(path, step_csv_text(_step_function(f)))])
 
 
 _CSV_HEADER = "edge,value\n0,\n"

@@ -45,11 +45,10 @@ from typing import Callable
 
 import numpy as np
 
-from .config import check_tolerance, default_tolerance
 from .errors import (DivergentIntegralError, DoubleRangeError, HardyLabError,
                      InvalidParameterError, ZeroDenominatorError)
 from .grid import (StepBatch, StepFunction, _in_double_range, _step_function, as_batch,
-                   check_exponent, p_norm)
+                   check_exponent, check_real, p_norm)
 from .quadrature import integrate_weighted_power
 from .quadrature import (_cap_interval_ratio, _estimate, _power_tail, _quadrature,  # shared
                          _real_roots, _split_cells)
@@ -78,6 +77,16 @@ class Kind:
     sweep: str | None = None
 
 
+DEFAULT_TOLERANCE = 1e-6  # relative; every contract check defaults to it
+_TINY = float(np.finfo(float).tiny)
+
+
+def check_tolerance(value, name: str) -> float:
+    """``value`` as a float if it is positive and finite; otherwise an
+    :class:`InvalidParameterError` naming its source ``name``."""
+    return check_real(value, name, 0.0)
+
+
 @dataclass(frozen=True)
 class RatioReport:
     """Outcome of one inequality evaluation.
@@ -103,9 +112,9 @@ class RatioReport:
         return dict(vars(self))
 
     def violations(self, tol: float | None = None) -> list[str]:
-        """Contract violations at relative tolerance ``tol`` (default config);
-        an explicit ``tol`` must be a positive finite number."""
-        tol = default_tolerance() if tol is None else check_tolerance(tol, "tol")
+        """Contract violations at relative tolerance ``tol`` (``None``:
+        :data:`DEFAULT_TOLERANCE`); ``tol`` must be a positive finite number."""
+        tol = DEFAULT_TOLERANCE if tol is None else check_tolerance(tol, "tol")
         msgs: list[str] = []
         if self.ratio - self.sharp > tol * self.sharp:
             msgs.append(f"ratio {self.ratio!r} exceeds sharp constant {self.sharp!r}")
@@ -126,16 +135,26 @@ class RatioReport:
         return msgs
 
 
+def _check_normal(name: str, values) -> None:
+    """A :class:`DoubleRangeError` if a value is below the smallest normal
+    double: a mass or integral that underflowed has lost its digits."""
+    low = min(values, default=_TINY)
+    if low < _TINY:
+        raise DoubleRangeError(f"the {name} underflows to {'a subnormal' if low else '0'}; "
+                               "rescale the input")
+
+
 @_in_double_range
 def _evaluate(f: StepBatch, kind: str, p: float) -> list[RatioReport]:
     """The reports of ``kind`` for a batch (``p`` already checked)."""
     spec = KINDS[kind]
     den = p_norm(f, p)
-    if min(den) <= 0.0:
-        if not f.values.any():
-            raise ZeroDenominatorError("input function vanishes identically")
-        raise DoubleRangeError("the p-th power mass underflows to 0; rescale the input")
+    if not f.values.any():
+        raise ZeroDenominatorError("input function vanishes identically")
+    _check_normal("p-th power mass", den)
     num, middle, est = spec.numerator(f, p)
+    _check_normal("numerator", num)
+    _check_normal("middle term", middle or ())
     sharp = spec.sharp(p)
     return [RatioReport(kind, p, n, m, d, sharp, n / d, sharp - n / d, e)
             for n, m, d, e in zip(num, middle or repeat(None), den, est)]
@@ -190,7 +209,7 @@ def _rellich_sharp(p: float) -> float:
         sharp = 0.0
     if sharp == 0.0:
         sharp = (p * p / ((p - 1.0) * (2.0 * p - 1.0))) ** p
-    if sharp < np.finfo(float).tiny:
+    if sharp < _TINY:
         raise DoubleRangeError(f"the Rellich sharp constant at p = {p} underflows")
     return sharp
 

@@ -40,11 +40,13 @@ def _antiderivative(grid: GridBatch, w0, w1, slope) -> PolyBatch:
     return PolyBatch(grid, coeffs, left[grid.ends], slope)
 
 
+@_in_double_range
 def cumulative(f):
     """``F(r) = \\int_0^r f(t) dt``: piecewise affine, constant beyond r_n.
 
     A :class:`PiecewisePoly` for one function, a :class:`PolyBatch` for a
-    :class:`StepBatch`.
+    :class:`StepBatch`.  Here and in the transforms below, a value beyond
+    the double range raises :class:`DoubleRangeError`.
     """
     batch = as_batch(f)
     out = _antiderivative(batch.grid, batch.values, 0.0, np.zeros(len(batch.grid)))
@@ -78,14 +80,16 @@ class _CumulativeReader:
         return left[i] + (s - edges[i]) * values[i]
 
 
+@_in_double_range
 def double_cumulative(f):
     """``D(r) = \\int_0^r \\int_0^t f``: piecewise quadratic, affine beyond r_n."""
     batch = as_batch(f)
-    F = _antiderivative(batch.grid, batch.values, 0.0, np.zeros(len(batch.grid)))
+    F = cumulative(batch)
     out = _antiderivative(batch.grid, F.coeffs[:, 0], batch.values, F.tail_value)
     return out if batch is f else out.one(f.grid)
 
 
+@_in_double_range
 def supmin_candidates(f: StepFunction, r: float) -> list[tuple[float, float]]:
     """Candidate pairs ``(s, |F(s)| / max(r, s))`` whose maximum is ``M f(r)``.
 
@@ -163,6 +167,7 @@ def supmin_pointwise_identity_check(f: StepFunction, r: float, p: float) -> tupl
 # --------------------------------------------------------------------------
 
 
+@_in_double_range
 def supmin_branches(f):
     """Per-cell data describing ``M f`` on cell ``i = 0..n-1``.
 
@@ -174,23 +179,22 @@ def supmin_branches(f):
         ``M f(r) = max( prefix[i] / r, |F(r)| / r, suffix[i] )``
 
     — past peak, local value, or best future edge — and beyond the support
-    ``M f(r) = prefix[n] / r``.  ``F`` at the edges is read off the running
-    sums of :func:`cumulative` (its constant coefficients and tail value).
-    For a :class:`StepBatch` the arrays run over all functions in turn, per
-    edge (``F_edges``, ``prefix``) or per cell (``suffix``).
+    ``M f(r) = prefix[n] / r``.  ``F`` at the edges is the running sum of
+    ``values * widths``, as in :func:`_cumulative_edges`: the floats of
+    :func:`cumulative` but for the sign of a zero.  For a :class:`StepBatch`
+    the arrays run over all functions in turn, per edge (``F_edges``,
+    ``prefix``) or per cell (``suffix``).
     """
     batch = as_batch(f)
-    F = cumulative(batch)
     grid = batch.grid
-    F_edges = np.empty(grid.edges.size)
-    F_edges[grid.left] = F.coeffs[:, 0]
-    F_edges[grid.ends] = F.tail_value
+    F_edges = _running_sum(batch.values * grid.widths, grid.offsets)
     absF = np.abs(F_edges)
     prefix = _running_max(absF, grid.offsets + np.arange(len(grid) + 1))
     suffix = _running_max(absF[grid.right] / grid.b, grid.offsets, reverse=True)
     return F_edges, prefix, suffix
 
 
+@_in_double_range
 def inner_cumulative(f):
     """Exact ``G(r) = \\int_0^r rellich_inner(f, tau) dtau``.
 

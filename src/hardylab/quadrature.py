@@ -30,7 +30,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DivergentIntegralError, InvalidParameterError
+from .errors import DivergentIntegralError, DoubleRangeError, InvalidParameterError
 from .grid import (GridBatch, PiecewisePoly, PolyBatch, _fsums, _in_double_range, check_exponent,
                    check_real)
 
@@ -188,7 +188,8 @@ def _quadrature(integrand, lo, hi, bounds, *columns, gamma: float = 0.0):
     matrices.  The result holds, for each matrix, the pair (fine, coarse) of
     lists of per-function totals.  ``einsum`` adds each row in the same order
     whatever the matrix shape (BLAS ``gemv`` does not), so no total depends
-    on the batch or the chunking.
+    on the batch or the chunking.  A total that is not finite (a node next to
+    a subnormal edge can round to 0) raises :class:`DoubleRangeError`.
     """
     nodes, rules = _rule(gamma)
     terms = None
@@ -199,14 +200,18 @@ def _quadrature(integrand, lo, hi, bounds, *columns, gamma: float = 0.0):
         r = half[:, None] * nodes
         r += 0.5 * (c_hi + c_lo)[:, None]
         scale = half ** (gamma + 1.0) if gamma else half
-        parts = [(np.einsum("ij,j->i", v[:, i:j], w) * scale).tolist()
-                 for v in integrand(r, *[col[s:e] for col in columns]) for i, j, w in rules]
+        # a division by a node at 0 gives inf or NaN, which the check below reports
+        with np.errstate(divide="ignore", invalid="ignore"):
+            parts = [(np.einsum("ij,j->i", v[:, i:j], w) * scale).tolist()
+                     for v in integrand(r, *[col[s:e] for col in columns]) for i, j, w in rules]
         if terms is None:
             terms = parts
         else:
             for acc, part in zip(terms, parts):
                 acc += part
     sums = [_fsums(t, bounds) for t in terms]
+    if not all(math.isfinite(x) for total in sums for x in total):
+        raise DoubleRangeError("a quadrature total leaves the double range; rescale the input")
     return [sums[k:k + 2] for k in range(0, len(sums), 2)]
 
 

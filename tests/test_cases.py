@@ -9,6 +9,7 @@ output bytes, on the passing path and on the exit-1 (violation) path.
 import dataclasses
 import json
 from itertools import accumulate
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,10 +18,9 @@ from hypothesis import strategies as st
 
 import case_loops as loops
 from hardylab import StepBatch, StepFunction, cli, make_rng, random_step_function, step_function
-from hardylab.config import default_tolerance
 from hardylab.errors import InvalidParameterError
 from hardylab.grid import GridBatch, _fixed_17g, as_batch, step_csv_text
-from hardylab.inequalities import KINDS, REPORT_KINDS, ratio_evaluator
+from hardylab.inequalities import DEFAULT_TOLERANCE, KINDS, REPORT_KINDS, ratio_evaluator
 from test_cli import run_cli
 
 TIMESTAMP = "2026-01-01T00:00:00+00:00"
@@ -239,7 +239,7 @@ def test_verify_csv_of_every_kind_equals_per_field_formatting(kind, capsys):
     ref_rng = make_rng(5)
     cases = [loops.random_step_function(ref_rng) for _ in range(12)]
     reports = ratio_evaluator(kind, p)(StepBatch.of(cases))
-    rows = loops.verify_rows(cases, reports, default_tolerance(), None)
+    rows = loops.verify_rows(cases, reports, DEFAULT_TOLERANCE, None)
     assert out == loops.verify_csv(rows)
     middles = {row["middle"] is None for row in rows}
     assert middles == {kind not in ("rellich_chain", "new_hardy", "improved_hardy_rellich")}
@@ -282,7 +282,7 @@ def test_verify_violations_exit_1_with_unchanged_output(fmt, timestamp, monkeypa
     ref_rng = make_rng(2)
     cases = [loops.random_step_function(ref_rng) for _ in range(8)]
     reports = violating_evaluator("new_hardy", 2.0)(StepBatch.of(cases))
-    rows = loops.verify_rows(cases, reports, default_tolerance(), timestamp)
+    rows = loops.verify_rows(cases, reports, DEFAULT_TOLERANCE, timestamp)
     assert [len(row["violations"]) for row in rows] == [0, 0, 0, 1, 0, 2, 0, 0]
     assert out == (loops.verify_json(rows) if fmt == "json" else loops.verify_csv(rows))
 
@@ -296,6 +296,23 @@ def test_verify_violations_exit_1_with_unchanged_output(fmt, timestamp, monkeypa
         assert text == step_csv_text(cases[index]) == loops.step_csv_text(cases[index])
     assert sorted(p.name for p in tmp_path.iterdir()) == [
         f"hardylab-verify-violation-{index}.csv" for index in VIOLATING]
+
+
+@pytest.mark.parametrize("output", ["report", "."])
+def test_an_unwritable_report_leaves_no_violation_dump(output, monkeypatch, tmp_path, capsys):
+    """The dumps are written with the report, and removed when it cannot be
+    written (here ``--output`` is a directory); no violation line either.
+    ``.`` has no name to derive the dump names from, which is no internal error."""
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "ratio_evaluator", violating_evaluator)
+    Path(output).mkdir(exist_ok=True)
+    argv = ["verify", "--kind", "new_hardy", "--p", "2", "--count", "8", "--seed", "2",
+            "--output", output]
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error: cannot write {output}: ")
+    assert len(err.splitlines()) == 1
+    assert [path.name for path in tmp_path.iterdir()] == ([] if output == "." else [output])
 
 
 # --------------------------------------------------------------------------

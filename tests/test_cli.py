@@ -19,7 +19,6 @@ import pytest
 
 import hardylab
 from hardylab import cli
-from hardylab.config import default_tolerance
 from hardylab.errors import InvalidParameterError
 from hardylab.grid import read_step_csv, step_function, write_step_csv
 from hardylab.inequalities import RatioReport, ratio_evaluator
@@ -259,6 +258,27 @@ def test_internal_error_exits_3(monkeypatch, capsys):
     assert "Traceback" in err and "RuntimeError: simulated bug" in err
 
 
+def test_an_unwritable_best_csv_leaves_no_report(tmp_path, capsys):
+    """maximize writes its report and ``.best.csv`` together: an exit 2 on
+    one leaves neither."""
+    (tmp_path / "probe.best.csv").mkdir()
+    argv = ["maximize", "--kind", "hardy", "--p", "2", "--iters", "2", "--no-timestamp",
+            "--output", str(tmp_path / "probe.json")]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().out == ""
+    assert [path.name for path in tmp_path.iterdir()] == ["probe.best.csv"]
+
+
+def test_a_nan_report_exits_2(tmp_path):
+    """An edge at the smallest subnormal makes the sup-min quadrature 0 / 0:
+    one error line, not a NaN report (invalid JSON) that passes."""
+    path = tmp_path / "subnormal-edge.csv"
+    path.write_text("edge,value\n0,\n5e-324,1\n1,1\n", encoding="utf-8")
+    res = run_cli("verify", "--kind", "new_hardy", "--p", "2", "--input", str(path))
+    assert res.returncode == 2 and res.stdout == ""
+    assert res.stderr.startswith("error: ") and len(res.stderr.splitlines()) == 1
+
+
 def test_malformed_csv_input_exits_2(tmp_path):
     path = tmp_path / "broken.csv"
     path.write_text("edge,value\n0,\nnot-a-number,1\n", encoding="utf-8")
@@ -472,32 +492,43 @@ def test_maximize_exits_1_on_any_violation(monkeypatch, capsys):
 
 
 # --------------------------------------------------------------------------
-# tolerance configuration
+# tolerance
 # --------------------------------------------------------------------------
 
 
-def test_env_tolerance_must_be_a_number():
-    res = run_cli("verify", "--kind", "hardy", "--p", "2", "--count", "1",
-                  env_extra={"HARDYLAB_DEFAULT_TOL": "abc"})
-    assert res.returncode == 2
-    assert "HARDYLAB_DEFAULT_TOL" in res.stderr
+def test_environment_cannot_move_a_verdict(monkeypatch, tmp_path, capsys):
+    """The default tolerance is the constant 1e-6: an environment variable
+    that once replaced it, to a loose or a malformed value, changes no exit
+    code, output byte or dumped file."""
+    def planted_evaluator(kind, p):
+        # case 1 a hundredth above the sharp constant
+        def evaluate(f):
+            reports = ratio_evaluator(kind, p)(f)
+            reports[1] = dataclasses.replace(reports[1], ratio=1.01 * reports[1].sharp)
+            return reports
+        return evaluate
 
+    def runs():
+        results = []
+        for evaluator in (ratio_evaluator, planted_evaluator):
+            monkeypatch.setattr(cli, "ratio_evaluator", evaluator)
+            rc = cli.main(["verify", "--kind", "hardy", "--p", "2", "--count", "3",
+                           "--no-timestamp"])
+            files = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+            for path in tmp_path.iterdir():
+                path.unlink()
+            results.append((rc, *capsys.readouterr(), files))
+        return results
 
-def test_env_tolerance_accepts_a_loose_value():
-    res = run_cli("verify", "--kind", "hardy", "--p", "2", "--count", "2",
-                  "--seed", "4", "--no-timestamp",
-                  env_extra={"HARDYLAB_DEFAULT_TOL": "0.5"})
-    assert res.returncode == 0, res.stderr
-
-
-def test_default_tolerance_env_override(monkeypatch):
+    monkeypatch.chdir(tmp_path)
     monkeypatch.delenv("HARDYLAB_DEFAULT_TOL", raising=False)
-    assert default_tolerance() == 1e-6
-    monkeypatch.setenv("HARDYLAB_DEFAULT_TOL", "0.25")
-    assert default_tolerance() == 0.25
-    monkeypatch.setenv("HARDYLAB_DEFAULT_TOL", "-1")
-    with pytest.raises(InvalidParameterError):
-        default_tolerance()
+    expected = runs()
+    assert [result[0] for result in expected] == [0, 1]
+    for value in ("0.5", "abc"):
+        monkeypatch.setenv("HARDYLAB_DEFAULT_TOL", value)
+        assert runs() == expected
+        report = hardylab.hardy_ratio(step_function([0.0, 1.0], [1.0]), 2.0)
+        assert dataclasses.replace(report, ratio=1.25 * report.sharp).violations()
 
 
 def test_runs_do_not_import_numpy_ma():

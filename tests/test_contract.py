@@ -52,9 +52,8 @@ from hardylab import (
     weighted_supmin_check,
     write_step_csv,
 )
-from hardylab.config import check_tolerance
 from hardylab.grid import as_batch, check_real, step_csv_text
-from hardylab.inequalities import hardy_ratio
+from hardylab.inequalities import check_tolerance, hardy_ratio
 from hardylab.operators import (cumulative, double_cumulative, inner_cumulative, maxform_value,
                                 rellich_inner, supmin_branches, supmin_candidates,
                                 supmin_pointwise_identity_check, supmin_transform)

@@ -629,6 +629,58 @@ def test_an_underflowing_mass_is_not_a_zero_function(kind, value):
         ratio_evaluator(kind, 2.0)(f)
 
 
+@pytest.mark.parametrize("f", [
+    step_function([0.0, 1e-300, 1e-299], [0.0, 1e-10]),   # mass 9e-320
+    step_function([0.0, 1.0, 10.0], [0.0, 1e-160]),       # mass 9e-320
+    step_function([0.0, 1e10, 1e10 + 1.0], [0.0, 2e-154]),  # mass 4e-308, numerator 4e-318
+], ids=["tiny-cells", "tiny-value", "tiny-numerator"])
+@pytest.mark.parametrize("kind", REPORT_KINDS)
+def test_a_subnormal_mass_or_integral_is_a_range_error(kind, f):
+    """A subnormal has lost digits: the first two read hardy 0.588 and
+    new_hardy 0.900 where their rescaled copy reads 1.488 and 1.800, and the
+    third reads new_hardy 1e-10 where 2e-10 is right."""
+    with pytest.raises(DoubleRangeError, match="underflows to a subnormal; rescale the input"):
+        ratio_evaluator(kind, 2.0)(f)
+
+
+@pytest.mark.parametrize("kind", REPORT_KINDS)
+def test_the_smallest_normal_masses_keep_their_ratio(kind):
+    """Value 1e-154 on (1, 10]: mass 9e-308, just above the smallest normal,
+    and the ratio of the same function with value 1."""
+    report = ratio_evaluator(kind, 2.0)(step_function([0.0, 1.0, 10.0], [0.0, 1e-154]))
+    scaled = ratio_evaluator(kind, 2.0)(step_function([0.0, 1.0, 10.0], [0.0, 1.0]))
+    assert report.ratio == pytest.approx(scaled.ratio, rel=1e-14)
+    if kind == "hardy":
+        assert report.ratio == pytest.approx(1.4883144237791, rel=1e-13)
+
+
+# f = 1 on (0, 1] with an edge at the smallest subnormal: the Gauss nodes of
+# the doubling intervals next to it round to 0, where the sup-min integrand
+# is 0 / 0
+SUBNORMAL_EDGE = step_function([0.0, 5e-324, 1.0], [1.0, 1.0])
+
+
+@pytest.mark.parametrize("check", [
+    lambda f: new_hardy_ratio(f, 2.0), improved_hardy_rellich_ratio,
+    lambda f: weighted_supmin_check(f, 2.0), lambda f: corollary_int_check(f, 2.0),
+], ids=["new_hardy", "improved_hardy_rellich", "weighted_supmin_check", "corollary_int_check"])
+def test_a_node_rounding_to_0_is_a_range_error(check):
+    """Not a NaN report that passes its contract, and no RuntimeWarning
+    (which pytest makes an error)."""
+    with pytest.raises(DoubleRangeError, match="quadrature total"):
+        check(SUBNORMAL_EDGE)
+
+
+@pytest.mark.parametrize("kind", ["hardy", "new_hardy"])
+def test_an_overflowing_gauss_sum_is_a_range_error(kind):
+    """f = 1e154 on (0, 1]: the integrand is 1e308 at every node, and the
+    weighted node sum overflows inside ``einsum``, which raises no
+    floating-point error.  Not hardy's false DivergentIntegralError, nor
+    new_hardy's ratio of inf."""
+    with pytest.raises(DoubleRangeError, match="quadrature total"):
+        ratio_evaluator(kind, 2.0)(step_function([0.0, 1.0], [1e154]))
+
+
 # ---------------------------------------------------------------------------
 # Kind dispatch
 # ---------------------------------------------------------------------------

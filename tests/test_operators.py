@@ -338,6 +338,24 @@ def test_radii_far_past_the_support_end_do_not_overflow():
     assert rellich_inner(f, r) == r * (11.0 / r)
 
 
+# F leaves the double range: 2e308 at r = 2, and 1e310 at r = 1e300
+OVERFLOWING = {"two-1e308-cells": step_function([0.0, 1.0, 2.0], [1e308, 1e308]),
+               "1e310-mass": step_function([0.0, 1e300, 1e308], [1e10, 1.0])}
+
+
+@pytest.mark.parametrize("transform", [
+    lambda f: supmin_transform(f, 1.5), lambda f: rellich_inner(f, 1.5),
+    lambda f: supmin_candidates(f, 1.5), cumulative, double_cumulative, inner_cumulative,
+    supmin_branches,
+], ids=["supmin_transform", "rellich_inner", "supmin_candidates", "cumulative",
+        "double_cumulative", "inner_cumulative", "supmin_branches"])
+@pytest.mark.parametrize("f", OVERFLOWING.values(), ids=OVERFLOWING)
+def test_an_overflowing_F_is_a_range_error(f, transform):
+    """As from maxform_value: not an inf, nor a RuntimeWarning (an error
+    here) followed by an InvalidParameterError about an inf tail value."""
+    with pytest.raises(DoubleRangeError):
+        transform(f)
+
 # ---------------------------------------------------------------------------
 # Branch decomposition (shared by the integral evaluators)
 # ---------------------------------------------------------------------------
@@ -363,8 +381,8 @@ def test_supmin_branches_reproduce_transform():
 
 
 def test_supmin_branches_take_F_from_the_running_sums():
-    # F at the edges is cumulative's constant coefficients plus its tail
-    # value; it must equal evaluating F on its own edges
+    # F at the edges is the running sum of values * widths; it must equal
+    # evaluating cumulative's F on its own edges
     rng = make_rng(2025)
     for _ in range(300):
         f = random_step_function(rng)
