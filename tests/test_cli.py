@@ -496,39 +496,68 @@ def test_maximize_exits_1_on_any_violation(monkeypatch, capsys):
 # --------------------------------------------------------------------------
 
 
-def test_environment_cannot_move_a_verdict(monkeypatch, tmp_path, capsys):
-    """The default tolerance is the constant 1e-6: an environment variable
-    that once replaced it, to a loose or a malformed value, changes no exit
-    code, output byte or dumped file."""
+def _verify_runs(monkeypatch, tmp_path, capsys):
+    """Exit code, stdout, stderr and dumped files of ``verify --count 3``,
+    run as it is and with case 1 planted a hundredth above the sharp
+    constant."""
     def planted_evaluator(kind, p):
-        # case 1 a hundredth above the sharp constant
         def evaluate(f):
             reports = ratio_evaluator(kind, p)(f)
             reports[1] = dataclasses.replace(reports[1], ratio=1.01 * reports[1].sharp)
             return reports
         return evaluate
 
-    def runs():
-        results = []
-        for evaluator in (ratio_evaluator, planted_evaluator):
-            monkeypatch.setattr(cli, "ratio_evaluator", evaluator)
-            rc = cli.main(["verify", "--kind", "hardy", "--p", "2", "--count", "3",
-                           "--no-timestamp"])
-            files = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
-            for path in tmp_path.iterdir():
-                path.unlink()
-            results.append((rc, *capsys.readouterr(), files))
-        return results
-
     monkeypatch.chdir(tmp_path)
+    results = []
+    for evaluator in (ratio_evaluator, planted_evaluator):
+        monkeypatch.setattr(cli, "ratio_evaluator", evaluator)
+        rc = cli.main(["verify", "--kind", "hardy", "--p", "2", "--count", "3",
+                       "--no-timestamp"])
+        files = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+        for path in tmp_path.iterdir():
+            path.unlink()
+        results.append((rc, *capsys.readouterr(), files))
+    return results
+
+
+def test_env_tolerance_must_be_a_number(monkeypatch, tmp_path, capsys):
+    """A tolerance must be a positive finite number where it is given,
+    ``--tol`` or ``violations(tol)``; ``HARDYLAB_DEFAULT_TOL``, which once
+    gave it, is not read, so a malformed value there changes no exit code,
+    output byte or dumped file."""
     monkeypatch.delenv("HARDYLAB_DEFAULT_TOL", raising=False)
-    expected = runs()
+    expected = _verify_runs(monkeypatch, tmp_path, capsys)
     assert [result[0] for result in expected] == [0, 1]
-    for value in ("0.5", "abc"):
+    monkeypatch.setenv("HARDYLAB_DEFAULT_TOL", "abc")
+    assert _verify_runs(monkeypatch, tmp_path, capsys) == expected
+    assert cli.main(["verify", "--kind", "hardy", "--p", "2", "--count", "1",
+                     "--tol", "abc"]) == 2
+    report = hardylab.hardy_ratio(step_function([0.0, 1.0], [1.0]), 2.0)
+    with pytest.raises(InvalidParameterError):
+        report.violations("abc")
+
+
+def test_env_tolerance_accepts_a_loose_value(monkeypatch, tmp_path, capsys):
+    """A loose ``HARDYLAB_DEFAULT_TOL`` is no error, and it forgives no
+    violation: the planted case still exits 1, byte for byte as without it."""
+    monkeypatch.delenv("HARDYLAB_DEFAULT_TOL", raising=False)
+    expected = _verify_runs(monkeypatch, tmp_path, capsys)
+    monkeypatch.setenv("HARDYLAB_DEFAULT_TOL", "0.5")
+    assert _verify_runs(monkeypatch, tmp_path, capsys) == expected
+    assert expected[1][0] == 1
+
+
+def test_default_tolerance_env_override(monkeypatch):
+    """The default tolerance is the constant ``DEFAULT_TOLERANCE``; the
+    environment overrides it neither way."""
+    assert hardylab.DEFAULT_TOLERANCE == 1e-6
+    report = hardylab.hardy_ratio(step_function([0.0, 1.0], [1.0]), 2.0)
+    above = dataclasses.replace(report, ratio=(1 + 1e-3) * report.sharp)
+    within = dataclasses.replace(report, ratio=(1 + 1e-7) * report.sharp)
+    for value in ("0.25", "-1", "1e-9"):
         monkeypatch.setenv("HARDYLAB_DEFAULT_TOL", value)
-        assert runs() == expected
-        report = hardylab.hardy_ratio(step_function([0.0, 1.0], [1.0]), 2.0)
-        assert dataclasses.replace(report, ratio=1.25 * report.sharp).violations()
+        assert above.violations() and above.violations() == above.violations(1e-6)
+        assert within.violations() == []
 
 
 def test_runs_do_not_import_numpy_ma():
