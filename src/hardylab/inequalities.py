@@ -50,8 +50,8 @@ from .errors import (DivergentIntegralError, DoubleRangeError, HardyLabError,
 from .grid import (StepBatch, StepFunction, _in_double_range, _step_function, as_batch,
                    check_exponent, check_real, p_norm)
 from .quadrature import integrate_weighted_power
-from .quadrature import (_cap_interval_ratio, _estimate, _power_tail, _quadrature,  # shared
-                         _real_roots, _split_cells)
+from .quadrature import (_cap_interval_ratio, _power_tail, _quadrature, _real_roots,  # shared
+                         _split_cells, _totals)
 from .operators import (_cumulative_edges, cumulative, double_cumulative, inner_cumulative,
                         supmin_branches)
 from .rearrange import decreasing_rearrangement
@@ -190,10 +190,31 @@ def _rellich_chain(f: StepBatch, p: float):
 
 
 def _supmin(f: StepBatch, p: float):
-    """``\\int (M f)^p dr``, with the classical numerator on the same nodes
-    (always a lower bound) as ``middle``."""
-    (num, coarse), (classic, _) = _supmin_integrals(f, p)
-    return num, classic, [_estimate(a, b) for a, b in zip(num, coarse)]
+    """``\\int (M f)^p dr``, with the classical numerator on the same nodes as
+    ``middle``: ``(|F|/r)^p <= (M f)^p`` holds to rounding.  The sup-min
+    integral is also the corollary_int_check lhs: the two-branch max form is
+    ``(M f)^p`` bit for bit (see there)."""
+    def integrand(r, a, u, v, mp, sb):
+        # in place where possible: the matrices are the large arrays
+        absF = r - a[:, None]
+        absF *= v[:, None]
+        absF += u[:, None]
+        np.abs(absF, out=absF)                                  # |F(r)|
+        classic = np.divide(absF, r, out=absF)
+        supmin = np.divide(mp[:, None], r)
+        np.maximum(supmin, classic, out=supmin)
+        np.maximum(supmin, sb[:, None], out=supmin)             # M f(r)
+        return [np.power(supmin, p, out=supmin), np.power(classic, p, out=classic)]
+
+    (lo, hi, *columns), bounds, peak, F_end = _supmin_rows(f)
+    supmin, classic = _quadrature(integrand, lo, hi, bounds, *columns)
+    # beyond the support M f(r) = peak / r and F is constant
+    ends = f.grid.edges[f.grid.ends].tolist()
+    beyond = [_power_tail(top, R, -p, p) for top, R in zip(peak, ends)]
+    classic_beyond = [_power_tail(end, R, -p, p) for end, R in zip(F_end, ends)]
+    num, est = _totals(supmin, (beyond, beyond))
+    middle, _ = _totals(classic, (classic_beyond, classic_beyond))
+    return num, middle, est
 
 
 def _hardy_sharp(p: float) -> float:
@@ -337,37 +358,6 @@ def _supmin_rows(f):
     return rows, bounds, prefix[grid.ends].tolist(), F_edges[grid.ends].tolist()
 
 
-def _supmin_integrals(f, p: float):
-    """The sup-min and the classical p-th power integrals over ``(0, inf)``,
-    each a pair (fine, coarse rule) of per-function lists.
-
-    Both share nodes, so classical ``(|F|/r)^p <= (M f)^p`` holds to
-    rounding.  The sup-min integral is also the corollary_int_check lhs:
-    the two-branch max form is ``(M f)^p`` bit for bit (see there).
-    """
-    def integrand(r, a, u, v, mp, sb):
-        # in place where possible: the matrices are the large arrays
-        absF = r - a[:, None]
-        absF *= v[:, None]
-        absF += u[:, None]
-        np.abs(absF, out=absF)                                  # |F(r)|
-        classic = np.divide(absF, r, out=absF)
-        supmin = np.divide(mp[:, None], r)
-        np.maximum(supmin, classic, out=supmin)
-        np.maximum(supmin, sb[:, None], out=supmin)             # M f(r)
-        return [np.power(supmin, p, out=supmin), np.power(classic, p, out=classic)]
-
-    f = as_batch(f)
-    (lo, hi, *columns), bounds, peak, F_end = _supmin_rows(f)
-    sums = _quadrature(integrand, lo, hi, bounds, *columns)
-    # beyond the support M f(r) = peak / r and F is constant
-    ends = f.grid.edges[f.grid.ends].tolist()
-    tails = ([_power_tail(top, R, -p, p) for top, R in zip(peak, ends)],
-             [_power_tail(end, R, -p, p) for end, R in zip(F_end, ends)])
-    return [[[s + t for s, t in zip(rule, tail)] for rule in rules]
-            for rules, tail in zip(sums, tails)]
-
-
 @_in_double_range
 def weighted_supmin_check(f: StepFunction, p: float) -> tuple[float, float]:
     """``\\int (M f)^p dr`` against ``\\int |F*(r)/r|^p dr`` (rearranged side).
@@ -393,7 +383,10 @@ def corollary_int_check(f: StepFunction, p: float) -> tuple[float, float]:
     sharp multiple of its denominator.
     """
     report = new_hardy_ratio(_step_function(f), p)
-    return report.numerator, report.sharp * report.denominator
+    rhs = report.sharp * report.denominator
+    if not math.isfinite(rhs):  # a product of Python floats: no np.errstate sees it
+        raise DoubleRangeError("the right-hand side leaves the double range; rescale the input")
+    return report.numerator, rhs
 
 
 # --------------------------------------------------------------------------
@@ -451,8 +444,9 @@ def _running_average_maxform_integral(f: StepFunction, p: float) -> float:
         np.maximum(top, sb[:, None], out=top)
         return [np.power(top, p, out=top)]
 
-    ((body, _),) = _quadrature(integrand, lo, hi, bounds, *(c[piece] for c in (a, u, v, mp, sb)))
-    return float(body[0] + _power_tail(prefix[-1], f.grid.support_end, -p, p))
+    (body,) = _quadrature(integrand, lo, hi, bounds, *(c[piece] for c in (a, u, v, mp, sb)))
+    tail = [float(_power_tail(prefix[-1], f.grid.support_end, -p, p))]
+    return _totals(body, (tail, tail))[0][0]
 
 
 @_in_double_range
@@ -475,4 +469,6 @@ def corollary_avg_check(f: StepFunction, p: float) -> tuple[float, float]:
     lhs = _running_average_maxform_integral(f, p)
     rhs = sharp_constant("hardy", p) * 2.0 ** (p - 1.0) * (
         _power_moment(f, p, -p) + _power_moment(f, p, 1.0 - 2.0 * p) / (2.0 * p - 1.0))
+    if not math.isfinite(rhs):  # as in corollary_int_check
+        raise DoubleRangeError("the right-hand side leaves the double range; rescale the input")
     return lhs, rhs

@@ -17,7 +17,10 @@ whole-array numpy operations; they equal, bit for bit, those of the
 per-cell loop kept in ``tests/interval_loops.py``.  Each integral job is
 done in one place, shared with :mod:`hardylab.inequalities`: one Gauss
 routine, :func:`_quadrature`, for the body, the sloped tails and the sup-min
-integrals, and one closed form, :func:`_power_tail`, for every constant tail.
+integrals, one closed form, :func:`_power_tail`, for every constant tail,
+and one sum, :func:`_totals`, that adds body and tail, checks the range and
+forms the estimate.  :class:`DivergentIntegralError` means divergence only,
+decided before any quadrature runs (the order at 0, the decay of the tail).
 
 The rule is fixed: :data:`QUAD_ORDER` (16) nodes per interval; the error
 indicator compares it with the half-order rule, evaluated in the same pass.
@@ -188,11 +191,11 @@ def _quadrature(integrand, lo, hi, bounds, *columns, gamma: float = 0.0):
     matrices.  The result holds, for each matrix, the pair (fine, coarse) of
     lists of per-function totals.  ``einsum`` adds each row in the same order
     whatever the matrix shape (BLAS ``gemv`` does not), so no total depends
-    on the batch or the chunking.  A total that is not finite (a node next to
-    a subnormal edge can round to 0) raises :class:`DoubleRangeError`.
+    on the batch or the chunking.  The totals are not checked here: a node
+    next to a subnormal edge can round to 0, and :func:`_totals` reports it.
     """
     nodes, rules = _rule(gamma)
-    terms = None
+    chunks = []
     for s in range(0, max(lo.size, 1), _NODE_CHUNK):
         e = s + _NODE_CHUNK
         c_lo, c_hi = lo[s:e], hi[s:e]
@@ -200,19 +203,28 @@ def _quadrature(integrand, lo, hi, bounds, *columns, gamma: float = 0.0):
         r = half[:, None] * nodes
         r += 0.5 * (c_hi + c_lo)[:, None]
         scale = half ** (gamma + 1.0) if gamma else half
-        # a division by a node at 0 gives inf or NaN, which the check below reports
+        # a division by a node at 0 gives inf or NaN, which _totals reports
         with np.errstate(divide="ignore", invalid="ignore"):
-            parts = [(np.einsum("ij,j->i", v[:, i:j], w) * scale).tolist()
-                     for v in integrand(r, *[col[s:e] for col in columns]) for i, j, w in rules]
-        if terms is None:
-            terms = parts
-        else:
-            for acc, part in zip(terms, parts):
-                acc += part
-    sums = [_fsums(t, bounds) for t in terms]
-    if not all(math.isfinite(x) for total in sums for x in total):
-        raise DoubleRangeError("a quadrature total leaves the double range; rescale the input")
+            chunks.append([np.einsum("ij,j->i", v[:, i:j], w) * scale for v in
+                           integrand(r, *[col[s:e] for col in columns]) for i, j, w in rules])
+    sums = [_fsums(np.concatenate(parts).tolist(), bounds) for parts in zip(*chunks)]
     return [sums[k:k + 2] for k in range(0, len(sums), 2)]
+
+
+def _totals(body, tail):
+    """``(values, estimates)`` of the totals body + tail, both pairs (fine, coarse
+    rule) of per-function lists: the fine total, and its distance to the coarse
+    one floored at 32 ulps of both (scaled before the sum, so it cannot
+    overflow).  An estimate that is not finite (it is not where a total is not)
+    raises :class:`DoubleRangeError`."""
+    values, estimates = [], []
+    for fine, coarse, fine_tail, coarse_tail in zip(*body, *tail):
+        fine, coarse = fine + fine_tail, coarse + coarse_tail
+        values.append(fine)
+        estimates.append(abs(fine - coarse) + (32.0 * _EPS * abs(fine) + 32.0 * _EPS * abs(coarse)))
+    if not all(map(math.isfinite, estimates)):
+        raise DoubleRangeError("a quadrature total leaves the double range; rescale the input")
+    return values, estimates
 
 
 def _fused_power(r, vals, alpha: float, p: float) -> np.ndarray:
@@ -329,18 +341,14 @@ def _check_origin_convergence(P: PolyBatch, alpha: float, p: float) -> list:
     return orders
 
 
-def _estimate(fine: float, coarse: float) -> float:
-    """Error indicator: fine against coarse value, floored at 32 ulps of both."""
-    return abs(fine - coarse) + 32.0 * _EPS * (abs(fine) + abs(coarse))
-
-
 @_in_double_range
 def integrate_weighted_power(P, alpha: float, p: float, *, return_estimate: bool = False):
     """``\\int_0^\\infty r^alpha |P(r)|^p dr``.
 
     ``P`` is one :class:`PiecewisePoly` (floats back) or a
     :class:`PolyBatch` (lists back, one float per function).  Divergence at
-    either end raises :class:`DivergentIntegralError`.  With
+    either end raises :class:`DivergentIntegralError`; a value or estimate
+    beyond the double range, :class:`DoubleRangeError`.  With
     ``return_estimate=True`` the result is a pair ``(value, estimate)``
     where ``estimate`` compares the value against the half-order rule on
     the same intervals; it is an observed error indicator, not a rigorous
@@ -352,12 +360,7 @@ def integrate_weighted_power(P, alpha: float, p: float, *, return_estimate: bool
     orders = _check_origin_convergence(batch, alpha, p)
     lo, hi, x0, coefs, bounds = _cell_intervals(batch, alpha)
     body = _power_sums(lo, hi, bounds, x0, coefs, alpha, p, orders)
-    tails = _tail_integrals(batch, alpha, p)
-    value, coarse = [[b + t for b, t in zip(*parts)] for parts in zip(body, tails)]
-    for totals in (value, coarse):
-        if not all(map(math.isfinite, totals)):
-            raise DivergentIntegralError("quadrature produced a non-finite value")
+    value, estimate = _totals(body, _tail_integrals(batch, alpha, p))
     if not return_estimate:
         return value if batch is P else value[0]
-    estimate = [_estimate(v, c) for v, c in zip(value, coarse)]
     return (value, estimate) if batch is P else (value[0], estimate[0])

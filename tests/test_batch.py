@@ -7,7 +7,6 @@ whatever the batch order or split.  numpy warnings are errors here:
 overflow must surface as ``DoubleRangeError``.
 """
 
-import json
 import struct
 
 import numpy as np
@@ -22,7 +21,7 @@ from hardylab.inequalities import _supmin_rows
 from hardylab.operators import cumulative, double_cumulative, inner_cumulative, supmin_branches
 from hardylab.quadrature import _cell_intervals, integrate_weighted_power
 from hardylab.sharpness import _MAXIMIZE_R_MIN
-from test_cli import run_cli
+from test_cli import run_cli, strict_json
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
@@ -206,7 +205,7 @@ def test_verify_rows_do_not_depend_on_count():
     few = run_cli(*args, "--count", "7")
     many = run_cli(*args, "--count", "100")
     assert few.returncode == many.returncode == 0, few.stderr + many.stderr
-    assert json.loads(few.stdout) == json.loads(many.stdout)[:7]
+    assert strict_json(few.stdout) == strict_json(many.stdout)[:7]
 
 
 def test_csv_text_matches_per_row_formatting():

@@ -49,6 +49,14 @@ def run_cli(*args, env_extra=None, cwd=None):
                           capture_output=True, text=True, env=env, cwd=cwd)
 
 
+def strict_json(text: str):
+    """``json.loads`` that rejects ``NaN`` and ``Infinity``: neither is JSON, and
+    a report holding one has a value that left the double range."""
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+    return json.loads(text, parse_constant=reject)
+
+
 # --------------------------------------------------------------------------
 # verify
 # --------------------------------------------------------------------------
@@ -89,7 +97,7 @@ def test_verify_json_rows_have_the_advertised_shape():
     res = run_cli("verify", "--kind", "rellich_chain", "--p", "2",
                   "--count", "3", "--seed", "0", "--no-timestamp")
     assert res.returncode == 0, res.stderr
-    rows = json.loads(res.stdout)
+    rows = strict_json(res.stdout)
     assert [row["index"] for row in rows] == [0, 1, 2]
     for row in rows:
         assert row["input_hash"].startswith("sha256:")
@@ -106,7 +114,7 @@ def test_verify_rellich_at_large_p_exits_0(capsys):
     make every case a violation."""
     rc = cli.main(["verify", "--kind", "rellich_p", "--p", "78", "--count", "3",
                    "--seed", "0", "--no-timestamp"])
-    rows = json.loads(capsys.readouterr().out)
+    rows = strict_json(capsys.readouterr().out)
     assert rc == 0
     assert all(row["sharp"] > 0.0 and row["violations"] == [] for row in rows)
 
@@ -115,7 +123,7 @@ def test_verify_timestamp_is_present_by_default():
     res = run_cli("verify", "--kind", "hardy", "--p", "2", "--count", "1",
                   "--seed", "0")
     assert res.returncode == 0, res.stderr
-    row = json.loads(res.stdout)[0]
+    row = strict_json(res.stdout)[0]
     assert "timestamp" in row
     datetime.fromisoformat(row["timestamp"])  # parses
 
@@ -138,7 +146,7 @@ def test_verify_reads_a_csv_input(tmp_path):
     res = run_cli("verify", "--kind", "hardy", "--p", "2", "--input", str(path),
                   "--no-timestamp")
     assert res.returncode == 0, res.stderr
-    rows = json.loads(res.stdout)
+    rows = strict_json(res.stdout)
     assert len(rows) == 1
     assert abs(rows[0]["ratio"] - 2.0) <= 1e-9
 
@@ -149,7 +157,7 @@ def test_verify_writes_to_a_file(tmp_path):
                   "--seed", "1", "--no-timestamp", "--output", str(out))
     assert res.returncode == 0, res.stderr
     assert res.stdout == ""
-    rows = json.loads(out.read_text(encoding="utf-8"))
+    rows = strict_json(out.read_text(encoding="utf-8"))
     assert len(rows) == 2
 
 
@@ -279,6 +287,38 @@ def test_a_nan_report_exits_2(tmp_path):
     assert res.stderr.startswith("error: ") and len(res.stderr.splitlines()) == 1
 
 
+# f = 0 on (0, 1] and 2.4e292 on (1, 2]: at p = 1.05 each numerator's body plus
+# tail overflows, at p = 2 already the p-th power mass
+OVERFLOW_CSV = "edge,value\n0,\n1,0\n2,2.404099183509882e+292\n"
+
+
+@pytest.mark.parametrize("kind, p", [(kind, "1.05") for kind in
+                                     ("hardy", "new_hardy", "rellich_p", "rellich_chain")]
+                         + [("hardy_rellich_int", "2"), ("improved_hardy_rellich", "2")])
+def test_an_overflowing_total_exits_2(kind, p, tmp_path, monkeypatch, capsys):
+    """One error line and no dump: not new_hardy's ratio of inf reported as a
+    violation with a NaN estimate, nor hardy's false divergence."""
+    monkeypatch.chdir(tmp_path)
+    Path("overflow.csv").write_text(OVERFLOW_CSV, encoding="utf-8")
+    assert cli.main(["verify", "--kind", kind, "--p", p, "--input", "overflow.csv"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and len(err.splitlines()) == 1
+    assert "double" in err and "diverg" not in err
+    assert os.listdir() == ["overflow.csv"]
+
+
+def test_a_near_max_numerator_reports_a_finite_estimate(tmp_path, capsys):
+    """A Hardy numerator of 1.59e308 exits 0 with a finite estimate, not with
+    ``"refinement_estimate": Infinity``, which is not JSON."""
+    path = tmp_path / "near-max.csv"
+    write_step_csv(step_function([0.0, 7.704937513157145e18], [-1.9024731655320482e274]), path)
+    argv = ["verify", "--kind", "hardy", "--p", "1.05", "--input", str(path), "--no-timestamp"]
+    assert cli.main(argv) == 0
+    (row,) = strict_json(capsys.readouterr().out)
+    assert row["numerator"] == 1.5932094818660367e308 and row["violations"] == []
+    assert 0.0 < row["refinement_estimate"] < 1e-12 * row["numerator"]
+
+
 def test_malformed_csv_input_exits_2(tmp_path):
     path = tmp_path / "broken.csv"
     path.write_text("edge,value\n0,\nnot-a-number,1\n", encoding="utf-8")
@@ -312,7 +352,7 @@ SMALL_SWEEP = ("sweep", "--kind", "hardy", "--p", "2", "--eps", "0.2,0.1",
 def test_sweep_stdout_is_a_json_document():
     res = run_cli(*SMALL_SWEEP)
     assert res.returncode == 0, res.stderr
-    doc = json.loads(res.stdout)
+    doc = strict_json(res.stdout)
     assert doc["kind"] == "hardy" and len(doc["points"]) == 2
     assert res.stderr.startswith("sharp 4  limit ")
 
@@ -353,8 +393,8 @@ def test_sweep_json_timestamp_toggle(tmp_path):
     with_ts = run_cli(*base, "--output", str(tmp_path / "a.json"))
     without = run_cli(*base, "--no-timestamp", "--output", str(tmp_path / "b.json"))
     assert with_ts.returncode == 0 and without.returncode == 0
-    doc_a = json.loads((tmp_path / "a.json").read_text(encoding="utf-8"))
-    doc_b = json.loads((tmp_path / "b.json").read_text(encoding="utf-8"))
+    doc_a = strict_json((tmp_path / "a.json").read_text(encoding="utf-8"))
+    doc_b = strict_json((tmp_path / "b.json").read_text(encoding="utf-8"))
     assert "timestamp" in doc_a
     assert "timestamp" not in doc_b
     assert doc_b["kind"] == "hardy" and len(doc_b["points"]) == 2
@@ -422,7 +462,7 @@ def test_maximize_writes_report_and_best_function(tmp_path):
     res = run_cli("maximize", "--kind", "hardy", "--p", "2", "--cells", "8",
                   "--iters", "5", "--output", str(out), "--no-timestamp")
     assert res.returncode == 0, res.stderr
-    doc = json.loads(out.read_text(encoding="utf-8"))
+    doc = strict_json(out.read_text(encoding="utf-8"))
     assert doc["command"] == "maximize"
     assert doc["best_hash"].startswith("sha256:")
     assert 2.0 - 1e-12 <= doc["ratio"] <= 4.0 * (1.0 + 1e-6)
@@ -436,7 +476,7 @@ def test_maximize_stdout_only(tmp_path):
                   "--cells", "8", "--iters", "5", "--no-timestamp",
                   cwd=str(tmp_path))
     assert res.returncode == 0, res.stderr
-    doc = json.loads(res.stdout)
+    doc = strict_json(res.stdout)
     assert doc["ratio"] <= 0.729 * (1.0 + 1e-6)
     assert list(tmp_path.glob("*.csv")) == []
 
@@ -487,7 +527,7 @@ def test_maximize_exits_1_on_any_violation(monkeypatch, capsys):
     rc = cli.main(["maximize", "--kind", "rellich_chain", "--p", "2", "--no-timestamp"])
     out, err = capsys.readouterr()
     assert rc == 1
-    assert json.loads(out)["middle"] == 0.5
+    assert strict_json(out)["middle"] == 0.5
     assert err == "violation at the best function: numerator 1.0 exceeds middle term 0.5\n"
 
 
@@ -583,5 +623,5 @@ def test_main_is_callable_in_process(capsys):
                    "--seed", "0", "--no-timestamp"])
     assert rc == 0
     captured = capsys.readouterr()
-    rows = json.loads(captured.out)
+    rows = strict_json(captured.out)
     assert rows[0]["kind"] == "hardy"

@@ -36,7 +36,7 @@ import oracles
 from hardylab import quadrature
 from hardylab.grid import Grid, StepBatch
 from hardylab.inequalities import KINDS, REPORT_KINDS
-from hardylab.operators import double_cumulative, inner_cumulative
+from hardylab.operators import cumulative, double_cumulative, inner_cumulative
 from hardylab.sharpness import (DEFAULT_EPS_LIST, DEFAULT_SWEEP_RESOLUTION, CutoffSpec,
                                 _sweep_r_min)
 
@@ -679,6 +679,43 @@ def test_an_overflowing_gauss_sum_is_a_range_error(kind):
     new_hardy's ratio of inf."""
     with pytest.raises(DoubleRangeError, match="quadrature total"):
         ratio_evaluator(kind, 2.0)(step_function([0.0, 1.0], [1e154]))
+
+
+# f = 0 on (0, 1] and 2.4e292 on (1, 2]: at p = 1.05 each integral's body plus
+# its tail overflows (the CSV of tests/test_cli.py's OVERFLOW_CSV)
+OVERFLOW = step_function([0.0, 1.0, 2.0], [0.0, 2.404099183509882e292])
+# one cell whose Hardy numerator at p = 1.05 is 1.59e308, near the largest double
+NEAR_MAX = step_function([0.0, 7.704937513157145e18], [-1.9024731655320482e274])
+
+
+@pytest.mark.parametrize("check", [
+    lambda f: quadrature.integrate_weighted_power(cumulative(f), -1.05, 1.05),
+    lambda f: weighted_supmin_check(f, 1.05), lambda f: rellich_chain(f, 1.05),
+], ids=["integrate_weighted_power", "weighted_supmin_check", "rellich_chain"])
+def test_an_overflowing_total_is_a_range_error(check):
+    """A finite body and a finite tail whose sum overflows: a range error, not
+    a false DivergentIntegralError (the integral converges)."""
+    with pytest.raises(DoubleRangeError, match="quadrature total"):
+        check(OVERFLOW)
+
+
+def test_a_near_max_numerator_keeps_a_finite_estimate():
+    """The estimate's 32-ulp floor of fine + coarse would overflow to inf;
+    each term is scaled before the sum."""
+    report = hardy_ratio(NEAR_MAX, 1.05)
+    assert report.numerator == 1.5932094818660367e308
+    assert 0.0 < report.refinement_estimate < 1e-12 * report.numerator
+
+
+@pytest.mark.parametrize("check, f", [
+    (corollary_int_check, NEAR_MAX),
+    (corollary_avg_check, step_function([0.0, 1.0, 2.0], [0.0, 4.207935289042065e292])),
+], ids=["corollary_int_check", "corollary_avg_check"])
+def test_an_overflowing_corollary_rhs_is_a_range_error(check, f):
+    """The right-hand side is a product of Python floats, whose overflow to
+    inf no ``np.errstate`` sees; the left-hand side stays finite."""
+    with pytest.raises(DoubleRangeError, match="right-hand side"):
+        check(f, 1.05)
 
 
 # ---------------------------------------------------------------------------
