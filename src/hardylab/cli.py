@@ -21,7 +21,8 @@ from pathlib import Path
 
 from .errors import HardyLabError, InvalidParameterError
 from .generator import make_rng, random_step_function
-from .grid import _write_texts, as_batch, check_exponent, read_step_csv, step_csv_text
+from .grid import (MAX_SIZE, _write_texts, as_batch, check_exponent, check_integer, read_step_csv,
+                   step_csv_text)
 from .inequalities import (DEFAULT_TOLERANCE, REPORT_KINDS, RatioReport, check_tolerance,
                            ratio_evaluator)
 from .rearrange import check_norm_preservation, decreasing_rearrangement
@@ -151,9 +152,8 @@ def cmd_verify(args) -> int:
     if args.input is not None:
         cases = as_batch(read_step_csv(args.input))
     else:
-        if args.count < 1:
-            raise InvalidParameterError(f"--count must be >= 1, got {args.count}")
-        cases = random_step_function(make_rng(args.seed), args.count)
+        count = check_integer(args.count, "--count", 1, MAX_SIZE)
+        cases = random_step_function(make_rng(args.seed), count)
     timestamp = None if args.no_timestamp else _timestamp()
     rows, dumps, messages = [], [], []
     # one evaluator call for all cases; a case's report does not depend on

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InvalidParameterError
-from .grid import Grid, StepBatch, StepFunction, check_integer, geometric_grids
+from .grid import MAX_SIZE, Grid, StepBatch, StepFunction, check_integer, geometric_grids
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -30,7 +30,7 @@ def random_step_function(rng: np.random.Generator,
     """
     if not isinstance(rng, np.random.Generator):
         raise InvalidParameterError(f"rng must be a numpy.random.Generator, got {rng!r}")
-    size = 1 if count is None else check_integer(count, "count", 1)
+    size = 1 if count is None else check_integer(count, "count", 1, MAX_SIZE)
     r_min, R, n, values = [], [], [], []
     for _ in range(size):
         r_min.append(rng.uniform(1e-4, 1e-1))

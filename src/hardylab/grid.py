@@ -68,16 +68,22 @@ def check_exponent(p: float) -> float:
     return check_real(p, "exponent", 1.0)
 
 
-def check_integer(value, name: str, minimum: int) -> int:
-    """``value`` as an ``int`` if it is an integer of at least ``minimum``: an
+# the largest size (cells, functions) a size parameter takes: numpy indexes at
+# most ``iinfo(intp).max`` entries, and ``n`` cells have ``n + 1`` edges
+MAX_SIZE = int(np.iinfo(np.intp).max) - 1
+
+
+def check_integer(value, name: str, minimum: int, maximum: float = math.inf) -> int:
+    """``value`` as an ``int`` if it is an integer in ``[minimum, maximum]``: an
     ``int`` or a numpy integer, not a ``bool``, a float or a string.
     Otherwise an :class:`InvalidParameterError` naming the parameter."""
     try:
         index = operator.index(value)
     except TypeError:
         index = None
-    if index is None or isinstance(value, bool) or index < minimum:
-        raise InvalidParameterError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    if index is None or isinstance(value, bool) or not minimum <= index <= maximum:
+        bound = f">= {minimum}" if maximum == math.inf else f"in [{minimum}, {maximum}]"
+        raise InvalidParameterError(f"{name} must be an integer {bound}, got {value!r}")
     return index
 
 
@@ -420,7 +426,7 @@ def make_graded_grid(R: float, n_cells: int, grading: str = "uniform",
     origin-singular computation here wants.
     """
     R = check_real(R, "support end", 0.0)
-    n_cells = check_integer(n_cells, "n_cells", 1)
+    n_cells = check_integer(n_cells, "n_cells", 1, MAX_SIZE)
     if grading == "uniform":
         if r_min is not None:
             raise InvalidParameterError("r_min only applies to geometric grading")

@@ -3,9 +3,11 @@
 The package draws a ``verify`` case stream as one batch, formats every
 case's CSV text in one pass, encodes its JSON rows with the C encoder and
 builds the cutoff band of a minimizing function as one node matrix; the
-maximize probe evaluates its proposals in lookahead batches.  These are the
-per-case, per-cell and per-trial forms that code replaced; it must reproduce
-their output bit for bit (``tests/test_cases.py``, ``tests/test_sharpness.py``).
+maximize probe evaluates its proposals in lookahead batches and a sharpness
+sweep evaluates its eps profiles as one batch.  These are the per-case,
+per-cell, per-trial and per-profile forms that code replaced; it must
+reproduce their output bit for bit (``tests/test_cases.py``,
+``tests/test_sharpness.py``).
 """
 
 import hashlib
@@ -15,11 +17,14 @@ from dataclasses import fields
 import numpy as np
 
 from hardylab import sharpness
+from hardylab.errors import DoubleRangeError, FitDegenerateError, InvalidParameterError
 from hardylab.generator import make_rng
-from hardylab.grid import Grid, StepFunction, check_exponent, check_integer, make_graded_grid
-from hardylab.inequalities import RatioReport
+from hardylab.grid import (Grid, StepFunction, check_exponent, check_integer, check_real,
+                           make_graded_grid)
+from hardylab.inequalities import KINDS, RatioReport, sharp_constant
 from hardylab.quadrature import _gauss_legendre
-from hardylab.sharpness import _chi
+from hardylab.sharpness import (DEFAULT_EPS_LIST, DEFAULT_SWEEP_RESOLUTION, SWEEP_KINDS,
+                                CutoffSpec, SweepPoint, SweepResult, _chi, _sweep_r_min)
 
 REPORT_FIELDS = [field.name for field in fields(RatioReport)]
 
@@ -139,3 +144,40 @@ def ratio_maximize(kind, p, n_cells=32, seed=0, iters=200):
                 improved_in_pass = True
                 break
     return StepFunction(grid, values), best_report
+
+
+def sharpness_sweep(kind, p, eps_list=DEFAULT_EPS_LIST, spec=CutoffSpec(),
+                    resolution=DEFAULT_SWEEP_RESOLUTION):
+    """``sharpness.sharpness_sweep`` with one evaluator call per eps: each
+    profile built and evaluated before the next.  The profile and the
+    evaluator are looked up on the module when called, so a patched one
+    reaches both."""
+    if kind not in SWEEP_KINDS:
+        raise InvalidParameterError(f"sweep kind must be one of {SWEEP_KINDS}, got {kind!r}")
+    p = check_exponent(p)
+    try:
+        eps_values = [check_real(e, "eps", 0.0, 1.0) for e in eps_list]
+    except TypeError:
+        raise InvalidParameterError(f"eps_list must be iterable, got {eps_list!r}") from None
+    if len(eps_values) < 2:
+        raise FitDegenerateError("affine extrapolation needs at least 2 eps values")
+    if any(e2 >= e1 for e1, e2 in zip(eps_values, eps_values[1:])):
+        raise InvalidParameterError("eps values must be strictly decreasing")
+    sharp = sharp_constant(kind, p)
+    evaluator = sharpness.ratio_evaluator(KINDS[kind].sweep, p)
+    points = []
+    for eps in eps_values:
+        try:
+            rep = evaluator(sharpness.minimizing_function(p, eps, spec, resolution,
+                                                          _sweep_r_min(eps)))
+        except DoubleRangeError as err:  # the profile is the sweep's own, not the caller's
+            raise DoubleRangeError(f"the {kind} ratio of the sweep profile f_eps leaves the "
+                                   f"double-precision range at p = {p}, eps = {eps}") from err
+        points.append(SweepPoint(eps=eps, ratio=rep.ratio, numerator=rep.numerator,
+                                 denominator=rep.denominator))
+    k = max(2, len(points) // 2)
+    tail = points[-k:]
+    coeffs = np.polyfit([pt.eps for pt in tail], [pt.ratio for pt in tail], 1)
+    limit = float(coeffs[1])
+    return SweepResult(kind=kind, p=p, points=tuple(points), limit=limit, sharp=sharp,
+                       relative_gap=(limit - sharp) / sharp)

@@ -201,6 +201,23 @@ def test_bad_parameters_exit_2(args, tmp_path):
 
 
 @pytest.mark.parametrize("args", [
+    ("sweep", "--kind", "hardy", "--p", "2", "--resolution", str(10**20)),
+    ("maximize", "--kind", "hardy", "--p", "2", "--cells", str(10**20)),
+    ("verify", "--kind", "hardy", "--p", "2", "--count", str(10**20)),
+])
+def test_a_size_numpy_cannot_index_exits_2_without_a_traceback(args, monkeypatch, capsys):
+    def no_draws(*args):  # a count that passed its check would draw until memory runs out
+        raise AssertionError("cases were drawn")
+
+    monkeypatch.setattr(cli, "random_step_function", no_draws)
+    assert cli.main(list(args)) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1, err
+    assert "must be an integer in [" in err
+
+
+@pytest.mark.parametrize("args", [
     ("verify", "--p", "2"),          # missing --kind
     ("frobnicate",),                  # unknown command
     ("verify", "--kind", "nonsense", "--p", "2"),

@@ -5,6 +5,7 @@ Every row of :data:`CALLS` passes one argument of a public call each value of
 :data:`BAD` in turn (None, text, a list, NaN, inf, a bool, a bool or text in a
 list, and an int beyond the double range) and expects an
 :class:`InvalidParameterError`, never a raw ``TypeError`` or ``ValueError``.
+Every size parameter does the same with the :data:`SIZES` numpy cannot index.
 Every row of :data:`FUNCTION_CALLS` does the same with None, a list, text
 and a function of the other kind where a step function or piecewise
 polynomial belongs (never a raw ``AttributeError``); the calls that read one
@@ -52,7 +53,7 @@ from hardylab import (
     weighted_supmin_check,
     write_step_csv,
 )
-from hardylab.grid import as_batch, check_real, step_csv_text
+from hardylab.grid import MAX_SIZE, as_batch, check_integer, check_real, step_csv_text
 from hardylab.inequalities import check_tolerance, hardy_ratio
 from hardylab.operators import (cumulative, double_cumulative, inner_cumulative, maxform_value,
                                 rellich_inner, supmin_branches, supmin_candidates,
@@ -66,6 +67,27 @@ AWAY = step_function([0.0, 0.5, 1.0, 2.0], [0.0, -0.5, 0.25])
 P = cumulative(F)
 CELL = Grid([0.0, 1.0])
 REPORT = hardy_ratio(F, 2.0)
+
+
+class NoDraws(np.random.Generator):
+    """A generator that fails on its first draw, so that a count which passed
+    its check fails at once instead of drawing cases until memory runs out."""
+
+    def uniform(self, *args, **kwargs):
+        raise AssertionError("a case was drawn")
+
+
+# Calls taking a size (cells, functions); :data:`SIZES` are too large for
+# numpy to index, and are rejected before anything is allocated.
+SIZE_CALLS = {
+    "make_graded_grid-uniform": lambda n: make_graded_grid(1.0, n),
+    "make_graded_grid-geometric": lambda n: make_graded_grid(1.0, n, "geometric", r_min=0.1),
+    "minimizing_function": lambda n: minimizing_function(2.0, 0.1, n_cells=n),
+    "ratio_maximize": lambda n: ratio_maximize("hardy", 2.0, n_cells=n, iters=1),
+    "sharpness_sweep": lambda n: sharpness_sweep("hardy", 2.0, resolution=n),
+    "random_step_function": lambda n: random_step_function(NoDraws(np.random.PCG64(0)), n),
+}
+SIZES = {"1e20": 10**20, "MAX_SIZE+1": MAX_SIZE + 1}
 
 CALLS = {
     "check_real": lambda v: check_real(v, "value"),
@@ -118,13 +140,15 @@ CALLS = {
     "ratio_maximize-kind": lambda v: ratio_maximize(v, 2.0, iters=1),
     "ratio_maximize-p": lambda v: ratio_maximize("hardy", v, iters=1),
     "make_rng": make_rng,
+    **{f"{name}-size": call for name, call in SIZE_CALLS.items()},
 }
 
 # (call, value) pairs that are valid input: a list of evaluation points or of
-# upper limits, the default tolerance and a seed beyond the double range
+# upper limits, the default tolerance, a seed beyond the double range and no
+# count (one function)
 VALID = {("StepFunction.evaluate", "list"), ("PiecewisePoly.evaluate", "list"),
          ("check_partial_domination", "list"), ("RatioReport.violations", "none"),
-         ("make_rng", "huge_int")}
+         ("make_rng", "huge_int"), ("random_step_function-size", "none")}
 
 
 @pytest.mark.parametrize("call, value", [
@@ -133,6 +157,18 @@ VALID = {("StepFunction.evaluate", "list"), ("PiecewisePoly.evaluate", "list"),
 def test_bad_value_is_an_invalid_parameter(call, value):
     with pytest.raises(InvalidParameterError):
         call(value)
+
+
+@pytest.mark.parametrize("call, size", [
+    pytest.param(SIZE_CALLS[name], SIZES[size], id=f"{name}-{size}")
+    for name in SIZE_CALLS for size in SIZES])
+def test_a_size_numpy_cannot_index_is_an_invalid_parameter(call, size):
+    with pytest.raises(InvalidParameterError, match=rf"must be an integer in \[\d+, {MAX_SIZE}\]"):
+        call(size)
+
+
+def test_the_size_bound_is_inclusive():
+    assert check_integer(MAX_SIZE, "n_cells", 1, MAX_SIZE) == MAX_SIZE
 
 
 # Calls whose first argument must be a step function or a piecewise

@@ -9,8 +9,9 @@ import pytest
 
 import case_loops as loops
 from hardylab import inequalities, sharpness
-from hardylab.errors import DoubleRangeError, FitDegenerateError, InvalidParameterError
-from hardylab.grid import p_norm
+from hardylab.errors import (DoubleRangeError, FitDegenerateError, HardyLabError,
+                             InvalidParameterError, ZeroDenominatorError)
+from hardylab.grid import StepFunction, p_norm
 from hardylab.inequalities import rellich_chain, sharp_constant
 from hardylab.sharpness import (CUTOFF_KINDS, DEFAULT_EPS_LIST, DEFAULT_SWEEP_RESOLUTION,
                                 SWEEP_KINDS, CutoffSpec, SweepPoint, SweepResult,
@@ -327,6 +328,62 @@ def test_chain_contract_holds_on_the_sweep_profiles(p, cutoff):
         assert rep.violations(1e-6) == [], rep
 
 
+# --------------------------------------------------------------------------
+# The batched sweep against the one-eps-at-a-time loop
+# --------------------------------------------------------------------------
+
+SWEEP_CASES = [(kind, p) for kind in SWEEP_KINDS
+               for p in ((2.0,) if inequalities.KINDS[kind].p2_only else (1.5, 2.0, 3.0))]
+
+
+@pytest.mark.parametrize("cutoff", CUTOFF_KINDS)
+@pytest.mark.parametrize("kind, p", SWEEP_CASES)
+def test_batched_sweep_equals_one_eps_at_a_time(kind, p, cutoff):
+    spec = CutoffSpec(cutoff)
+    for eps_list, resolution in ((DEFAULT_EPS_LIST, DEFAULT_SWEEP_RESOLUTION), ((0.2, 0.1), 64)):
+        assert sharpness_sweep(kind, p, eps_list, spec, resolution) == loops.sharpness_sweep(
+            kind, p, eps_list, spec, resolution)
+
+
+def test_a_sweep_makes_one_evaluator_call(monkeypatch):
+    calls = []
+    _patch_evaluator(monkeypatch, calls.append)
+    sharpness_sweep("hardy", 2.0, resolution=64)
+    # one call on all six 64-cell profiles, seen as rows of 32 values
+    assert len(calls) == 1 and len(calls[0]) == len(DEFAULT_EPS_LIST) * 2
+
+
+def _patch_profiles(monkeypatch, changes):
+    """Patch the sweep profile of each eps in ``changes``: ``"overflow"``
+    scales it so that its largest value is 1e300, whose square leaves the
+    double range, and ``"zero"`` makes it vanish."""
+    real = sharpness.minimizing_function
+
+    def profile(p, eps, *args):
+        f = real(p, eps, *args)
+        scale = {"overflow": 1e300 / f.values.max(), "zero": 0.0}.get(changes.get(eps), 1.0)
+        return StepFunction(f.grid, f.values * scale)
+    monkeypatch.setattr(sharpness, "minimizing_function", profile)
+
+
+@pytest.mark.parametrize("changes, error, eps", [
+    ({0.05: "overflow"}, DoubleRangeError, 0.05),
+    ({0.005: "overflow"}, DoubleRangeError, 0.005),
+    ({0.02: "overflow", 0.01: "overflow"}, DoubleRangeError, 0.02),
+    ({0.05: "overflow", 0.01: "zero"}, DoubleRangeError, 0.05),
+    ({0.05: "zero", 0.01: "overflow"}, ZeroDenominatorError, None),
+])
+def test_a_later_profile_error_is_raised_as_one_eps_at_a_time(monkeypatch, changes, error, eps):
+    _patch_profiles(monkeypatch, changes)
+    with pytest.raises(HardyLabError) as want:
+        loops.sharpness_sweep("hardy", 2.0, resolution=64)
+    with pytest.raises(HardyLabError) as got:
+        sharpness_sweep("hardy", 2.0, resolution=64)
+    assert got.type is want.type is error and str(got.value) == str(want.value)
+    if eps is not None:
+        assert str(got.value).endswith(f"double-precision range at p = 2.0, eps = {eps}")
+
+
 class TestSweepResultValidation:
     def test_rejects_non_decreasing_points(self):
         pts = (SweepPoint(0.1, 3.0, 3.0, 1.0), SweepPoint(0.2, 3.5, 3.5, 1.0))
@@ -419,8 +476,9 @@ def test_lookahead_equals_one_trial_at_a_time_down_to_the_last_delta(kind, p):
 
 
 def _patch_evaluator(monkeypatch, on_call):
-    """Route every evaluation of ``ratio_maximize`` (and of the reference
-    loop) through ``on_call(rows)``, ``rows`` the functions' values as bytes."""
+    """Route every evaluation of ``ratio_maximize`` and ``sharpness_sweep``
+    (and of their reference loops) through ``on_call(rows)``, ``rows`` the
+    functions' values in rows of 32, as bytes."""
     real = inequalities.ratio_evaluator
 
     def factory(kind, p):
