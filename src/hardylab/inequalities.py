@@ -27,11 +27,12 @@ bound for the improved one); for ``rellich_chain`` it is the intermediate
 integral sitting between numerator and ``sharp * denominator``.
 
 Every integral uses the fixed Gauss rules of :mod:`hardylab.quadrature`, and
-``refinement_estimate`` compares them with the half-order rules.
+``refinement_estimate`` compares them with the half-order rules, which run
+only where a report is built; the values are the same without them.
 
 The two-branch max form of :func:`corollary_int_check` is ``(M f)^p``
 exactly, in floating point too (division by ``r`` and the p-th power are
-monotone), so it reads both sides off the new_hardy report;
+monotone), so it reads both sides off the new_hardy values;
 :func:`corollary_avg_check` is that form for the average ``F/s``, its
 integral cut at its kinks and capped like the sup-min one.
 """
@@ -49,7 +50,7 @@ from .errors import (DivergentIntegralError, DoubleRangeError, HardyLabError,
                      InvalidParameterError, ZeroDenominatorError)
 from .grid import (StepBatch, StepFunction, _in_double_range, _step_function, as_batch,
                    check_exponent, check_real, p_norm)
-from .quadrature import integrate_weighted_power
+from .quadrature import QUAD_ORDER, integrate_weighted_power
 from .quadrature import (_cap_interval_ratio, _power_tail, _quadrature, _real_roots,  # shared
                          _split_cells, _totals)
 from .operators import (_cumulative_edges, cumulative, double_cumulative, inner_cumulative,
@@ -61,14 +62,14 @@ from .rearrange import decreasing_rearrangement
 class Kind:
     """One inequality kind.
 
-    ``numerator(f, p)`` takes a :class:`StepBatch` and returns,
+    ``numerator(f, p, estimate)`` takes a :class:`StepBatch` and returns,
     per function, the numerator, the ``middle`` term (``None`` instead of
-    the list for the plain kinds) and the error estimate; ``sharp(p)`` is
-    the sharp constant.  ``p2_only`` kinds are stated for p = 2 only.
-    ``sweep`` names the kind a sweep of this kind evaluates (``None``: no
-    sweep); ``rellich_chain`` sweeps ``rellich_p``, which has its numerator
-    and sharp constant but no ``middle``, and ``new_hardy`` sweeps ``hardy``
-    (see ``sharpness_sweep``).
+    the list for the plain kinds) and the error estimate (``None`` instead
+    of the list without ``estimate``); ``sharp(p)`` is the sharp constant.
+    ``p2_only`` kinds are stated for p = 2 only.  ``sweep`` names the kind a
+    sweep of this kind evaluates (``None``: no sweep); ``rellich_chain``
+    sweeps ``rellich_p``, which has its numerator and sharp constant but no
+    ``middle``, and ``new_hardy`` sweeps ``hardy`` (see ``sharpness_sweep``).
     """
 
     numerator: Callable
@@ -145,16 +146,20 @@ def _check_normal(name: str, values) -> None:
 
 
 @_in_double_range
-def _evaluate(f: StepBatch, kind: str, p: float) -> list[RatioReport]:
-    """The reports of ``kind`` for a batch (``p`` already checked)."""
+def _evaluate(f: StepBatch, kind: str, p: float, estimate: bool = True) -> list:
+    """The reports of ``kind`` for a batch (``p`` already checked).  Without
+    ``estimate``, for a caller that reads none, the ``(numerator,
+    denominator)`` pairs instead: the reports' values, checked alike."""
     spec = KINDS[kind]
     den = p_norm(f, p)
     if not f.values.any():
         raise ZeroDenominatorError("input function vanishes identically")
     _check_normal("p-th power mass", den)
-    num, middle, est = spec.numerator(f, p)
+    num, middle, est = spec.numerator(f, p, estimate)
     _check_normal("numerator", num)
     _check_normal("middle term", middle or ())
+    if not estimate:
+        return list(zip(num, den))
     sharp = spec.sharp(p)
     return [RatioReport(kind, p, n, m, d, sharp, n / d, sharp - n / d, e)
             for n, m, d, e in zip(num, middle or repeat(None), den, est)]
@@ -166,34 +171,39 @@ def _evaluate(f: StepBatch, kind: str, p: float) -> list[RatioReport]:
 # --------------------------------------------------------------------------
 
 
-def _classical(f: StepBatch, p: float):
+def _integral(P, alpha: float, p: float, estimate: bool):
+    """``integrate_weighted_power``'s values and estimates (``None`` without ``estimate``)."""
+    out = integrate_weighted_power(P, alpha, p, return_estimate=estimate)
+    return out if estimate else (out, None)
+
+
+def _classical(f: StepBatch, p: float, estimate: bool):
     """``\\int |F(r)/r|^p dr``: Hardy, and at p = 2 the second-order form for ``f = g'``."""
-    num, est = integrate_weighted_power(cumulative(f), -p, p, return_estimate=True)
+    num, est = _integral(cumulative(f), -p, p, estimate)
     return num, None, est
 
 
-def _rellich(f: StepBatch, p: float):
+def _rellich(f: StepBatch, p: float, estimate: bool):
     """``\\int r^{-2p} D(r)^p dr`` with ``D`` the double cumulative of ``|f|``."""
-    num, est = integrate_weighted_power(double_cumulative(abs(f)), -2.0 * p, p,
-                                        return_estimate=True)
+    num, est = _integral(double_cumulative(abs(f)), -2.0 * p, p, estimate)
     return num, None, est
 
 
-def _rellich_chain(f: StepBatch, p: float):
+def _rellich_chain(f: StepBatch, p: float, estimate: bool):
     """The Rellich numerator, and as ``middle`` ``\\int r^{-2p} G(r)^p dr`` where
     ``G`` accumulates ``rellich_inner(f, .)`` exactly; the chain contract is
     numerator <= middle <= sharp * denominator."""
-    num, _, est_num = _rellich(f, p)
-    mid, est_mid = integrate_weighted_power(inner_cumulative(f), -2.0 * p, p,
-                                            return_estimate=True)
-    return num, mid, [a + b for a, b in zip(est_num, est_mid)]
+    num, _, est_num = _rellich(f, p, estimate)
+    mid, est_mid = _integral(inner_cumulative(f), -2.0 * p, p, estimate)
+    return num, mid, est_num and [a + b for a, b in zip(est_num, est_mid)]
 
 
-def _supmin(f: StepBatch, p: float):
+def _supmin(f: StepBatch, p: float, estimate: bool):
     """``\\int (M f)^p dr``, with the classical numerator on the same nodes as
     ``middle``: ``(|F|/r)^p <= (M f)^p`` holds to rounding.  The sup-min
     integral is also the corollary_int_check lhs: the two-branch max form is
-    ``(M f)^p`` bit for bit (see there)."""
+    ``(M f)^p`` bit for bit (see there).  The middle term's estimate is never
+    read, so its integrand keeps the fine rule's nodes only."""
     def integrand(r, a, u, v, mp, sb):
         # in place where possible: the matrices are the large arrays
         absF = r - a[:, None]
@@ -204,16 +214,17 @@ def _supmin(f: StepBatch, p: float):
         supmin = np.divide(mp[:, None], r)
         np.maximum(supmin, classic, out=supmin)
         np.maximum(supmin, sb[:, None], out=supmin)             # M f(r)
-        return [np.power(supmin, p, out=supmin), np.power(classic, p, out=classic)]
+        return [np.power(supmin, p, out=supmin),
+                np.power(classic, p, out=classic)[:, :QUAD_ORDER]]
 
     (lo, hi, *columns), bounds, peak, F_end = _supmin_rows(f)
-    supmin, classic = _quadrature(integrand, lo, hi, bounds, *columns)
+    supmin, classic = _quadrature(integrand, lo, hi, bounds, columns, estimate)
     # beyond the support M f(r) = peak / r and F is constant
     ends = f.grid.edges[f.grid.ends].tolist()
     beyond = [_power_tail(top, R, -p, p) for top, R in zip(peak, ends)]
     classic_beyond = [_power_tail(end, R, -p, p) for end, R in zip(F_end, ends)]
-    num, est = _totals(supmin, (beyond, beyond))
-    middle, _ = _totals(classic, (classic_beyond, classic_beyond))
+    num, est = _totals(supmin, [beyond] * len(supmin))
+    middle, _ = _totals(classic, [classic_beyond])
     return num, middle, est
 
 
@@ -365,7 +376,7 @@ def weighted_supmin_check(f: StepFunction, p: float) -> tuple[float, float]:
     The rearranged side dominates; both sides are 0 for ``f = 0``.
     """
     p = check_exponent(p)
-    (lhs,), _, _ = _supmin(as_batch(_step_function(f)), p)
+    (lhs,), _, _ = _supmin(as_batch(_step_function(f)), p, False)
     fstar = decreasing_rearrangement(f).step
     rhs = integrate_weighted_power(cumulative(fstar), -p, p)
     return lhs, rhs
@@ -382,11 +393,12 @@ def corollary_int_check(f: StepFunction, p: float) -> tuple[float, float]:
     exactly: the lhs is the new_hardy numerator and the rhs the report's
     sharp multiple of its denominator.
     """
-    report = new_hardy_ratio(_step_function(f), p)
-    rhs = report.sharp * report.denominator
+    f, p = _step_function(f), check_exponent(p)
+    ((lhs, den),) = _evaluate(as_batch(f), "new_hardy", p, False)
+    rhs = _hardy_sharp(p) * den
     if not math.isfinite(rhs):  # a product of Python floats: no np.errstate sees it
         raise DoubleRangeError("the right-hand side leaves the double range; rescale the input")
-    return report.numerator, rhs
+    return lhs, rhs
 
 
 # --------------------------------------------------------------------------
@@ -444,9 +456,9 @@ def _running_average_maxform_integral(f: StepFunction, p: float) -> float:
         np.maximum(top, sb[:, None], out=top)
         return [np.power(top, p, out=top)]
 
-    (body,) = _quadrature(integrand, lo, hi, bounds, *(c[piece] for c in (a, u, v, mp, sb)))
+    (body,) = _quadrature(integrand, lo, hi, bounds, [c[piece] for c in (a, u, v, mp, sb)], False)
     tail = [float(_power_tail(prefix[-1], f.grid.support_end, -p, p))]
-    return _totals(body, (tail, tail))[0][0]
+    return _totals(body, [tail])[0][0]
 
 
 @_in_double_range

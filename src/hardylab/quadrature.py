@@ -23,7 +23,8 @@ forms the estimate.  :class:`DivergentIntegralError` means divergence only,
 decided before any quadrature runs (the order at 0, the decay of the tail).
 
 The rule is fixed: :data:`QUAD_ORDER` (16) nodes per interval; the error
-indicator compares it with the half-order rule, evaluated in the same pass.
+indicator compares it with the half-order rule, evaluated in the same pass
+where an estimate is asked for and nowhere else.
 """
 
 from __future__ import annotations
@@ -70,11 +71,13 @@ def _gauss_jacobi(order: int, gamma: float):
 
 
 @lru_cache(maxsize=None)
-def _rule(gamma: float):
-    """The fine (QUAD_ORDER) and coarse (half-order) rules for ``(1 + t)^gamma``:
-    their nodes side by side, and per rule its column block (start, stop, weights)."""
+def _rule(gamma: float, estimate: bool):
+    """The fine (QUAD_ORDER) rule for ``(1 + t)^gamma`` and, with ``estimate``, the
+    coarse (half-order) one: their nodes side by side, and per rule its column
+    block (start, stop, weights)."""
     (x, w), (xc, wc) = (_gauss_jacobi(n, gamma) for n in (QUAD_ORDER, QUAD_ORDER // 2))
-    return np.concatenate((x, xc)), ((0, QUAD_ORDER, w), (QUAD_ORDER, x.size + xc.size, wc))
+    rules = ((0, QUAD_ORDER, w), (QUAD_ORDER, x.size + xc.size, wc))
+    return (np.concatenate((x, xc)), rules) if estimate else (x, rules[:1])
 
 
 def _split_cells(lo, hi, bounds, points):
@@ -181,20 +184,22 @@ def _cell_intervals(P, alpha: float):
 _NODE_CHUNK = 512
 
 
-def _quadrature(integrand, lo, hi, bounds, *columns, gamma: float = 0.0):
+def _quadrature(integrand, lo, hi, bounds, columns, estimate: bool, gamma: float = 0.0):
     """Per-function Gauss-Legendre totals over the intervals ``(lo, hi)``, or for
     ``gamma != 0`` Gauss-Jacobi ones for the weight ``(r - lo)^gamma``, left out of ``integrand``.
 
     ``integrand(r, *rows)`` gets the nodes ``r`` of a chunk of intervals (one
-    row per interval, the fine rule's column block, then the coarse one's)
-    and the matching rows of ``columns``, and returns a list of integrand
-    matrices.  The result holds, for each matrix, the pair (fine, coarse) of
-    lists of per-function totals.  ``einsum`` adds each row in the same order
-    whatever the matrix shape (BLAS ``gemv`` does not), so no total depends
-    on the batch or the chunking.  The totals are not checked here: a node
-    next to a subnormal edge can round to 0, and :func:`_totals` reports it.
+    row per interval: the fine rule's column block, then with ``estimate``
+    the coarse one's) and the matching rows of ``columns``, and returns a
+    list of integrand matrices.  The result holds, for each matrix, its
+    rules' lists of per-function totals (fine, then coarse); a matrix of the
+    fine block's columns only gets the fine totals alone.  ``einsum`` adds
+    each row in the same order whatever the matrix shape (BLAS ``gemv`` does
+    not), so no total depends on the batch, the chunking or the rules.  The
+    totals are not checked here: a node next to a subnormal edge can round
+    to 0, and :func:`_totals` reports it.
     """
-    nodes, rules = _rule(gamma)
+    nodes, rules = _rule(gamma, estimate)
     chunks = []
     for s in range(0, max(lo.size, 1), _NODE_CHUNK):
         e = s + _NODE_CHUNK
@@ -205,24 +210,24 @@ def _quadrature(integrand, lo, hi, bounds, *columns, gamma: float = 0.0):
         scale = half ** (gamma + 1.0) if gamma else half
         # a division by a node at 0 gives inf or NaN, which _totals reports
         with np.errstate(divide="ignore", invalid="ignore"):
-            chunks.append([np.einsum("ij,j->i", v[:, i:j], w) * scale for v in
-                           integrand(r, *[col[s:e] for col in columns]) for i, j, w in rules])
-    sums = [_fsums(np.concatenate(parts).tolist(), bounds) for parts in zip(*chunks)]
-    return [sums[k:k + 2] for k in range(0, len(sums), 2)]
+            chunks.append([[np.einsum("ij,j->i", v[:, i:j], w) * scale
+                            for i, j, w in rules if j <= v.shape[1]]
+                           for v in integrand(r, *[col[s:e] for col in columns])])
+    return [[_fsums(np.concatenate(parts).tolist(), bounds) for parts in zip(*matrix)]
+            for matrix in zip(*chunks)]
 
 
 def _totals(body, tail):
-    """``(values, estimates)`` of the totals body + tail, both pairs (fine, coarse
-    rule) of per-function lists: the fine total, and its distance to the coarse
-    one floored at 32 ulps of both (scaled before the sum, so it cannot
-    overflow).  An estimate that is not finite (it is not where a total is not)
-    raises :class:`DoubleRangeError`."""
-    values, estimates = [], []
-    for fine, coarse, fine_tail, coarse_tail in zip(*body, *tail):
-        fine, coarse = fine + fine_tail, coarse + coarse_tail
-        values.append(fine)
-        estimates.append(abs(fine - coarse) + (32.0 * _EPS * abs(fine) + 32.0 * _EPS * abs(coarse)))
-    if not all(map(math.isfinite, estimates)):
+    """``(values, estimates)`` of the totals body + tail, both lists (fine, coarse
+    rule) or (fine,) of per-function lists.  The value is the fine total; its
+    estimate is the distance to the coarse one floored at 32 ulps of both
+    (scaled before the sum, so it cannot overflow), and ``None`` without a
+    coarse rule.  A total that is not finite (with both rules: an estimate,
+    which is not finite where a total is not) raises :class:`DoubleRangeError`."""
+    values, *coarse = ([b + t for b, t in zip(*rule)] for rule in zip(body, tail))
+    estimates = [abs(v - c) + (32.0 * _EPS * abs(v) + 32.0 * _EPS * abs(c))
+                 for v, c in zip(values, *coarse)] if coarse else None
+    if not all(map(math.isfinite, estimates or values)):
         raise DoubleRangeError("a quadrature total leaves the double range; rescale the input")
     return values, estimates
 
@@ -249,8 +254,9 @@ def _power_integrand(alpha: float, p: float):
     return integrand
 
 
-def _power_sums(lo, hi, bounds, x0, coefs, alpha: float, p: float, orders: list):
-    """Per-function totals (fine, coarse) of ``r^alpha |P(r)|^p`` over the intervals.
+def _power_sums(lo, hi, bounds, x0, coefs, alpha: float, p: float, orders: list, estimate: bool):
+    """Per-function totals of ``r^alpha |P(r)|^p`` over the intervals, per rule of
+    :func:`_quadrature` (fine, and with ``estimate`` coarse).
 
     Function ``k``'s piece vanishes to order ``orders[k]`` at 0, where its
     first interval starts (``None``: identically).  Where ``gamma = alpha +
@@ -260,18 +266,19 @@ def _power_sums(lo, hi, bounds, x0, coefs, alpha: float, p: float, orders: list)
     """
     end = [k is not None and alpha + p * k != 0.0 for k in orders]
     if not any(end):
-        return _quadrature(_power_integrand(alpha, p), lo, hi, bounds, x0, coefs)[0]
-    sums = [[0.0] * len(end), [0.0] * len(end)]
+        return _quadrature(_power_integrand(alpha, p), lo, hi, bounds, (x0, coefs), estimate)[0]
+    sums = [[0.0] * len(end) for _ in range(1 + estimate)]
     if lo.size > sum(end):
         keep = np.ones(lo.size, dtype=bool)
         keep[bounds[:-1][end]] = False
         (sums,) = _quadrature(_power_integrand(alpha, p), lo[keep], hi[keep],
-                              bounds - np.append(0, np.cumsum(end)), x0[keep], coefs[keep])
+                              bounds - np.append(0, np.cumsum(end)), (x0[keep], coefs[keep]),
+                              estimate)
     for order in {k for k, e in zip(orders, end) if e}:
         fns = [i for i, k in enumerate(orders) if k == order]
         at = bounds[fns]
         (part,) = _quadrature(_power_integrand(0.0, p), lo[at], hi[at], np.arange(at.size + 1),
-                              x0[at], coefs[at[:, None], [order, (order + 1) % 3, (order + 2) % 3]],
+                              (x0[at], coefs[at[:, None], (np.arange(3) + order) % 3]), estimate,
                               gamma=alpha + p * order)
         for total, extra in zip(sums, part):
             for k, v in zip(fns, extra):
@@ -285,9 +292,9 @@ def _power_tail(c: float, R: float, alpha: float, p: float) -> float:
     return abs(c) ** p * R ** (alpha + 1.0) / (-(alpha + 1.0))
 
 
-def _tail_integrals(P: PolyBatch, alpha: float, p: float) -> list[list[float]]:
+def _tail_integrals(P: PolyBatch, alpha: float, p: float, estimate: bool) -> list[list[float]]:
     """``\\int_R^\\infty r^alpha |t0 + t1 (r - R)|^p dr`` for every function,
-    one list for the fine rule and one for the coarse.
+    one list for the fine rule and, with ``estimate``, one for the coarse.
 
     A constant tail is :func:`_power_tail`.  For the others ``u = R / r``
     gives ``R^(alpha+1) * \\int_0^1 u^beta |t0 u + t1 R (1-u)|^p du`` with
@@ -310,7 +317,7 @@ def _tail_integrals(P: PolyBatch, alpha: float, p: float) -> list[list[float]]:
         else:
             lin0 = t1 * R   # affine integrand factor: lin0 + (t0 - lin0) * u
             lines.append((k, R ** (alpha + 1.0), lin0, t0 - lin0, 0.0))
-    out = [tails, tails.copy()]
+    out = [tails.copy() for _ in range(1 + estimate)]
     if not lines:
         return out
     which, scale, *coefs = zip(*lines)
@@ -321,7 +328,7 @@ def _tail_integrals(P: PolyBatch, alpha: float, p: float) -> list[list[float]]:
     if lo.size > n:  # a root inside: cap the intervals beyond it
         lo, hi, parent, bounds = _cap_interval_ratio(lo, hi, parent, bounds)
     sums = _power_sums(lo, hi, bounds, np.zeros(lo.size), coefs[parent], -alpha - p - 2.0, p,
-                       [0] * n)
+                       [0] * n, estimate)
     for tail, total in zip(out, sums):
         for k, c, v in zip(which, scale, total):
             tail[k] = c * v
@@ -352,15 +359,16 @@ def integrate_weighted_power(P, alpha: float, p: float, *, return_estimate: bool
     ``return_estimate=True`` the result is a pair ``(value, estimate)``
     where ``estimate`` compares the value against the half-order rule on
     the same intervals; it is an observed error indicator, not a rigorous
-    bound.
+    bound.  Only then is the half-order rule evaluated; the value is the
+    same, bit for bit, with or without it.
     """
     p = check_exponent(p)
     alpha = check_real(alpha, "weight exponent")
     batch = _poly_batch(P)
     orders = _check_origin_convergence(batch, alpha, p)
     lo, hi, x0, coefs, bounds = _cell_intervals(batch, alpha)
-    body = _power_sums(lo, hi, bounds, x0, coefs, alpha, p, orders)
-    value, estimate = _totals(body, _tail_integrals(batch, alpha, p))
+    body = _power_sums(lo, hi, bounds, x0, coefs, alpha, p, orders, return_estimate)
+    value, estimate = _totals(body, _tail_integrals(batch, alpha, p, return_estimate))
     if not return_estimate:
         return value if batch is P else value[0]
     return (value, estimate) if batch is P else (value[0], estimate[0])

@@ -6,8 +6,8 @@ equal to 1 on [0,1] and 0 beyond 2.  This module discretises ``f_eps`` on a
 geometric grid with cell averages (closed form below 1, Gauss-Legendre on
 the cutoff band, built for all band cells at once), sweeps ``eps``
 downward, and extrapolates the ratio to ``eps -> 0`` with an affine fit.  A
-sweep evaluates all its profiles as one batch, one evaluator call, and its
-points equal those of one call per profile bit for bit.  A
+sweep evaluates all its profiles as one batch, with no refinement estimate,
+and its points equal those of one report per profile bit for bit.  A
 derivative-free coordinate-ascent maximizer provides an independent probe
 from the other side: it tries to push a ratio above its sharp constant and
 must fail.  It evaluates its proposals in lookahead batches, one evaluator
@@ -30,11 +30,11 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import DoubleRangeError, FitDegenerateError, HardyLabError, InvalidParameterError
-from .grid import (MAX_SIZE, GridBatch, StepBatch, StepFunction, check_exponent, check_integer,
-                   check_real, make_graded_grid)
+from .grid import (MAX_SIZE, GridBatch, StepBatch, StepFunction, as_batch, check_exponent,
+                   check_integer, check_real, make_graded_grid)
 from .generator import make_rng
 from .quadrature import _gauss_legendre
-from .inequalities import KINDS, RatioReport, ratio_evaluator, sharp_constant
+from .inequalities import KINDS, RatioReport, _evaluate, ratio_evaluator, sharp_constant
 
 CUTOFF_KINDS = ("quintic_smoothstep", "linear")
 
@@ -169,7 +169,7 @@ def sharpness_sweep(kind: str, p: float, eps_list=DEFAULT_EPS_LIST,
     The limit is the intercept of a least-squares affine fit ``ratio(eps)
     ~= c0 + c1 eps`` over the smallest half of the eps list.
 
-    The reports come from the kind named by ``KINDS[kind].sweep``.  For
+    The values come from the kind named by ``KINDS[kind].sweep``.  For
     ``rellich_chain`` that is ``rellich_p``: a sweep point keeps the ratio,
     numerator and denominator, which the two kinds compute alike, and not
     the chain's ``middle`` integral, which would double the quadrature work.
@@ -177,17 +177,19 @@ def sharpness_sweep(kind: str, p: float, eps_list=DEFAULT_EPS_LIST,
     non-increasing, where ``M f = F/r`` and the two reports agree bit for bit.
 
     The profiles are built one eps at a time and evaluated as one batch, in
-    one evaluator call.  A report does not depend on its batch, so every
-    point is bit for bit the one a call per profile gives.  All profiles are
-    held at once, so memory grows with ``len(eps_list) * resolution``: a
-    default sweep (6 x 2048 cells) peaks at 33.0 MB resident in a fresh
-    CPython 3.11 / numpy 2.4 process, against 31.9 MB one profile at a time.
+    one pass that forms no refinement estimate (a point reads none).  A
+    value depends neither on its batch nor on the half-order rule, so every
+    point is bit for bit the one a report per profile gives.  All profiles
+    are held at once, so memory grows with ``len(eps_list) * resolution``: a
+    default sweep (6 x 2048 cells) peaks at 33.1 MB resident in a fresh
+    CPython 3.11 / numpy 2.4 process, 30.0 MB of it after the import alone.
 
-    At a p too large for doubles the :class:`DoubleRangeError` names p: the
-    sharp constant's underflow is checked first, then the profiles' ratios.
-    When the batch leaves the double range, the profiles are evaluated
-    alone in eps order, and the first that fails names its eps.  Any other
-    error is the batch's: that of its first failing profile.
+    ``resolution`` (at least 8) is checked under its own name before any
+    profile is built.  At a p too large for doubles the
+    :class:`DoubleRangeError` names p: the sharp constant's underflow is
+    checked first, then the profiles' ratios.  When the batch fails, the
+    profiles are evaluated alone in eps order: the first that fails raises
+    its error, naming its eps if it leaves the double range.
     """
     if kind not in SWEEP_KINDS:
         raise InvalidParameterError(f"sweep kind must be one of {SWEEP_KINDS}, got {kind!r}")
@@ -200,23 +202,23 @@ def sharpness_sweep(kind: str, p: float, eps_list=DEFAULT_EPS_LIST,
         raise FitDegenerateError("affine extrapolation needs at least 2 eps values")
     if any(e2 >= e1 for e1, e2 in zip(eps_values, eps_values[1:])):
         raise InvalidParameterError("eps values must be strictly decreasing")
+    resolution = check_integer(resolution, "resolution", 8, MAX_SIZE)
     sharp = sharp_constant(kind, p)
-    evaluator = ratio_evaluator(KINDS[kind].sweep, p)
     profiles = [minimizing_function(p, eps, spec, resolution, _sweep_r_min(eps))
                 for eps in eps_values]
     try:
-        reports = evaluator(StepBatch.of(profiles))
-    except DoubleRangeError:
-        # the batch raised the error of its first failing profile: find that one's eps
+        fractions = _evaluate(StepBatch.of(profiles), KINDS[kind].sweep, p, False)
+    except HardyLabError:
+        # evaluated alone in eps order, the first failing profile raises its own error
+        fractions = []
         for eps, f in zip(eps_values, profiles):
             try:
-                evaluator(f)
+                fractions += _evaluate(as_batch(f), KINDS[kind].sweep, p, False)
             except DoubleRangeError as err:  # the profile is the sweep's own, not the caller's
                 raise DoubleRangeError(f"the {kind} ratio of the sweep profile f_eps leaves the "
                                        f"double-precision range at p = {p}, eps = {eps}") from err
-        raise
-    points = [SweepPoint(eps=eps, ratio=rep.ratio, numerator=rep.numerator,
-                         denominator=rep.denominator) for eps, rep in zip(eps_values, reports)]
+    points = [SweepPoint(eps=eps, ratio=num / den, numerator=num, denominator=den)
+              for eps, (num, den) in zip(eps_values, fractions)]
     k = max(2, len(points) // 2)
     tail = points[-k:]
     coeffs = np.polyfit([pt.eps for pt in tail], [pt.ratio for pt in tail], 1)

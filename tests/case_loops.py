@@ -4,7 +4,8 @@ The package draws a ``verify`` case stream as one batch, formats every
 case's CSV text in one pass, encodes its JSON rows with the C encoder and
 builds the cutoff band of a minimizing function as one node matrix; the
 maximize probe evaluates its proposals in lookahead batches and a sharpness
-sweep evaluates its eps profiles as one batch.  These are the per-case,
+sweep evaluates its eps profiles as one batch, without the half-order rule
+that a report's estimate needs.  These are the per-case,
 per-cell, per-trial and per-profile forms that code replaced; it must
 reproduce their output bit for bit (``tests/test_cases.py``,
 ``tests/test_sharpness.py``).
@@ -19,8 +20,8 @@ import numpy as np
 from hardylab import sharpness
 from hardylab.errors import DoubleRangeError, FitDegenerateError, InvalidParameterError
 from hardylab.generator import make_rng
-from hardylab.grid import (Grid, StepFunction, check_exponent, check_integer, check_real,
-                           make_graded_grid)
+from hardylab.grid import (MAX_SIZE, Grid, StepFunction, check_exponent, check_integer,
+                           check_real, make_graded_grid)
 from hardylab.inequalities import KINDS, RatioReport, sharp_constant
 from hardylab.quadrature import _gauss_legendre
 from hardylab.sharpness import (DEFAULT_EPS_LIST, DEFAULT_SWEEP_RESOLUTION, SWEEP_KINDS,
@@ -149,9 +150,9 @@ def ratio_maximize(kind, p, n_cells=32, seed=0, iters=200):
 def sharpness_sweep(kind, p, eps_list=DEFAULT_EPS_LIST, spec=CutoffSpec(),
                     resolution=DEFAULT_SWEEP_RESOLUTION):
     """``sharpness.sharpness_sweep`` with one evaluator call per eps: each
-    profile built and evaluated before the next.  The profile and the
-    evaluator are looked up on the module when called, so a patched one
-    reaches both."""
+    profile built and evaluated to a full report (both rules) before the
+    next.  The profile and the evaluator are looked up on the module when
+    called, so a patched one reaches both."""
     if kind not in SWEEP_KINDS:
         raise InvalidParameterError(f"sweep kind must be one of {SWEEP_KINDS}, got {kind!r}")
     p = check_exponent(p)
@@ -163,6 +164,7 @@ def sharpness_sweep(kind, p, eps_list=DEFAULT_EPS_LIST, spec=CutoffSpec(),
         raise FitDegenerateError("affine extrapolation needs at least 2 eps values")
     if any(e2 >= e1 for e1, e2 in zip(eps_values, eps_values[1:])):
         raise InvalidParameterError("eps values must be strictly decreasing")
+    resolution = check_integer(resolution, "resolution", 8, MAX_SIZE)
     sharp = sharp_constant(kind, p)
     evaluator = sharpness.ratio_evaluator(KINDS[kind].sweep, p)
     points = []

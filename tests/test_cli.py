@@ -20,7 +20,7 @@ import pytest
 import hardylab
 from hardylab import cli
 from hardylab.errors import InvalidParameterError
-from hardylab.grid import read_step_csv, step_function, write_step_csv
+from hardylab.grid import MAX_SIZE, read_step_csv, step_function, write_step_csv
 from hardylab.inequalities import RatioReport, ratio_evaluator
 
 
@@ -215,6 +215,15 @@ def test_a_size_numpy_cannot_index_exits_2_without_a_traceback(args, monkeypatch
     assert out == ""
     assert err.startswith("error: ") and len(err.splitlines()) == 1, err
     assert "must be an integer in [" in err
+
+
+@pytest.mark.parametrize("resolution", ["4", "7", str(10**20)])
+def test_a_bad_sweep_resolution_exits_2_under_its_own_name(resolution, capsys):
+    assert cli.main(["sweep", "--kind", "hardy", "--p", "2", "--resolution", resolution]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (f"error: resolution must be an integer in [8, {MAX_SIZE}], "
+                   f"got {resolution}\n"), err
 
 
 @pytest.mark.parametrize("args", [

@@ -23,7 +23,11 @@ from hardylab import (
     step_function,
     write_step_csv,
 )
-from hardylab import quadrature, ratio_evaluator
+from hardylab import (corollary_avg_check, corollary_int_check, quadrature, ratio_evaluator,
+                      random_step_function_away_from_zero, weighted_supmin_check)
+from hardylab.grid import PolyBatch
+from hardylab.inequalities import REPORT_KINDS
+from hardylab.sharpness import ratio_maximize, sharpness_sweep
 from hardylab.grid import step_csv_text
 from hardylab.operators import cumulative, double_cumulative
 
@@ -336,7 +340,7 @@ class TestIntegrateWeightedPower:
 def test_end_rules_are_exact_on_their_polynomials(gamma):
     """The fine rule integrates ``(1+t)^gamma (1+t)^m`` on [-1, 1] exactly for
     m < 32, the coarse one for m < 16."""
-    nodes, rules = quadrature._rule(gamma)
+    nodes, rules = quadrature._rule(gamma, True)
     for (start, stop, weights), degree in zip(rules, (32, 16)):
         t = nodes[start:stop]
         assert np.all((-1.0 < t) & (t < 1.0))
@@ -346,7 +350,7 @@ def test_end_rules_are_exact_on_their_polynomials(gamma):
 
 
 def test_end_rule_at_gamma_zero_is_gauss_legendre():
-    nodes, rules = quadrature._rule(0.0)
+    nodes, rules = quadrature._rule(0.0, True)
     for (start, stop, weights), n in zip(rules, (16, 8)):
         x, w = np.polynomial.legendre.leggauss(n)
         assert nodes[start:stop].tobytes() == x.tobytes() and weights.tobytes() == w.tobytes()
@@ -423,6 +427,84 @@ def test_passes_per_table_kind_integral(kind, p, passes, monkeypatch):
     ratio_evaluator(kind, p)(random_step_function(rng, 5))
     assert calls and np.diff(calls + [len(sizes)]).tolist() == [passes] * len(calls)
     assert min(sizes) > 0
+
+
+# ---------------------------------------------------------------------------
+# The half-order rule runs only where an estimate is reported
+# ---------------------------------------------------------------------------
+
+
+def _bit_batches(p):
+    """``(P, alpha)`` batches that reach every quadrature path at ``p``: the
+    plain body with a constant tail (F at alpha = -p), the Gauss-Jacobi end
+    rule at order 1 (F at alpha = -p - 0.5) and order 0 (the step function
+    itself at alpha = -0.5, no tail), and sloped tails of D, every other one
+    turned down so that its root lies inside the tail, without and with the
+    end rule (gamma = 0 and -0.3)."""
+    f = random_step_function(make_rng(61), 12)
+    F, D = cumulative(f), double_cumulative(abs(f))
+    S = PolyBatch(f.grid, np.stack((f.values, 0.0 * f.values, 0.0 * f.values), axis=1),
+                  np.zeros(len(f)), np.zeros(len(f)))
+    assert np.all(D.tail_value > 0.0) and np.all(D.tail_slope > 0.0)
+    D = PolyBatch(D.grid, D.coeffs, D.tail_value, D.tail_slope * np.resize([1.0, -1.0], len(f)))
+    return [(F, -p), (F, -p - 0.5), (S, -0.5), (D, -2.0 * p), (D, -2.0 * p - 0.3)]
+
+
+@pytest.mark.parametrize("p", [1.05, 1.5, 2.0, 3.0])
+def test_the_value_without_an_estimate_is_the_value_with_one(p):
+    """The fine rule alone gives the bits the fine rule gives beside the
+    coarse one."""
+    for P, alpha in _bit_batches(p):
+        alone = integrate_weighted_power(P, alpha, p)
+        value, _ = integrate_weighted_power(P, alpha, p, return_estimate=True)
+        assert [v.hex() for v in alone] == [v.hex() for v in value], alpha
+
+
+def _node_columns(monkeypatch) -> set:
+    """The set that records, from now on, how many node columns each
+    integrand that ``_quadrature`` evaluates gets."""
+    import hardylab.inequalities as inequalities
+
+    columns, quad = set(), quadrature._quadrature
+
+    def recording(integrand, *args, **kwargs):
+        def record(r, *rows):
+            columns.add(r.shape[1])
+            return integrand(r, *rows)
+        return quad(record, *args, **kwargs)
+
+    monkeypatch.setattr(quadrature, "_quadrature", recording)
+    monkeypatch.setattr(inequalities, "_quadrature", recording)
+    return columns
+
+
+FINE = {quadrature.QUAD_ORDER}
+BOTH = {quadrature.QUAD_ORDER + quadrature.QUAD_ORDER // 2}
+AWAY = random_step_function_away_from_zero(make_rng(67))
+
+
+@pytest.mark.parametrize("call, columns", [
+    (lambda: sharpness_sweep("hardy", 1.5), FINE),
+    (lambda: sharpness_sweep("rellich_chain", 3.0), FINE),
+    (lambda: weighted_supmin_check(AWAY, 1.5), FINE),
+    (lambda: corollary_int_check(AWAY, 1.5), FINE),
+    (lambda: corollary_avg_check(AWAY, 1.5), FINE),
+    *[(lambda P=P, alpha=alpha: integrate_weighted_power(P, alpha, 1.5), FINE)
+      for P, alpha in _bit_batches(1.5)],
+    *[(lambda P=P, alpha=alpha: integrate_weighted_power(P, alpha, 1.5, return_estimate=True),
+       BOTH) for P, alpha in _bit_batches(1.5)],
+    *[(lambda kind=kind: ratio_evaluator(kind, 2.0)(AWAY), BOTH) for kind in REPORT_KINDS],
+    (lambda: ratio_maximize("new_hardy", 2.0, iters=8), BOTH),
+], ids=["sweep-hardy", "sweep-rellich_chain", "weighted_supmin_check", "corollary_int_check",
+        "corollary_avg_check", *[f"no-estimate-{k}" for k in range(5)],
+        *[f"estimate-{k}" for k in range(5)], *REPORT_KINDS, "ratio_maximize"])
+def test_the_half_order_rule_runs_only_for_an_estimate(call, columns, monkeypatch):
+    """Every quadrature pass of a call that reports no estimate evaluates the
+    QUAD_ORDER nodes alone; one whose estimate is reported adds the
+    half-order rule's in the same pass."""
+    seen = _node_columns(monkeypatch)
+    call()
+    assert seen == columns
 
 
 # ---------------------------------------------------------------------------

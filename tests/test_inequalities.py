@@ -388,6 +388,15 @@ class TestWeightedSupmin:
     def test_zero(self):
         assert weighted_supmin_check(ZERO, 2.0) == (0.0, 0.0)
 
+    def test_lhs_is_the_new_hardy_numerator(self):
+        # the check runs the fine rule alone, the report the coarse one beside it
+        rng = make_rng(263)
+        for _ in range(10):
+            f = random_step_function(rng)
+            for p in (1.05, 1.5, 2.0, 3.0):
+                lhs, _ = weighted_supmin_check(f, p)
+                assert lhs.hex() == new_hardy_ratio(f, p).numerator.hex(), p
+
     def test_rearranged_side_dominates_on_random_inputs(self):
         rng = make_rng(251)
         for _ in range(100):
@@ -578,7 +587,7 @@ def test_sloped_tails_against_closed_form(p):
                                       _sweep_r_min(eps)) for eps in DEFAULT_EPS_LIST]
     batch = StepBatch.of(functions)
     for P in (double_cumulative(abs(batch)), inner_cumulative(batch)):
-        fine, _ = quadrature._tail_integrals(P, -2.0 * p, p)
+        (fine,) = quadrature._tail_integrals(P, -2.0 * p, p, False)
         ends = P.grid.edges[P.grid.ends].tolist()
         for k, (R, t0, t1) in enumerate(zip(ends, P.tail_value.tolist(), P.tail_slope.tolist())):
             assert t1 != 0.0

@@ -478,17 +478,24 @@ def test_lookahead_equals_one_trial_at_a_time_down_to_the_last_delta(kind, p):
 def _patch_evaluator(monkeypatch, on_call):
     """Route every evaluation of ``ratio_maximize`` and ``sharpness_sweep``
     (and of their reference loops) through ``on_call(rows)``, ``rows`` the
-    functions' values in rows of 32, as bytes."""
-    real = inequalities.ratio_evaluator
+    functions' values in rows of 32, as bytes.  The sweep evaluates with
+    ``_evaluate``, which forms no estimate; the rest with ``ratio_evaluator``."""
+    def rows(f):
+        return [row.tobytes() for row in np.reshape(f.values, (-1, 32))]
 
     def factory(kind, p):
-        evaluate = real(kind, p)
+        evaluate = inequalities.ratio_evaluator(kind, p)
 
         def run(f):
-            on_call([row.tobytes() for row in np.reshape(f.values, (-1, 32))])
+            on_call(rows(f))
             return evaluate(f)
         return run
+
+    def sweep_evaluate(f, *args):
+        on_call(rows(f))
+        return inequalities._evaluate(f, *args)
     monkeypatch.setattr(sharpness, "ratio_evaluator", factory)
+    monkeypatch.setattr(sharpness, "_evaluate", sweep_evaluate)
 
 
 def _trials_evaluated(monkeypatch, maximize):
