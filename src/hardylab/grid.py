@@ -208,6 +208,9 @@ class PiecewisePoly:
     tail_slope: float = 0.0
 
     def __post_init__(self) -> None:
+        if not isinstance(self.grid, Grid):
+            raise InvalidParameterError(f"a piecewise polynomial needs a Grid, got "
+                                        f"{type(self.grid).__name__}")
         coeffs = _real_array(self.coeffs, "polynomial coefficients", (self.grid.n_cells, 3))
         for name in ("tail_value", "tail_slope"):
             object.__setattr__(self, name, check_real(getattr(self, name), name))
@@ -215,7 +218,7 @@ class PiecewisePoly:
 
     @classmethod
     def from_step(cls, f: StepFunction) -> "PiecewisePoly":
-        coeffs = np.zeros((f.grid.n_cells, 3))
+        coeffs = np.zeros((_step_function(f).grid.n_cells, 3))
         coeffs[:, 0] = f.values
         return cls(f.grid, coeffs)
 

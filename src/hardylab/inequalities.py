@@ -27,8 +27,10 @@ bound for the improved one); for ``rellich_chain`` it is the intermediate
 integral sitting between numerator and ``sharp * denominator``.
 
 Every integral uses the fixed Gauss rules of :mod:`hardylab.quadrature`, and
-``refinement_estimate`` compares them with the half-order rules, which run
-only where a report is built; the values are the same without them.
+``refinement_estimate`` compares them with the half-order rules.  The
+half-order rules and the ``middle`` term are formed only where a report is
+built; the sweeps, the maximize ascent and the checks read numerators and
+denominators alone, which are the same without them.
 
 The two-branch max form of :func:`corollary_int_check` is ``(M f)^p``
 exactly, in floating point too (division by ``r`` and the p-th power are
@@ -63,9 +65,10 @@ class Kind:
     """One inequality kind.
 
     ``numerator(f, p, estimate)`` takes a :class:`StepBatch` and returns,
-    per function, the numerator, the ``middle`` term (``None`` instead of
-    the list for the plain kinds) and the error estimate (``None`` instead
-    of the list without ``estimate``); ``sharp(p)`` is the sharp constant.
+    per function, the numerator, the ``middle`` term and the error estimate;
+    without ``estimate`` (no report is built) the last two are ``None``, not
+    computed, and the plain kinds' middle term is ``None`` always.
+    ``sharp(p)`` is the sharp constant.
     ``p2_only`` kinds are stated for p = 2 only.  ``sweep`` names the kind a
     sweep of this kind evaluates (``None``: no sweep); ``rellich_chain``
     sweeps ``rellich_p``, which has its numerator and sharp constant but no
@@ -148,8 +151,10 @@ def _check_normal(name: str, values) -> None:
 @_in_double_range
 def _evaluate(f: StepBatch, kind: str, p: float, estimate: bool = True) -> list:
     """The reports of ``kind`` for a batch (``p`` already checked).  Without
-    ``estimate``, for a caller that reads none, the ``(numerator,
-    denominator)`` pairs instead: the reports' values, checked alike."""
+    ``estimate``, for a caller that reads neither an estimate nor a middle
+    term, the ``(numerator, denominator)`` pairs instead: the reports'
+    values, checked alike, with no middle term or estimate formed (so
+    neither can raise)."""
     spec = KINDS[kind]
     den = p_norm(f, p)
     if not f.values.any():
@@ -192,10 +197,13 @@ def _rellich(f: StepBatch, p: float, estimate: bool):
 def _rellich_chain(f: StepBatch, p: float, estimate: bool):
     """The Rellich numerator, and as ``middle`` ``\\int r^{-2p} G(r)^p dr`` where
     ``G`` accumulates ``rellich_inner(f, .)`` exactly; the chain contract is
-    numerator <= middle <= sharp * denominator."""
-    num, _, est_num = _rellich(f, p, estimate)
-    mid, est_mid = _integral(inner_cumulative(f), -2.0 * p, p, estimate)
-    return num, mid, est_num and [a + b for a, b in zip(est_num, est_mid)]
+    numerator <= middle <= sharp * denominator.  Without ``estimate`` no report
+    is built, so this is :func:`_rellich`: no ``G`` and no middle integral."""
+    if not estimate:
+        return _rellich(f, p, False)
+    num, _, est_num = _rellich(f, p, True)
+    mid, est_mid = _integral(inner_cumulative(f), -2.0 * p, p, True)
+    return num, mid, [a + b for a, b in zip(est_num, est_mid)]
 
 
 def _supmin(f: StepBatch, p: float, estimate: bool):
@@ -203,7 +211,9 @@ def _supmin(f: StepBatch, p: float, estimate: bool):
     ``middle``: ``(|F|/r)^p <= (M f)^p`` holds to rounding.  The sup-min
     integral is also the corollary_int_check lhs: the two-branch max form is
     ``(M f)^p`` bit for bit (see there).  The middle term's estimate is never
-    read, so its integrand keeps the fine rule's nodes only."""
+    read, so its integrand keeps the fine rule's nodes only.  Without
+    ``estimate`` no report is built, so no middle term is formed: ``|F|/r``
+    is only a branch of ``M f``."""
     def integrand(r, a, u, v, mp, sb):
         # in place where possible: the matrices are the large arrays
         absF = r - a[:, None]
@@ -214,17 +224,21 @@ def _supmin(f: StepBatch, p: float, estimate: bool):
         supmin = np.divide(mp[:, None], r)
         np.maximum(supmin, classic, out=supmin)
         np.maximum(supmin, sb[:, None], out=supmin)             # M f(r)
-        return [np.power(supmin, p, out=supmin),
-                np.power(classic, p, out=classic)[:, :QUAD_ORDER]]
+        powers = [np.power(supmin, p, out=supmin)]
+        if estimate:
+            powers.append(np.power(classic, p, out=classic)[:, :QUAD_ORDER])
+        return powers
 
     (lo, hi, *columns), bounds, peak, F_end = _supmin_rows(f)
-    supmin, classic = _quadrature(integrand, lo, hi, bounds, columns, estimate)
+    supmin, *classic = _quadrature(integrand, lo, hi, bounds, columns, estimate)
     # beyond the support M f(r) = peak / r and F is constant
     ends = f.grid.edges[f.grid.ends].tolist()
     beyond = [_power_tail(top, R, -p, p) for top, R in zip(peak, ends)]
-    classic_beyond = [_power_tail(end, R, -p, p) for end, R in zip(F_end, ends)]
     num, est = _totals(supmin, [beyond] * len(supmin))
-    middle, _ = _totals(classic, [classic_beyond])
+    if not estimate:
+        return num, None, None
+    classic_beyond = [_power_tail(end, R, -p, p) for end, R in zip(F_end, ends)]
+    middle, _ = _totals(classic[0], [classic_beyond])
     return num, middle, est
 
 

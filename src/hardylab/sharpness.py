@@ -10,9 +10,10 @@ sweep evaluates all its profiles as one batch, with no refinement estimate,
 and its points equal those of one report per profile bit for bit.  A
 derivative-free coordinate-ascent maximizer provides an independent probe
 from the other side: it tries to push a ratio above its sharp constant and
-must fail.  It evaluates its proposals in lookahead batches, one evaluator
-call for several, and its results equal the one-at-a-time ascent's bit for
-bit.
+must fail.  It evaluates its proposals in lookahead batches, one pass for
+several, that read ratios alone (no estimate, no ``middle`` term), and
+builds one report, for its best function, at the end; its results equal the
+one-at-a-time ascent's bit for bit.
 
 The singular mass of ``f_eps`` concentrates like ``r^(eps-1)`` at the
 origin, so the truncation radius must shrink rapidly as ``eps`` does: the
@@ -49,7 +50,7 @@ _TRUNCATION_RHO = 0.2
 
 _MAXIMIZE_R_MIN = 1e-3
 
-# proposals per evaluator call in ratio_maximize
+# proposals per estimate-free pass in ratio_maximize
 _LOOKAHEAD = 4
 
 
@@ -240,10 +241,16 @@ def _chained_trials(values: np.ndarray, cells: np.ndarray, delta: float) -> np.n
     return values * factors
 
 
-def _trial_reports(evaluator, grid, trials: np.ndarray):
-    """``k -> report of trials[k]``, from one evaluator call on all the trials.
+def _ratio(kind: str, p: float, f: StepFunction) -> float:
+    """The ratio of the report of ``f``, without the report."""
+    ((num, den),) = _evaluate(as_batch(f), kind, p, False)
+    return num / den
 
-    Where that call raises, each trial is evaluated alone when asked for, so
+
+def _trial_ratios(kind: str, p: float, grid, trials: np.ndarray):
+    """``k -> ratio of trials[k]``, from one estimate-free pass over all the trials.
+
+    Where that pass raises, each trial is evaluated alone when asked for, so
     only the trials the one-at-a-time ascent reaches are evaluated, and an
     error comes from the trial it comes from there.
     """
@@ -251,9 +258,10 @@ def _trial_reports(evaluator, grid, trials: np.ndarray):
     try:
         batch = StepBatch.checked(
             GridBatch(np.tile(grid.edges, n), np.arange(n + 1) * grid.n_cells), trials.ravel())
-        return evaluator(batch).__getitem__
+        ratios = [num / den for num, den in _evaluate(batch, kind, p, False)]
+        return ratios.__getitem__
     except HardyLabError:
-        return lambda k: evaluator(StepFunction(grid, trials[k]))
+        return lambda k: _ratio(kind, p, StepFunction(grid, trials[k]))
 
 
 def ratio_maximize(kind: str, p: float, n_cells: int = 32, seed: int = 0,
@@ -266,17 +274,25 @@ def ratio_maximize(kind: str, p: float, n_cells: int = 32, seed: int = 0,
     improvement.  ``iters`` counts single-cell proposals.  Deterministic for
     a fixed seed (the seed only shuffles the cell visiting order).
 
+    The ascent reads ratios alone.  Every trial is evaluated without a
+    report: numerator and denominator only, with no refinement estimate and
+    no ``middle`` term, whose ratio is the float its report would hold.  The
+    one report returned is built after the loop, by one evaluator call on
+    the best function; only that call can raise a range error of the middle
+    term or of the estimate.
+
     Proposals are evaluated in lookahead batches: the next ``_LOOKAHEAD`` = 4
     of the pass (fewer at its end or where the iterations run out), each
-    built as if the ones before it were accepted, go to the evaluator as one
-    batch of both their trials.  The walk through them stops after the first
+    built as if the ones before it were accepted, go to one pass as a batch
+    of both their trials.  The walk through them stops after the first
     proposal whose ``x(1+delta)`` trial is rejected, and the next batch
-    starts from there.  A report does not depend on its batch, so the result
+    starts from there.  A value does not depend on its batch, so the result
     equals the one-at-a-time ascent's bit for bit.  Four was measured on the
-    14 criterion-10 probes at ``iters=40``: it cuts the evaluator calls from
-    50.4 to 14.1 per run (17.0 at 3, 12.2 at 6), and past it the trials
-    evaluated and not used cost more than the calls saved; at ``iters=200``,
-    where most proposals are rejected, larger batches only add waste.
+    14 criterion-10 probes at ``iters=40``: a run makes 14.1 passes and one
+    report where the one-at-a-time ascent makes 50.4 reports (17.0 passes at
+    3, 12.2 at 6), and past it the trials evaluated and not used cost more
+    than the passes saved; at ``iters=200``, where most proposals are
+    rejected, larger batches only add waste.
     """
     p = check_exponent(p)
     n_cells = check_integer(n_cells, "n_cells", 4, MAX_SIZE)
@@ -285,8 +301,7 @@ def ratio_maximize(kind: str, p: float, n_cells: int = 32, seed: int = 0,
     evaluator = ratio_evaluator(kind, p)
     grid = make_graded_grid(1.0, n_cells, "geometric", r_min=_MAXIMIZE_R_MIN)
     values = np.ones(n_cells)
-    best_report = evaluator(StepFunction(grid, values))
-    best = best_report.ratio
+    best = _ratio(kind, p, StepFunction(grid, values))
     delta = 0.5
     visit = rng.permutation(n_cells)
     pos = 0
@@ -302,16 +317,17 @@ def ratio_maximize(kind: str, p: float, n_cells: int = 32, seed: int = 0,
             visit = rng.permutation(n_cells)
             pos = 0
         trials = _chained_trials(values, visit[pos:pos + min(_LOOKAHEAD, left)], delta)
-        report = _trial_reports(evaluator, grid, trials)
+        ratio = _trial_ratios(kind, p, grid, trials)
         for j in range(0, len(trials), 2):
             pos += 1
             left -= 1
             for k in (j, j + 1):
-                rep = report(k)
-                if rep.ratio > best:
-                    values, best, best_report = trials[k], rep.ratio, rep
+                trial_ratio = ratio(k)
+                if trial_ratio > best:
+                    values, best = trials[k], trial_ratio
                     improved_in_pass = True
                     break
             if k > j:  # the x(1+delta) trial was rejected: later trials assumed it
                 break
-    return StepFunction(grid, values), best_report
+    best_function = StepFunction(grid, values)
+    return best_function, evaluator(best_function)

@@ -16,6 +16,7 @@ from hardylab import (DoubleRangeError, InvalidParameterError, StepBatch, StepFu
                       ZeroDenominatorError, make_graded_grid, make_rng, p_norm,
                       random_step_function, random_step_function_away_from_zero,
                       ratio_evaluator, step_function)
+from hardylab import inequalities
 from hardylab.grid import as_batch, step_csv_text
 from hardylab.inequalities import _supmin_rows
 from hardylab.operators import cumulative, double_cumulative, inner_cumulative, supmin_branches
@@ -69,6 +70,23 @@ def test_reports_do_not_depend_on_the_batch(kind, p):
     assert batch == alone
     assert backwards == alone
     assert split == alone
+
+
+@pytest.mark.parametrize("kind, p", KINDS)
+def test_the_fraction_pass_gives_the_reports_numerator_and_denominator(kind, p, monkeypatch):
+    """``_evaluate`` without an estimate builds no report: it forms no
+    ``middle`` term (the chain builds no ``G``) and no estimate, yet each
+    pair is its report's ``(numerator, denominator)`` to the bit.  Every
+    Rellich tail of the batch is sloped, and at p != 2 its first interval
+    takes the end rule for ``u^(p-2)``."""
+    batch = StepBatch.of(FUNCTIONS + [LONG])
+    assert np.all(double_cumulative(abs(batch)).tail_slope > 0.0)
+    with monkeypatch.context() as patch:
+        patch.setattr(inequalities, "inner_cumulative", None)
+        pairs = inequalities._evaluate(batch, kind, p, False)
+    reports = ratio_evaluator(kind, p)(batch)
+    assert [(num.hex(), den.hex()) for num, den in pairs] == [
+        (rep.numerator.hex(), rep.denominator.hex()) for rep in reports]
 
 
 def test_slices_are_the_functions_they_name():

@@ -101,6 +101,7 @@ CALLS = {
     "step_function-values": lambda v: step_function([0.0, 1.0], [v]),
     "StepBatch.checked": lambda v: StepBatch.checked(as_batch(F).grid, v),
     "StepBatch.of": StepBatch.of,
+    "PiecewisePoly-grid": lambda v: PiecewisePoly(v, np.zeros((1, 3))),
     "PiecewisePoly-coeffs": lambda v: PiecewisePoly(CELL, v),
     "PiecewisePoly-tail_value": lambda v: PiecewisePoly(CELL, np.zeros((1, 3)), tail_value=v),
     "PiecewisePoly-tail_slope": lambda v: PiecewisePoly(CELL, np.zeros((1, 3)), tail_slope=v),
@@ -195,6 +196,7 @@ BATCH_CALLS = {
 SINGLE_CALLS = {
     "StepBatch.of-first": lambda f: StepBatch.of([f]),
     "StepBatch.of-second": lambda f: StepBatch.of([F, f]),
+    "PiecewisePoly.from_step": PiecewisePoly.from_step,
     "write_step_csv": lambda f: write_step_csv(f, os.devnull),
     "decreasing_rearrangement": decreasing_rearrangement,
     "check_norm_preservation": lambda f: check_norm_preservation(f, 2.0),
@@ -235,6 +237,14 @@ def test_a_function_of_the_other_kind_is_an_invalid_parameter(name):
 def test_a_batch_is_not_one_step_function(name):
     with pytest.raises(InvalidParameterError, match="^expected a step function, got StepBatch$"):
         SINGLE_CALLS[name](as_batch(AWAY))
+
+
+def test_a_polynomial_is_not_built_on_a_batch_grid():
+    # integrate_weighted_power would read its cells against one function's coefficients
+    grid = random_step_function(make_rng(0), 2).grid
+    with pytest.raises(InvalidParameterError, match="^a piecewise polynomial needs a Grid, got "
+                                                    "GridBatch$"):
+        PiecewisePoly(grid, np.zeros((grid.n_cells, 3)))
 
 
 @pytest.mark.parametrize("rng", [0, None, np.random.RandomState(0)])

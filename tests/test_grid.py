@@ -460,16 +460,16 @@ def test_the_value_without_an_estimate_is_the_value_with_one(p):
         assert [v.hex() for v in alone] == [v.hex() for v in value], alpha
 
 
-def _node_columns(monkeypatch) -> set:
-    """The set that records, from now on, how many node columns each
-    integrand that ``_quadrature`` evaluates gets."""
+def _node_columns(monkeypatch) -> list:
+    """The list that records, from now on and in order, how many node columns
+    each integrand that ``_quadrature`` evaluates gets."""
     import hardylab.inequalities as inequalities
 
-    columns, quad = set(), quadrature._quadrature
+    columns, quad = [], quadrature._quadrature
 
     def recording(integrand, *args, **kwargs):
         def record(r, *rows):
-            columns.add(r.shape[1])
+            columns.append(r.shape[1])
             return integrand(r, *rows)
         return quad(record, *args, **kwargs)
 
@@ -494,17 +494,28 @@ AWAY = random_step_function_away_from_zero(make_rng(67))
     *[(lambda P=P, alpha=alpha: integrate_weighted_power(P, alpha, 1.5, return_estimate=True),
        BOTH) for P, alpha in _bit_batches(1.5)],
     *[(lambda kind=kind: ratio_evaluator(kind, 2.0)(AWAY), BOTH) for kind in REPORT_KINDS],
-    (lambda: ratio_maximize("new_hardy", 2.0, iters=8), BOTH),
+    (lambda: ratio_maximize("new_hardy", 2.0, iters=8),
+     lambda best: ratio_evaluator("new_hardy", 2.0)(best)),
 ], ids=["sweep-hardy", "sweep-rellich_chain", "weighted_supmin_check", "corollary_int_check",
         "corollary_avg_check", *[f"no-estimate-{k}" for k in range(5)],
         *[f"estimate-{k}" for k in range(5)], *REPORT_KINDS, "ratio_maximize"])
 def test_the_half_order_rule_runs_only_for_an_estimate(call, columns, monkeypatch):
     """Every quadrature pass of a call that reports no estimate evaluates the
     QUAD_ORDER nodes alone; one whose estimate is reported adds the
-    half-order rule's in the same pass."""
+    half-order rule's in the same pass.  ``ratio_maximize`` reports the
+    estimate of its best function alone: its ascent's passes take the
+    QUAD_ORDER nodes alone, and its last passes are those that one report
+    (``columns``, called on the best function) makes."""
     seen = _node_columns(monkeypatch)
-    call()
-    assert seen == columns
+    out = call()
+    if not callable(columns):
+        assert set(seen) == columns
+        return
+    run = len(seen)
+    columns(out[0])
+    report = seen[run:]
+    assert set(report) == BOTH and run > len(report)
+    assert seen[:run] == [quadrature.QUAD_ORDER] * (run - len(report)) + report
 
 
 # ---------------------------------------------------------------------------

@@ -296,6 +296,20 @@ def test_chain_sweep_builds_no_inner_cumulative(monkeypatch):
     assert res.kind == "rellich_chain" and len(res.points) == len(DEFAULT_EPS_LIST)
 
 
+def test_chain_ascent_builds_one_inner_cumulative(monkeypatch):
+    # the ascent reads ratios alone: G is built once, for the returned report
+    calls, build = [], inequalities.inner_cumulative
+
+    def counted(f):
+        calls.append(len(f))
+        return build(f)
+
+    monkeypatch.setattr(inequalities, "inner_cumulative", counted)
+    best, rep = ratio_maximize("rellich_chain", 2.0, iters=40)
+    assert calls == [1]
+    assert rep.middle is not None and rep == rellich_chain(best, 2.0)
+
+
 @functools.cache
 def _chain_sweep_and_reports(p, cutoff):
     """A default ``rellich_chain`` sweep, and the full chain report of each of its profiles."""
@@ -473,6 +487,12 @@ def test_lookahead_equals_one_trial_at_a_time_down_to_the_last_delta(kind, p):
     probe = ratio_maximize(kind, p, n_cells=4, seed=1, iters=400)
     _assert_same_probe(probe, loops.ratio_maximize(kind, p, n_cells=4, seed=1, iters=400))
     _assert_same_probe(probe, ratio_maximize(kind, p, n_cells=4, seed=1, iters=40000))
+
+
+@pytest.mark.parametrize("kind, p", PROBE_CASES)
+def test_the_returned_report_is_the_best_functions_report(kind, p):
+    best, rep = ratio_maximize(kind, p, seed=0, iters=40)
+    assert rep == inequalities.ratio_evaluator(kind, p)(best)
 
 
 def _patch_evaluator(monkeypatch, on_call):
