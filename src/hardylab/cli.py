@@ -250,6 +250,9 @@ def main(argv=None) -> int:
     except HardyLabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:  # a size within its bound that this machine cannot hold
+        print(f"error: not enough memory: {exc}", file=sys.stderr)
+        return 2
     except Exception:  # a bug, not a finding: keep it apart from exit code 1
         traceback.print_exc()
         return 3

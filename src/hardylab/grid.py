@@ -68,9 +68,10 @@ def check_exponent(p: float) -> float:
     return check_real(p, "exponent", 1.0)
 
 
-# the largest size (cells, functions) a size parameter takes: numpy indexes at
-# most ``iinfo(intp).max`` entries, and ``n`` cells have ``n + 1`` edges
-MAX_SIZE = int(np.iinfo(np.intp).max) - 1
+# the largest size (cells, functions) a size parameter takes: half the float64s
+# numpy allows (``iinfo(intp).max`` bytes), as ``np.linspace`` still raises a
+# ValueError at ``max // 8 - 1``; up to here, a size too large raises MemoryError
+MAX_SIZE = int(np.iinfo(np.intp).max) // 16
 
 
 def check_integer(value, name: str, minimum: int, maximum: float = math.inf) -> int:

@@ -150,11 +150,11 @@ def _check_normal(name: str, values) -> None:
 
 @_in_double_range
 def _evaluate(f: StepBatch, kind: str, p: float, estimate: bool = True) -> list:
-    """The reports of ``kind`` for a batch (``p`` already checked).  Without
-    ``estimate``, for a caller that reads neither an estimate nor a middle
-    term, the ``(numerator, denominator)`` pairs instead: the reports'
-    values, checked alike, with no middle term or estimate formed (so
-    neither can raise)."""
+    """The reports of ``kind`` for a batch (``p`` already checked), or the
+    error of a failing function; callers read them through :func:`_results`.
+    Without ``estimate``, the ``(numerator, denominator)`` pairs instead: the
+    reports' values, checked alike, with no middle term or estimate formed
+    (so neither can raise)."""
     spec = KINDS[kind]
     den = p_norm(f, p)
     if not f.values.any():
@@ -168,6 +168,19 @@ def _evaluate(f: StepBatch, kind: str, p: float, estimate: bool = True) -> list:
     sharp = spec.sharp(p)
     return [RatioReport(kind, p, n, m, d, sharp, n / d, sharp - n / d, e)
             for n, m, d, e in zip(num, middle or repeat(None), den, est)]
+
+
+def _results(f: StepBatch, kind: str, p: float, estimate: bool = True) -> Callable:
+    """``k -> the result of function k`` (as :func:`_evaluate` gives it), from
+    one pass over the batch.  Where that pass raises, function ``k`` is
+    evaluated alone when it is asked for: an error is the one its function
+    raises alone, and a function never asked for never raises."""
+    try:
+        return _evaluate(f, kind, p, estimate).__getitem__
+    except HardyLabError:
+        if len(f) == 1:
+            raise
+        return lambda k: _evaluate(f[k:k + 1], kind, p, estimate)[0]
 
 
 # --------------------------------------------------------------------------
@@ -295,18 +308,10 @@ def ratio_evaluator(kind: str, p: float) -> Callable:
     _kind(kind, p)
 
     def evaluate(f):
-        """One report for one function; a list of reports for a batch,
-        evaluated in one pass.  When that pass fails, the functions are
-        evaluated one at a time, so the error raised is the one the
-        lowest-index failing function raises alone."""
-        if not isinstance(f, StepBatch):
-            return _evaluate(as_batch(f), kind, p)[0]
-        try:
-            return _evaluate(f, kind, p)
-        except HardyLabError:
-            if len(f) == 1:
-                raise
-            return [_evaluate(f[k:k + 1], kind, p)[0] for k in range(len(f))]
+        """One report, or for a batch a list read in order through
+        :func:`_results`: an error is the lowest-index failing function's own."""
+        result = _results(as_batch(f), kind, p)
+        return [result(k) for k in range(len(f))] if isinstance(f, StepBatch) else result(0)
     return evaluate
 
 

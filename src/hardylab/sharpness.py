@@ -13,7 +13,8 @@ from the other side: it tries to push a ratio above its sharp constant and
 must fail.  It evaluates its proposals in lookahead batches, one pass for
 several, that read ratios alone (no estimate, no ``middle`` term), and
 builds one report, for its best function, at the end; its results equal the
-one-at-a-time ascent's bit for bit.
+one-at-a-time ascent's bit for bit.  Both read their batches through
+``inequalities._results``, so an error is the one-at-a-time loop's.
 
 The singular mass of ``f_eps`` concentrates like ``r^(eps-1)`` at the
 origin, so the truncation radius must shrink rapidly as ``eps`` does: the
@@ -26,16 +27,17 @@ the extrapolation removes.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import DoubleRangeError, FitDegenerateError, HardyLabError, InvalidParameterError
-from .grid import (MAX_SIZE, GridBatch, StepBatch, StepFunction, as_batch, check_exponent,
-                   check_integer, check_real, make_graded_grid)
+from .errors import DoubleRangeError, FitDegenerateError, InvalidParameterError
+from .grid import (MAX_SIZE, GridBatch, StepBatch, StepFunction, check_exponent, check_integer,
+                   check_real, make_graded_grid)
 from .generator import make_rng
 from .quadrature import _gauss_legendre
-from .inequalities import KINDS, RatioReport, _evaluate, ratio_evaluator, sharp_constant
+from .inequalities import KINDS, RatioReport, _results, ratio_evaluator, sharp_constant
 
 CUTOFF_KINDS = ("quintic_smoothstep", "linear")
 
@@ -188,9 +190,10 @@ def sharpness_sweep(kind: str, p: float, eps_list=DEFAULT_EPS_LIST,
     ``resolution`` (at least 8) is checked under its own name before any
     profile is built.  At a p too large for doubles the
     :class:`DoubleRangeError` names p: the sharp constant's underflow is
-    checked first, then the profiles' ratios.  When the batch fails, the
-    profiles are evaluated alone in eps order: the first that fails raises
-    its error, naming its eps if it leaves the double range.
+    checked first, then the profiles' ratios.  The points are read in eps
+    order through ``_results``, so when the batch fails the first profile
+    that fails alone raises its error, naming its eps if it leaves the
+    double range.
     """
     if kind not in SWEEP_KINDS:
         raise InvalidParameterError(f"sweep kind must be one of {SWEEP_KINDS}, got {kind!r}")
@@ -207,19 +210,15 @@ def sharpness_sweep(kind: str, p: float, eps_list=DEFAULT_EPS_LIST,
     sharp = sharp_constant(kind, p)
     profiles = [minimizing_function(p, eps, spec, resolution, _sweep_r_min(eps))
                 for eps in eps_values]
-    try:
-        fractions = _evaluate(StepBatch.of(profiles), KINDS[kind].sweep, p, False)
-    except HardyLabError:
-        # evaluated alone in eps order, the first failing profile raises its own error
-        fractions = []
-        for eps, f in zip(eps_values, profiles):
-            try:
-                fractions += _evaluate(as_batch(f), KINDS[kind].sweep, p, False)
-            except DoubleRangeError as err:  # the profile is the sweep's own, not the caller's
-                raise DoubleRangeError(f"the {kind} ratio of the sweep profile f_eps leaves the "
-                                       f"double-precision range at p = {p}, eps = {eps}") from err
-    points = [SweepPoint(eps=eps, ratio=num / den, numerator=num, denominator=den)
-              for eps, (num, den) in zip(eps_values, fractions)]
+    fraction = _results(StepBatch.of(profiles), KINDS[kind].sweep, p, False)
+    points = []
+    for k, eps in enumerate(eps_values):
+        try:
+            num, den = fraction(k)
+        except DoubleRangeError as err:  # the profile is the sweep's own, not the caller's
+            raise DoubleRangeError(f"the {kind} ratio of the sweep profile f_eps leaves the "
+                                   f"double-precision range at p = {p}, eps = {eps}") from err
+        points.append(SweepPoint(eps=eps, ratio=num / den, numerator=num, denominator=den))
     k = max(2, len(points) // 2)
     tail = points[-k:]
     coeffs = np.polyfit([pt.eps for pt in tail], [pt.ratio for pt in tail], 1)
@@ -241,27 +240,13 @@ def _chained_trials(values: np.ndarray, cells: np.ndarray, delta: float) -> np.n
     return values * factors
 
 
-def _ratio(kind: str, p: float, f: StepFunction) -> float:
-    """The ratio of the report of ``f``, without the report."""
-    ((num, den),) = _evaluate(as_batch(f), kind, p, False)
-    return num / den
-
-
 def _trial_ratios(kind: str, p: float, grid, trials: np.ndarray):
-    """``k -> ratio of trials[k]``, from one estimate-free pass over all the trials.
-
-    Where that pass raises, each trial is evaluated alone when asked for, so
-    only the trials the one-at-a-time ascent reaches are evaluated, and an
-    error comes from the trial it comes from there.
-    """
+    """``k -> ratio of trials[k]``, read through ``_results`` without an estimate."""
     n = len(trials)
-    try:
-        batch = StepBatch.checked(
-            GridBatch(np.tile(grid.edges, n), np.arange(n + 1) * grid.n_cells), trials.ravel())
-        ratios = [num / den for num, den in _evaluate(batch, kind, p, False)]
-        return ratios.__getitem__
-    except HardyLabError:
-        return lambda k: _ratio(kind, p, StepFunction(grid, trials[k]))
+    batch = StepBatch.checked(
+        GridBatch(np.tile(grid.edges, n), np.arange(n + 1) * grid.n_cells), trials.ravel())
+    fraction = _results(batch, kind, p, False)
+    return lambda k: operator.truediv(*fraction(k))
 
 
 def ratio_maximize(kind: str, p: float, n_cells: int = 32, seed: int = 0,
@@ -279,7 +264,8 @@ def ratio_maximize(kind: str, p: float, n_cells: int = 32, seed: int = 0,
     no ``middle`` term, whose ratio is the float its report would hold.  The
     one report returned is built after the loop, by one evaluator call on
     the best function; only that call can raise a range error of the middle
-    term or of the estimate.
+    term or of the estimate.  Trials are read through ``_results``, so only one
+    the walk reaches can raise; a value that overflowed to inf fails its batch's check.
 
     Proposals are evaluated in lookahead batches: the next ``_LOOKAHEAD`` = 4
     of the pass (fewer at its end or where the iterations run out), each
@@ -301,7 +287,7 @@ def ratio_maximize(kind: str, p: float, n_cells: int = 32, seed: int = 0,
     evaluator = ratio_evaluator(kind, p)
     grid = make_graded_grid(1.0, n_cells, "geometric", r_min=_MAXIMIZE_R_MIN)
     values = np.ones(n_cells)
-    best = _ratio(kind, p, StepFunction(grid, values))
+    best = _trial_ratios(kind, p, grid, values[None])(0)
     delta = 0.5
     visit = rng.permutation(n_cells)
     pos = 0

@@ -217,6 +217,17 @@ def test_a_size_numpy_cannot_index_exits_2_without_a_traceback(args, monkeypatch
     assert "must be an integer in [" in err
 
 
+@pytest.mark.parametrize("args", [
+    ("sweep", "--kind", "hardy", "--p", "2", "--resolution", str(MAX_SIZE)),
+    ("maximize", "--kind", "hardy", "--p", "2", "--cells", str(MAX_SIZE)),
+])
+def test_a_size_memory_cannot_hold_exits_2_without_a_traceback(args, capsys):
+    assert cli.main(list(args)) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: not enough memory: ") and len(err.splitlines()) == 1, err
+
+
 @pytest.mark.parametrize("resolution", ["4", "7", str(10**20)])
 def test_a_bad_sweep_resolution_exits_2_under_its_own_name(resolution, capsys):
     assert cli.main(["sweep", "--kind", "hardy", "--p", "2", "--resolution", resolution]) == 2

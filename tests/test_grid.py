@@ -25,7 +25,7 @@ from hardylab import (
 )
 from hardylab import (corollary_avg_check, corollary_int_check, quadrature, ratio_evaluator,
                       random_step_function_away_from_zero, weighted_supmin_check)
-from hardylab.grid import PolyBatch
+from hardylab.grid import MAX_SIZE, PolyBatch
 from hardylab.inequalities import REPORT_KINDS
 from hardylab.sharpness import ratio_maximize, sharpness_sweep
 from hardylab.grid import step_csv_text
@@ -213,6 +213,13 @@ class TestMakeGradedGrid:
             g = make_graded_grid(1.0, n_cells, grading, r_min=r_min)
             ref = make_graded_grid(1.0, 5, grading, r_min=r_min)
             assert g.edges.tobytes() == ref.edges.tobytes()
+
+    @pytest.mark.parametrize("grading, r_min", [("uniform", None), ("geometric", 0.25)])
+    def test_the_largest_size_fails_on_memory_not_on_numpys_size_limit(self, grading, r_min):
+        # MAX_SIZE float64 edges are 4 EiB, beyond any 64-bit address space:
+        # the allocation fails at once, with a MemoryError and not a ValueError
+        with pytest.raises(MemoryError):
+            make_graded_grid(1.0, MAX_SIZE, grading, r_min=r_min)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ import case_loops as loops
 from hardylab import inequalities, sharpness
 from hardylab.errors import (DoubleRangeError, FitDegenerateError, HardyLabError,
                              InvalidParameterError, ZeroDenominatorError)
-from hardylab.grid import StepFunction, p_norm
+from hardylab.grid import StepBatch, StepFunction, p_norm
 from hardylab.inequalities import rellich_chain, sharp_constant
 from hardylab.sharpness import (CUTOFF_KINDS, DEFAULT_EPS_LIST, DEFAULT_SWEEP_RESOLUTION,
                                 SWEEP_KINDS, CutoffSpec, SweepPoint, SweepResult,
@@ -495,27 +495,18 @@ def test_the_returned_report_is_the_best_functions_report(kind, p):
     assert rep == inequalities.ratio_evaluator(kind, p)(best)
 
 
+_EVALUATE = inequalities._evaluate  # captured once: patches never wrap each other
+
+
 def _patch_evaluator(monkeypatch, on_call):
-    """Route every evaluation of ``ratio_maximize`` and ``sharpness_sweep``
+    """Route every evaluation pass of ``ratio_maximize`` and ``sharpness_sweep``
     (and of their reference loops) through ``on_call(rows)``, ``rows`` the
-    functions' values in rows of 32, as bytes.  The sweep evaluates with
-    ``_evaluate``, which forms no estimate; the rest with ``ratio_evaluator``."""
-    def rows(f):
-        return [row.tobytes() for row in np.reshape(f.values, (-1, 32))]
-
-    def factory(kind, p):
-        evaluate = inequalities.ratio_evaluator(kind, p)
-
-        def run(f):
-            on_call(rows(f))
-            return evaluate(f)
-        return run
-
-    def sweep_evaluate(f, *args):
-        on_call(rows(f))
-        return inequalities._evaluate(f, *args)
-    monkeypatch.setattr(sharpness, "ratio_evaluator", factory)
-    monkeypatch.setattr(sharpness, "_evaluate", sweep_evaluate)
+    functions' values in rows of 32, as bytes.  Every pass, with or without
+    an estimate, is one ``inequalities._evaluate`` call."""
+    def evaluate(f, *args):
+        on_call([row.tobytes() for row in np.reshape(f.values, (-1, 32))])
+        return _EVALUATE(f, *args)
+    monkeypatch.setattr(inequalities, "_evaluate", evaluate)
 
 
 def _trials_evaluated(monkeypatch, maximize):
@@ -551,6 +542,36 @@ def test_an_error_on_a_reached_trial_is_raised_as_it_was(monkeypatch):
         with pytest.raises(DoubleRangeError) as got:
             ratio_maximize("hardy", 2.0, seed=0, iters=40)
         assert got.type is want.type and str(got.value) == str(want.value) == f"trial {index}"
+
+
+def _passes(monkeypatch, run):
+    """The number of evaluation passes ``run()`` makes, and the error it raises."""
+    calls = []
+    _patch_evaluator(monkeypatch, calls.append)
+    with pytest.raises(HardyLabError) as err:
+        run()
+    return len(calls), err.value
+
+
+def test_a_failed_batch_evaluates_its_functions_alone_only_up_to_the_first_failure(monkeypatch):
+    grid = sharpness.make_graded_grid(1.0, 32, "geometric", r_min=1e-3)
+    functions = [StepFunction(grid, np.full(32, 1e300 if k == 1 else 1.0 + k)) for k in range(8)]
+    evaluate = inequalities.ratio_evaluator("hardy", 2.0)
+    # the batch, then functions 0 and 1 alone
+    passes, got = _passes(monkeypatch, lambda: evaluate(StepBatch.of(functions)))
+    assert passes == 3
+    # a single function is its own batch: its one pass raises
+    passes, want = _passes(monkeypatch, lambda: evaluate(functions[1]))
+    assert passes == 1
+    assert type(got) is type(want) is DoubleRangeError and str(got) == str(want)
+
+
+def test_a_failed_sweep_evaluates_its_profiles_alone_only_up_to_the_first_failure(monkeypatch):
+    _patch_profiles(monkeypatch, {DEFAULT_EPS_LIST[2]: "overflow"})
+    passes, err = _passes(monkeypatch, lambda: sharpness_sweep("hardy", 2.0, resolution=64))
+    assert passes == 1 + 3
+    assert type(err) is DoubleRangeError
+    assert str(err).endswith(f"double-precision range at p = 2.0, eps = {DEFAULT_EPS_LIST[2]}")
 
 
 def test_lookahead_cuts_the_evaluator_calls(monkeypatch):
