@@ -27,17 +27,19 @@ def random_step_function(rng: np.random.Generator,
     :class:`StepFunction`, or with a ``count`` the next ``count`` functions of
     the stream as one :class:`StepBatch`: the same draws, in the same order,
     as that many single calls, with every grid built and checked at once.
+    The per-case parameters go to arrays of length ``count``, allocated first:
+    a count too large for them raises ``MemoryError`` before the first draw.
     """
     if not isinstance(rng, np.random.Generator):
         raise InvalidParameterError(f"rng must be a numpy.random.Generator, got {rng!r}")
     size = 1 if count is None else check_integer(count, "count", 1, MAX_SIZE)
-    r_min, R, n, values = [], [], [], []
-    for _ in range(size):
-        r_min.append(rng.uniform(1e-4, 1e-1))
-        R.append(rng.uniform(1.0, 10.0))
-        n.append(int(rng.integers(8, 65)))
-        values.append(rng.uniform(-1.0, 1.0, n[-1]))
-    grid = geometric_grids(np.array(r_min), np.array(R), np.array(n))
+    r_min, R, n, values = np.empty(size), np.empty(size), np.empty(size, np.int64), []
+    for k in range(size):
+        r_min[k] = rng.uniform(1e-4, 1e-1)
+        R[k] = rng.uniform(1.0, 10.0)
+        n[k] = rng.integers(8, 65)
+        values.append(rng.uniform(-1.0, 1.0, n[k]))
+    grid = geometric_grids(r_min, R, n)
     if count is None:
         return StepFunction(Grid(grid.edges), values[0])
     return StepBatch.checked(grid, np.concatenate(values))

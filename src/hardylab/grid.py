@@ -13,6 +13,8 @@ per-function offsets.  A single function is a batch of one.  Per-function
 running sums and maxima run over each function's own slice and per-function
 totals are one ``fsum`` each, so a function's results do not depend on the
 batch it is in.  Weighted-power quadrature lives in :mod:`hardylab.quadrature`.
+A :class:`GridBatch` derives its grid-only arrays (cell edges, widths, capped
+cells) once and keeps them, its edges frozen; a :class:`Grid` keeps its own.
 
 The `edge,value` CSV text writes every number as ``"%.17g" % x`` does.  For
 a function whose numbers are all 0 or of magnitude in ``[1e-4, 1e17)``,
@@ -136,18 +138,28 @@ def _frozen_array(values, dtype=float) -> np.ndarray:
     return arr
 
 
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    """``arr`` if it is read-only, else a read-only view of it; ``arr`` stays as it was."""
+    if arr.flags.writeable:
+        arr = arr.view()
+        arr.setflags(write=False)
+    return arr
+
+
 @dataclass(frozen=True, eq=False)
 class Grid:
-    """Strictly increasing edges ``0 = r_0 < r_1 < ... < r_n`` (n >= 1)."""
+    """Strictly increasing edges ``0 = r_0 < r_1 < ... < r_n`` (n >= 1); ``batch``
+    is the grid as a :class:`GridBatch` of one, which its functions' batches share."""
 
     edges: np.ndarray
 
     def __post_init__(self) -> None:
-        edges = _real_array(self.edges, "grid edges")
+        edges = _frozen_array(_real_array(self.edges, "grid edges"))
         if edges.ndim != 1 or edges.size < 2:
             raise InvalidParameterError("a grid needs at least two edges (one cell)")
-        _check_edges(GridBatch(edges, np.array([0, edges.size - 1])))
-        object.__setattr__(self, "edges", _frozen_array(edges))
+        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "batch", GridBatch(edges, np.array([0, edges.size - 1])))
+        _check_edges(self.batch)
 
     @property
     def n_cells(self) -> int:
@@ -160,7 +172,7 @@ class Grid:
 
     @property
     def widths(self) -> np.ndarray:
-        return self.edges[1:] - self.edges[:-1]
+        return self.batch.widths
 
 
 @dataclass(frozen=True, eq=False)
@@ -252,13 +264,19 @@ class GridBatch:
     like it) at each cell's left and right edge and at each function's last
     edge: slices for a single grid, which cost nothing and give views, and
     index arrays for several.
+
+    ``a``, ``b`` and ``widths`` are derived on first read and kept, and so is
+    ``capped``, the cells as quadrature caps them.  ``edges`` and every kept
+    array are read-only; only :meth:`from_intervals` and
+    :func:`geometric_grids` write the edges, before any of these is read.
     """
 
-    __slots__ = ("edges", "offsets", "left", "right", "ends")
+    __slots__ = ("edges", "offsets", "left", "right", "ends", "_a", "_b", "_widths", "capped")
 
     def __init__(self, edges: np.ndarray, offsets: np.ndarray):
-        self.edges = edges
+        self.edges = _read_only(edges)
         self.offsets = offsets
+        self._a = self._b = self._widths = self.capped = None
         if offsets.size == 2:
             self.left, self.right, self.ends = slice(0, -1), slice(1, None), slice(-1, None)
         else:
@@ -270,9 +288,10 @@ class GridBatch:
     @classmethod
     def from_intervals(cls, lo, hi, bounds) -> "GridBatch":
         """The grids whose cells are the intervals ``(lo, hi)`` of each function."""
-        grid = cls(np.empty(lo.size + bounds.size - 1), bounds)
-        grid.edges[grid.left] = lo
-        grid.edges[grid.right] = hi
+        edges = np.empty(lo.size + bounds.size - 1)
+        grid = cls(edges, bounds)
+        edges[grid.left] = lo
+        edges[grid.right] = hi
         return grid
 
     def __len__(self) -> int:
@@ -285,16 +304,22 @@ class GridBatch:
     @property
     def a(self) -> np.ndarray:
         """Left edge of each cell."""
-        return self.edges[self.left]
+        if self._a is None:
+            self._a = _read_only(self.edges[self.left])
+        return self._a
 
     @property
     def b(self) -> np.ndarray:
         """Right edge of each cell."""
-        return self.edges[self.right]
+        if self._b is None:
+            self._b = _read_only(self.edges[self.right])
+        return self._b
 
     @property
     def widths(self) -> np.ndarray:
-        return self.b - self.a
+        if self._widths is None:
+            self._widths = _read_only(self.b - self.a)
+        return self._widths
 
 
 class StepBatch:
@@ -392,7 +417,7 @@ def as_batch(x):
     if isinstance(x, StepBatch):
         return x
     f = _step_function(x)
-    return StepBatch(GridBatch(f.grid.edges, np.array([0, f.grid.n_cells])), f.values)
+    return StepBatch(f.grid.batch, f.values)
 
 
 def _running_sum(x: np.ndarray, offsets: np.ndarray) -> np.ndarray:
@@ -452,12 +477,13 @@ def geometric_grids(r_min: np.ndarray, R: np.ndarray, n_cells: np.ndarray) -> Gr
     """The geometric grids of :func:`make_graded_grid`, one per entry of the
     arrays (``n_cells >= 2``, ``0 < r_min < R``), as one unchecked batch."""
     offsets = np.concatenate(([0], np.cumsum(n_cells)))
-    grid = GridBatch(np.zeros(offsets[-1] + n_cells.size), offsets)
+    edges = np.zeros(offsets[-1] + n_cells.size)
+    grid = GridBatch(edges, offsets)
     k = np.arange(offsets[-1]) - np.repeat(offsets[:-1], n_cells)  # edge index in its grid
     ratio, last = np.repeat(R / r_min, n_cells), np.repeat(n_cells - 1, n_cells)
     pos = np.repeat(r_min, n_cells) * ratio ** (k / last)
     pos[offsets[1:] - 1] = R
-    grid.edges[grid.right] = pos
+    edges[grid.right] = pos
     return grid
 
 

@@ -35,7 +35,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DivergentIntegralError, DoubleRangeError, InvalidParameterError
-from .grid import (GridBatch, PiecewisePoly, PolyBatch, _fsums, _in_double_range, check_exponent,
+from .grid import (PiecewisePoly, PolyBatch, _fsums, _in_double_range, _read_only, check_exponent,
                    check_real)
 
 QUAD_ORDER = 16
@@ -145,8 +145,7 @@ def _poly_batch(P) -> PolyBatch:
         return P
     if not isinstance(P, PiecewisePoly):
         raise InvalidParameterError(f"expected a piecewise polynomial, got {type(P).__name__}")
-    return PolyBatch(GridBatch(P.grid.edges, np.array([0, P.grid.n_cells])), P.coeffs,
-                     np.array([P.tail_value]), np.array([P.tail_slope]))
+    return PolyBatch(P.grid.batch, P.coeffs, np.array([P.tail_value]), np.array([P.tail_slope]))
 
 
 def _real_roots(c0, c1, c2):
@@ -171,9 +170,15 @@ def _cell_intervals(P, alpha: float):
     grid = P.grid
     a = grid.a
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        roots = a + _real_roots(*P.coeffs.T)
+        roots = _real_roots(*P.coeffs.T)
+        # linear pieces only: the second row is all NaN, and one row needs no dedupe
+        roots = a + (roots if P.coeffs[:, 2].any() else roots[0])
     intervals = _split_cells(a, grid.b, grid.offsets, roots)
-    if alpha < 0.0:
+    if alpha < 0.0 and intervals[0] is a:  # no cell split: the grid's own capped cells
+        if grid.capped is None:
+            grid.capped = tuple(map(_read_only, _cap_interval_ratio(*intervals)))
+        intervals = grid.capped
+    elif alpha < 0.0:
         intervals = _cap_interval_ratio(*intervals)
     lo, hi, cell, bounds = intervals
     return lo, hi, a[cell], P.coeffs[cell], bounds

@@ -33,8 +33,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import DoubleRangeError, FitDegenerateError, InvalidParameterError
-from .grid import (MAX_SIZE, GridBatch, StepBatch, StepFunction, check_exponent, check_integer,
-                   check_real, make_graded_grid)
+from .grid import (MAX_SIZE, GridBatch, StepBatch, StepFunction, _real_array, check_exponent,
+                   check_integer, check_real, make_graded_grid)
 from .generator import make_rng
 from .quadrature import _gauss_legendre
 from .inequalities import KINDS, RatioReport, _results, ratio_evaluator, sharp_constant
@@ -240,11 +240,14 @@ def _chained_trials(values: np.ndarray, cells: np.ndarray, delta: float) -> np.n
     return values * factors
 
 
-def _trial_ratios(kind: str, p: float, grid, trials: np.ndarray):
-    """``k -> ratio of trials[k]``, read through ``_results`` without an estimate."""
+def _trial_ratios(kind: str, p: float, grid, grids: dict, trials: np.ndarray):
+    """``k -> ratio of trials[k]``, read through ``_results`` without an estimate.
+    ``grids`` keeps the checked trial grid of each batch size, built on first use."""
     n = len(trials)
-    batch = StepBatch.checked(
-        GridBatch(np.tile(grid.edges, n), np.arange(n + 1) * grid.n_cells), trials.ravel())
+    if n not in grids:
+        tiled = GridBatch(np.tile(grid.edges, n), np.arange(n + 1) * grid.n_cells)
+        grids[n] = StepBatch.checked(tiled, trials.ravel()).grid
+    batch = StepBatch(grids[n], _real_array(trials.ravel(), "cell values", (trials.size,)))
     fraction = _results(batch, kind, p, False)
     return lambda k: operator.truediv(*fraction(k))
 
@@ -266,6 +269,8 @@ def ratio_maximize(kind: str, p: float, n_cells: int = 32, seed: int = 0,
     the best function; only that call can raise a range error of the middle
     term or of the estimate.  Trials are read through ``_results``, so only one
     the walk reaches can raise; a value that overflowed to inf fails its batch's check.
+    A run builds and checks one trial grid per batch size and reuses it, with
+    the arrays it keeps (see :class:`GridBatch`), in every pass of that size.
 
     Proposals are evaluated in lookahead batches: the next ``_LOOKAHEAD`` = 4
     of the pass (fewer at its end or where the iterations run out), each
@@ -287,7 +292,8 @@ def ratio_maximize(kind: str, p: float, n_cells: int = 32, seed: int = 0,
     evaluator = ratio_evaluator(kind, p)
     grid = make_graded_grid(1.0, n_cells, "geometric", r_min=_MAXIMIZE_R_MIN)
     values = np.ones(n_cells)
-    best = _trial_ratios(kind, p, grid, values[None])(0)
+    grids = {}
+    best = _trial_ratios(kind, p, grid, grids, values[None])(0)
     delta = 0.5
     visit = rng.permutation(n_cells)
     pos = 0
@@ -303,7 +309,7 @@ def ratio_maximize(kind: str, p: float, n_cells: int = 32, seed: int = 0,
             visit = rng.permutation(n_cells)
             pos = 0
         trials = _chained_trials(values, visit[pos:pos + min(_LOOKAHEAD, left)], delta)
-        ratio = _trial_ratios(kind, p, grid, trials)
+        ratio = _trial_ratios(kind, p, grid, grids, trials)
         for j in range(0, len(trials), 2):
             pos += 1
             left -= 1

@@ -16,12 +16,14 @@ from hardylab import (DoubleRangeError, InvalidParameterError, StepBatch, StepFu
                       ZeroDenominatorError, make_graded_grid, make_rng, p_norm,
                       random_step_function, random_step_function_away_from_zero,
                       ratio_evaluator, step_function)
-from hardylab import inequalities
-from hardylab.grid import as_batch, step_csv_text
+from hardylab import inequalities, sharpness
+from hardylab.grid import GridBatch, PolyBatch, as_batch, step_csv_text
 from hardylab.inequalities import _supmin_rows
 from hardylab.operators import cumulative, double_cumulative, inner_cumulative, supmin_branches
-from hardylab.quadrature import _cell_intervals, integrate_weighted_power
-from hardylab.sharpness import _MAXIMIZE_R_MIN
+from hardylab.quadrature import (_cap_interval_ratio, _cell_intervals, _poly_batch,
+                                 integrate_weighted_power)
+from hardylab.sharpness import (_MAXIMIZE_R_MIN, DEFAULT_EPS_LIST, CutoffSpec,
+                                minimizing_function, ratio_maximize, _sweep_r_min)
 from test_cli import run_cli, strict_json
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -230,3 +232,93 @@ def test_csv_text_matches_per_row_formatting():
     for f in FUNCTIONS[:50]:
         rows = [f"{e:.17g},{v:.17g}" for e, v in zip(f.grid.edges[1:], f.values)]
         assert step_csv_text(f) == "\n".join(["edge,value", "0,", *rows]) + "\n"
+
+
+# --------------------------------------------------------------------------
+# The arrays a grid batch derives once
+# --------------------------------------------------------------------------
+
+
+def trial_grids(monkeypatch, kind, p):
+    """The trial grids one ``ratio_maximize(kind, p, iters=40)`` run builds."""
+    built = []
+
+    class Recorded(GridBatch):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
+
+    monkeypatch.setattr(sharpness, "GridBatch", Recorded)
+    ratio_maximize(kind, p, seed=0, iters=40)
+    return built
+
+
+def built_grids(which, monkeypatch):
+    """The grids of a default sweep's batch, a 100-case verify batch, one
+    maximize run's trial batches or one function's grid, each after an
+    evaluation pass and a capped-cell build on its own cells (a polynomial
+    with no roots)."""
+    if which == "maximize":
+        grids = trial_grids(monkeypatch, "rellich_chain", 2.0)
+    elif which == "single":
+        f = FUNCTIONS[0]
+        ratio_evaluator("rellich_chain", 2.0)(f)
+        grids = [f.grid.batch]
+    else:
+        batch = (random_step_function(make_rng(0), 100) if which == "verify" else
+                 StepBatch.of([minimizing_function(2.0, eps, CutoffSpec(), 2048, _sweep_r_min(eps))
+                               for eps in DEFAULT_EPS_LIST]))
+        ratio_evaluator("hardy", 2.0)(batch)
+        grids = [batch.grid]
+    for grid in grids:
+        n = len(grid)
+        _cell_intervals(PolyBatch(grid, np.tile([1.0, 0.0, 0.0], (grid.n_cells, 1)),
+                                  np.zeros(n), np.zeros(n)), -2.0)
+    return grids
+
+
+def hexes(x):
+    return [v.hex() for v in x.tolist()]
+
+
+@pytest.mark.parametrize("which", ["sweep", "verify", "maximize", "single"])
+def test_a_grids_kept_arrays_equal_a_fresh_derivation(which, monkeypatch):
+    for grid in built_grids(which, monkeypatch):
+        a, b = grid.edges[grid.left], grid.edges[grid.right]
+        assert hexes(grid.a) == hexes(a) and hexes(grid.b) == hexes(b)
+        assert hexes(grid.widths) == hexes(b - a)
+        lo, hi, cell, bounds = _cap_interval_ratio(a, b, np.arange(a.size), grid.offsets)
+        assert hexes(grid.capped[0]) == hexes(lo) and hexes(grid.capped[1]) == hexes(hi)
+        assert grid.capped[2].tolist() == cell.tolist()
+        assert grid.capped[3].tolist() == bounds.tolist()
+
+
+@pytest.mark.parametrize("which", ["sweep", "verify", "maximize", "single"])
+def test_a_built_grids_edges_and_kept_arrays_are_read_only(which, monkeypatch):
+    grids = built_grids(which, monkeypatch)
+    grids.append(inner_cumulative(StepBatch(grids[0], np.ones(grids[0].n_cells))).grid)
+    for grid in grids:
+        for arr in (grid.edges, grid.a, grid.b, grid.widths, *(grid.capped or ())):
+            with pytest.raises(ValueError):
+                arr[0] = 1
+
+
+def test_a_functions_batches_share_its_grids_batch():
+    f = FUNCTIONS[0]
+    assert as_batch(f).grid is f.grid.batch
+    assert _poly_batch(cumulative(f)).grid is f.grid.batch
+    assert f.grid.widths is f.grid.batch.widths
+
+
+@pytest.mark.parametrize("kind, p", KINDS)
+def test_a_maximize_run_builds_one_trial_grid_per_batch_size(kind, p, monkeypatch):
+    sizes = []
+    evaluate = inequalities._evaluate
+    monkeypatch.setattr(inequalities, "_evaluate",
+                        lambda f, *args: sizes.append(len(f)) or evaluate(f, *args))
+    built = [len(grid) for grid in trial_grids(monkeypatch, kind, p)]
+    # the start and the final report are batches of one; every pass reads a built grid
+    assert sorted(built) == sorted(set(sizes))
+    assert len(sizes) > len(built)

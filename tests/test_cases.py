@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 import case_loops as loops
 from hardylab import StepBatch, StepFunction, cli, make_rng, random_step_function, step_function
 from hardylab.errors import InvalidParameterError
-from hardylab.grid import GridBatch, _fixed_17g, as_batch, step_csv_text
+from hardylab.grid import MAX_SIZE, GridBatch, _fixed_17g, as_batch, step_csv_text
 from hardylab.inequalities import DEFAULT_TOLERANCE, KINDS, REPORT_KINDS, ratio_evaluator
 from test_cli import run_cli
 
@@ -78,6 +78,14 @@ def test_batch_check_has_the_checks_of_grid_and_step_function(edges, values, mes
     grid = GridBatch(np.array(edges), np.array([0, 1, 2]))
     with pytest.raises(InvalidParameterError, match=message):
         StepBatch.checked(grid, np.array(values))
+
+
+def test_a_count_memory_cannot_hold_fails_before_the_first_draw():
+    rng = make_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(MemoryError):
+        random_step_function(rng, MAX_SIZE)
+    assert rng.bit_generator.state == state
 
 
 def test_batch_check_passes_a_valid_batch():

@@ -220,6 +220,7 @@ def test_a_size_numpy_cannot_index_exits_2_without_a_traceback(args, monkeypatch
 @pytest.mark.parametrize("args", [
     ("sweep", "--kind", "hardy", "--p", "2", "--resolution", str(MAX_SIZE)),
     ("maximize", "--kind", "hardy", "--p", "2", "--cells", str(MAX_SIZE)),
+    ("verify", "--kind", "hardy", "--p", "2", "--count", str(MAX_SIZE)),
 ])
 def test_a_size_memory_cannot_hold_exits_2_without_a_traceback(args, capsys):
     assert cli.main(list(args)) == 2
