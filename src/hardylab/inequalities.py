@@ -70,9 +70,8 @@ class Kind:
     computed, and the plain kinds' middle term is ``None`` always.
     ``sharp(p)`` is the sharp constant.
     ``p2_only`` kinds are stated for p = 2 only.  ``sweep`` names the kind a
-    sweep of this kind evaluates (``None``: no sweep); ``rellich_chain``
-    sweeps ``rellich_p``, which has its numerator and sharp constant but no
-    ``middle``, and ``new_hardy`` sweeps ``hardy`` (see ``sharpness_sweep``).
+    sweep of this kind evaluates (``None``: no sweep); ``new_hardy`` sweeps
+    ``hardy`` (see ``sharpness_sweep``), every other sweep kind itself.
     """
 
     numerator: Callable
@@ -268,7 +267,7 @@ def _rellich_sharp(p: float) -> float:
         sharp = 0.0
     if sharp == 0.0:
         sharp = (p * p / ((p - 1.0) * (2.0 * p - 1.0))) ** p
-    if sharp < _TINY:
+    if not sharp >= _TINY:  # p * p overflows to inf from p = 1.34e154, and inf / inf is NaN
         raise DoubleRangeError(f"the Rellich sharp constant at p = {p} underflows")
     return sharp
 
@@ -279,7 +278,7 @@ KINDS = {
     "hardy_rellich_int": Kind(_classical, _hardy_sharp, p2_only=True, sweep="hardy_rellich_int"),
     "improved_hardy_rellich": Kind(_supmin, _hardy_sharp, p2_only=True),
     "rellich_p": Kind(_rellich, _rellich_sharp),
-    "rellich_chain": Kind(_rellich_chain, _rellich_sharp, sweep="rellich_p"),
+    "rellich_chain": Kind(_rellich_chain, _rellich_sharp, sweep="rellich_chain"),
 }
 
 # kinds accepted by ratio_evaluator / the CLI

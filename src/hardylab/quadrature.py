@@ -16,11 +16,13 @@ The quadrature intervals of all cells of all functions are built with
 whole-array numpy operations; they equal, bit for bit, those of the
 per-cell loop kept in ``tests/interval_loops.py``.  Each integral job is
 done in one place, shared with :mod:`hardylab.inequalities`: one Gauss
-routine, :func:`_quadrature`, for the body, the sloped tails and the sup-min
-integrals, one closed form, :func:`_power_tail`, for every constant tail,
-and one sum, :func:`_totals`, that adds body and tail, checks the range and
-forms the estimate.  :class:`DivergentIntegralError` means divergence only,
-decided before any quadrature runs (the order at 0, the decay of the tail).
+routine, :func:`_quadrature`, for the body, the sloped tails, the sup-min
+integrals and the cutoff band of :func:`hardylab.sharpness.minimizing_function`
+(no other module makes a rule or maps nodes onto an interval), one closed
+form, :func:`_power_tail`, for every constant tail, and one sum,
+:func:`_totals`, that adds body and tail, checks the range and forms the
+estimate.  :class:`DivergentIntegralError` means divergence only, decided
+before any quadrature runs (the order at 0, the decay of the tail).
 
 The rule is fixed: :data:`QUAD_ORDER` (16) nodes per interval; the error
 indicator compares it with the half-order rule, evaluated in the same pass
@@ -50,20 +52,12 @@ _EPS = float(np.finfo(float).eps)
 # so a function's intervals do not depend on the batch it is in.
 
 
-@lru_cache(maxsize=None)
-def _gauss_legendre(order: int):
-    x, w = np.polynomial.legendre.leggauss(order)
-    x.flags.writeable = False
-    w.flags.writeable = False
-    return x, w
-
-
 def _gauss_jacobi(order: int, gamma: float):
     """Gauss rule for the weight ``(1 + t)^gamma`` on [-1, 1], ``gamma > -1``:
     Gauss-Legendre at ``gamma = 0``, otherwise Golub-Welsch (the eigenvalues
     and eigenvectors of the Jacobi matrix of the three-term recurrence)."""
     if gamma == 0.0:
-        return _gauss_legendre(order)
+        return np.polynomial.legendre.leggauss(order)
     s, n = 2.0 * np.arange(order) + gamma, np.arange(1.0, order)
     off = 2.0 * n * (n + gamma) / (s[1:] * np.sqrt(s[1:] ** 2 - 1.0))
     x, v = np.linalg.eigh(np.diag(gamma * gamma / (s * (s + 2.0))) + np.diag(off, -1))
@@ -74,10 +68,12 @@ def _gauss_jacobi(order: int, gamma: float):
 def _rule(gamma: float, estimate: bool):
     """The fine (QUAD_ORDER) rule for ``(1 + t)^gamma`` and, with ``estimate``, the
     coarse (half-order) one: their nodes side by side, and per rule its column
-    block (start, stop, weights)."""
+    block (start, stop, weights).  The cached arrays are read-only."""
     (x, w), (xc, wc) = (_gauss_jacobi(n, gamma) for n in (QUAD_ORDER, QUAD_ORDER // 2))
-    rules = ((0, QUAD_ORDER, w), (QUAD_ORDER, x.size + xc.size, wc))
-    return (np.concatenate((x, xc)), rules) if estimate else (x, rules[:1])
+    nodes = np.concatenate((x, xc)) if estimate else x
+    for arr in (nodes, w, wc):
+        arr.flags.writeable = False
+    return nodes, ((0, QUAD_ORDER, w), (QUAD_ORDER, nodes.size, wc))[:1 + estimate]
 
 
 def _split_cells(lo, hi, bounds, points):

@@ -3,17 +3,18 @@
 The sharp constants are approached (never attained) by the family
 ``f_eps(r) = r^((eps-1)/p) * chi(r)`` where ``chi`` is a decreasing cutoff
 equal to 1 on [0,1] and 0 beyond 2.  This module discretises ``f_eps`` on a
-geometric grid with cell averages (closed form below 1, Gauss-Legendre on
-the cutoff band, built for all band cells at once), sweeps ``eps``
-downward, and extrapolates the ratio to ``eps -> 0`` with an affine fit.  A
-sweep evaluates all its profiles as one batch, with no refinement estimate,
-and its points equal those of one report per profile bit for bit.  A
-derivative-free coordinate-ascent maximizer provides an independent probe
-from the other side: it tries to push a ratio above its sharp constant and
-must fail.  It evaluates its proposals in lookahead batches, one pass for
-several, that read ratios alone (no estimate, no ``middle`` term), and
-builds one report, for its best function, at the end; its results equal the
-one-at-a-time ascent's bit for bit.  Both read their batches through
+geometric grid with cell averages (closed form below 1, the quadrature
+module's Gauss-Legendre rule on the cutoff band, all band cells in one
+pass), sweeps ``eps`` downward, and extrapolates the ratio to ``eps -> 0``
+with an affine fit.  A sweep evaluates all its profiles as one batch, with
+no refinement estimate, and its points equal those of one report per
+profile bit for bit.  A derivative-free coordinate-ascent maximizer
+provides an independent probe from the other side: it tries to push a
+ratio above its sharp constant and must fail.  It evaluates its proposals
+in lookahead batches, one pass for several, that read ratios alone (no
+estimate, no ``middle`` term), and builds one report, for its best
+function, at the end; its results equal the one-at-a-time ascent's bit for
+bit.  Both read their batches through
 ``inequalities._results``, so an error is the one-at-a-time loop's.
 
 The singular mass of ``f_eps`` concentrates like ``r^(eps-1)`` at the
@@ -36,7 +37,7 @@ from .errors import DoubleRangeError, FitDegenerateError, InvalidParameterError
 from .grid import (MAX_SIZE, GridBatch, StepBatch, StepFunction, _real_array, check_exponent,
                    check_integer, check_real, make_graded_grid)
 from .generator import make_rng
-from .quadrature import _gauss_legendre
+from .quadrature import _quadrature
 from .inequalities import KINDS, RatioReport, _results, ratio_evaluator, sharp_constant
 
 CUTOFF_KINDS = ("quintic_smoothstep", "linear")
@@ -91,9 +92,10 @@ def minimizing_function(p: float, eps: float, spec: CutoffSpec = CutoffSpec(),
 
     Cells inside [0, 1] get the exact average of the pure power (closed-form
     antiderivative); cells beyond 2 are zero.  The cells meeting the cutoff
-    transition (1, 2) are averaged with 32-point Gauss-Legendre over their
-    part in [1, 2], all at once: one node matrix, one evaluation of the
-    integrand, one 1-D dot product per row.  The one cell straddling r = 1 adds
+    transition (1, 2) are averaged over their part in [1, 2] by one
+    :func:`~hardylab.quadrature._quadrature` pass, the package's one Gauss
+    routine, with its fixed 16-point Gauss-Legendre rule; each cell's total
+    is the one it gets alone.  The one cell straddling r = 1 adds
     the closed-form integral of its part below 1, in scalar arithmetic
     (``1 - lo**s`` cancels, so an ulp in the power would show).
     """
@@ -110,16 +112,11 @@ def minimizing_function(p: float, eps: float, spec: CutoffSpec = CutoffSpec(),
     pure = b <= 1.0
     values[pure] = (b[pure] ** s - a[pure] ** s) / (s * (b[pure] - a[pure]))
     band = np.nonzero(~pure & (a < 2.0))[0]
-    lo = np.maximum(a[band], 1.0)
-    hi = np.minimum(b[band], 2.0)
-    half = 0.5 * (hi - lo)
-    x, w = _gauss_legendre(32)
-    r = (0.5 * (hi + lo))[:, None] + half[:, None] * x
-    # one 1-D dot per row: a matrix-vector product sums in another order
-    total = np.fromiter(map(w.dot, r ** q * _chi(spec, r)), float, band.size) * half
+    (total,) = _quadrature(lambda r: [r ** q * _chi(spec, r)], np.maximum(a[band], 1.0),
+                           np.minimum(b[band], 2.0), np.arange(band.size + 1), (), False)[0]
     if a[band[0]] < 1.0:  # the pure-power part of the cell straddling r = 1
         total[0] += (1.0 - float(a[band[0]]) ** s) / s
-    values[band] = total / (b[band] - a[band])
+    values[band] = np.array(total) / (b[band] - a[band])
     return StepFunction(grid, values)
 
 
@@ -173,10 +170,7 @@ def sharpness_sweep(kind: str, p: float, eps_list=DEFAULT_EPS_LIST,
     ~= c0 + c1 eps`` over the smallest half of the eps list.
 
     The values come from the kind named by ``KINDS[kind].sweep``.  For
-    ``rellich_chain`` that is ``rellich_p``: a sweep point keeps the ratio,
-    numerator and denominator, which the two kinds compute alike, and not
-    the chain's ``middle`` integral, which would double the quadrature work.
-    For ``new_hardy`` it is ``hardy``: every ``f_eps`` is non-negative and
+    ``new_hardy`` that is ``hardy``: every ``f_eps`` is non-negative and
     non-increasing, where ``M f = F/r`` and the two reports agree bit for bit.
 
     The profiles are built one eps at a time and evaluated as one batch, in
@@ -242,11 +236,11 @@ def _chained_trials(values: np.ndarray, cells: np.ndarray, delta: float) -> np.n
 
 def _trial_ratios(kind: str, p: float, grid, grids: dict, trials: np.ndarray):
     """``k -> ratio of trials[k]``, read through ``_results`` without an estimate.
-    ``grids`` keeps the checked trial grid of each batch size, built on first use."""
+    ``grids`` keeps the trial grid of each batch size, built on first use by tiling the
+    checked ``grid``, so it needs no check of its own; the values are checked every pass."""
     n = len(trials)
     if n not in grids:
-        tiled = GridBatch(np.tile(grid.edges, n), np.arange(n + 1) * grid.n_cells)
-        grids[n] = StepBatch.checked(tiled, trials.ravel()).grid
+        grids[n] = GridBatch(np.tile(grid.edges, n), np.arange(n + 1) * grid.n_cells)
     batch = StepBatch(grids[n], _real_array(trials.ravel(), "cell values", (trials.size,)))
     fraction = _results(batch, kind, p, False)
     return lambda k: operator.truediv(*fraction(k))
@@ -269,8 +263,8 @@ def ratio_maximize(kind: str, p: float, n_cells: int = 32, seed: int = 0,
     the best function; only that call can raise a range error of the middle
     term or of the estimate.  Trials are read through ``_results``, so only one
     the walk reaches can raise; a value that overflowed to inf fails its batch's check.
-    A run builds and checks one trial grid per batch size and reuses it, with
-    the arrays it keeps (see :class:`GridBatch`), in every pass of that size.
+    A run tiles its checked grid into one trial grid per batch size and reuses
+    it, with the arrays it keeps (see :class:`GridBatch`), in every pass of that size.
 
     Proposals are evaluated in lookahead batches: the next ``_LOOKAHEAD`` = 4
     of the pass (fewer at its end or where the iterations run out), each

@@ -2,7 +2,7 @@
 
 The package draws a ``verify`` case stream as one batch, formats every
 case's CSV text in one pass, encodes its JSON rows with the C encoder and
-builds the cutoff band of a minimizing function as one node matrix; the
+builds the cutoff band of a minimizing function in one quadrature pass; the
 maximize probe evaluates its proposals in lookahead batches and a sharpness
 sweep evaluates its eps profiles as one batch, without the half-order rule
 that a report's estimate needs.  These are the per-case,
@@ -23,7 +23,7 @@ from hardylab.generator import make_rng
 from hardylab.grid import (MAX_SIZE, Grid, StepFunction, check_exponent, check_integer,
                            check_real, make_graded_grid)
 from hardylab.inequalities import KINDS, RatioReport, sharp_constant
-from hardylab.quadrature import _gauss_legendre
+from hardylab.quadrature import _quadrature
 from hardylab.sharpness import (DEFAULT_EPS_LIST, DEFAULT_SWEEP_RESOLUTION, SWEEP_KINDS,
                                 CutoffSpec, SweepPoint, SweepResult, _chi, _sweep_r_min)
 
@@ -81,7 +81,8 @@ def verify_csv(rows):
 
 def minimizing_function(p, eps, spec, n_cells, r_min):
     """``sharpness.minimizing_function`` with its cutoff-band cells averaged
-    one cell at a time (valid arguments only)."""
+    one cell at a time, each by ``_quadrature`` on that cell alone (valid
+    arguments only)."""
     grid = make_graded_grid(2.0, n_cells, "geometric", r_min=r_min)
     a = grid.edges[:-1]
     b = grid.edges[1:]
@@ -90,7 +91,6 @@ def minimizing_function(p, eps, spec, n_cells, r_min):
     values = np.zeros(n_cells)
     pure = b <= 1.0
     values[pure] = (b[pure] ** s - a[pure] ** s) / (s * (b[pure] - a[pure]))
-    x, w = _gauss_legendre(32)
     for i in np.nonzero(~pure)[0]:
         lo, hi = float(a[i]), float(b[i])
         if lo >= 2.0:
@@ -100,10 +100,10 @@ def minimizing_function(p, eps, spec, n_cells, r_min):
             total += (1.0 - lo ** s) / s
             lo = 1.0
         hi_c = min(hi, 2.0)
-        if hi_c > lo:
-            half = 0.5 * (hi_c - lo)
-            r = 0.5 * (hi_c + lo) + half * x
-            total += float(np.dot(r ** q * _chi(spec, r), w)) * half
+        if hi_c > lo:  # this cell alone through the package's one Gauss routine
+            (part,) = _quadrature(lambda r: [r ** q * _chi(spec, r)], np.array([lo]),
+                                  np.array([hi_c]), np.arange(2), (), False)[0]
+            total += part[0]
         values[i] = total / (float(b[i]) - float(a[i]))
     return StepFunction(grid, values)
 

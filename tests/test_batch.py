@@ -119,6 +119,11 @@ def test_an_empty_slice_is_not_a_batch(index):
         batch[index]
 
 
+def test_a_batch_of_no_functions_is_refused():
+    with pytest.raises(InvalidParameterError, match="^a batch needs at least one function$"):
+        StepBatch.of([])
+
+
 def test_batch_transforms_concatenate_the_single_ones():
     functions = FUNCTIONS[:15] + [LONG] + FUNCTIONS[15:30]
     batch = StepBatch.of(functions)

@@ -1,15 +1,19 @@
 """Tests for the inequality ratio evaluators, sharp constants, and corollaries."""
 
 import math
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hardylab.inequalities as inequalities
 from hardylab import (
     DivergentIntegralError,
     DoubleRangeError,
+    HardyLabError,
     InvalidParameterError,
     RatioReport,
     StepFunction,
@@ -95,6 +99,26 @@ class TestSharpConstant:
     def test_rellich_below_the_normal_range_is_a_range_error(self):
         with pytest.raises(DoubleRangeError):
             sharp_constant("rellich_p", 1100.0)
+
+    @pytest.mark.parametrize("p", [1e155, 1e300, sys.float_info.max], ids=str)
+    @pytest.mark.parametrize("kind", ["rellich_p", "rellich_chain"])
+    def test_rellich_where_the_ratio_form_overflows_is_a_range_error(self, kind, p):
+        """From p = 1.34e154 ``p * p`` overflows and the ratio form is inf / inf,
+        a NaN; the constant is far below the normal range there."""
+        with pytest.raises(DoubleRangeError, match="^the Rellich sharp constant at p = .* underflows$"):
+            sharp_constant(kind, p)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(REPORT_KINDS),
+           st.floats(0.0, math.log(sys.float_info.max), exclude_min=True))
+    def test_a_sharp_constant_is_finite_and_positive_or_an_error(self, kind, log_p):
+        # p log-uniform over (1, max]; the p = 2 kinds at p = 2
+        p = 2.0 if KINDS[kind].p2_only else max(math.exp(log_p), math.nextafter(1.0, 2.0))
+        try:
+            sharp = sharp_constant(kind, p)
+        except HardyLabError:
+            return
+        assert math.isfinite(sharp) and sharp > 0.0, (kind, p, sharp)
 
     def test_restrictions(self):
         with pytest.raises(InvalidParameterError):

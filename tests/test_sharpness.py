@@ -155,6 +155,41 @@ def test_band_build_of_an_eight_cell_grid_straddling_one(cutoff):
             assert np.all(f.values == g.values), (p, eps)
 
 
+@pytest.mark.parametrize("cutoff", CUTOFF_KINDS)
+@pytest.mark.parametrize("p", [1.5, 3.0])
+def test_band_cells_against_mpmath(cutoff, p):
+    """Each band cell's average against a 30-digit ``mpmath.quad`` of
+    ``r^q chi(r)`` over the cell (its part below 1 in closed form).  Where
+    ``chi`` at the cell's right end is below 1e-3, ``1 - ramp`` cancels in
+    ``_chi`` and the cells sit on that noise; they are left out."""
+    mp = pytest.importorskip("mpmath")
+    spec = CutoffSpec(cutoff)
+    for eps in (0.2, 0.005):
+        f = minimizing_function(p, eps, spec, 2048, _sweep_r_min(eps))
+        edges, values = f.grid.edges.tolist(), f.values.tolist()
+        checked = 0
+        with mp.workdps(30):
+            q = (mp.mpf(eps) - 1) / p
+
+            def integrand(r):
+                t = r - 1
+                ramp = t ** 3 * (10 + t * (-15 + 6 * t)) if cutoff == "quintic_smoothstep" else t
+                return r ** q * (1 - ramp)
+
+            for i, (a, b) in enumerate(zip(edges[:-1], edges[1:])):
+                if b <= 1.0 or a >= 2.0 or cutoff_value(spec, min(b, 2.0)) < 1e-3:
+                    continue
+                lo, total = mp.mpf(a), mp.mpf(0)
+                if a < 1.0:
+                    total += (1 - lo ** (q + 1)) / (q + 1)
+                    lo = mp.mpf(1)
+                total += mp.quad(integrand, [lo, mp.mpf(min(b, 2.0))])
+                exact = total / (mp.mpf(b) - mp.mpf(a))
+                assert abs(values[i] - exact) <= 2e-13 * exact, (eps, i)
+                checked += 1
+        assert checked >= 4, (eps, checked)
+
+
 def test_denominator_diverges_like_one_over_eps():
     # eps * \int f_eps^p -> 1 once the grid reaches far enough towards 0
     eps = 0.005
@@ -259,6 +294,16 @@ class TestSharpnessSweep:
                                  r"double-precision range at p = 2000\.0, eps = 0\.2$"):
             sharpness_sweep("hardy", 2000.0, (0.2, 0.1), resolution=64)
 
+    def test_a_nan_ratio_form_is_reported_before_any_profile(self, monkeypatch):
+        # from p = 1.34e154 the ratio form of the Rellich constant is inf / inf
+        def forbidden(*args, **kwargs):
+            raise AssertionError("minimizing_function called")
+
+        monkeypatch.setattr(sharpness, "minimizing_function", forbidden)
+        with pytest.raises(DoubleRangeError,
+                           match=r"^the Rellich sharp constant at p = 1e\+155 underflows$"):
+            sharpness_sweep("rellich_chain", 1e155, (0.2, 0.1), resolution=64)
+
     def test_sweep_kinds_have_sharp_constants(self):
         for kind in SWEEP_KINDS:
             assert sharp_constant(kind, 2.0) > 0.0
@@ -270,6 +315,11 @@ def test_each_sweep_kind_sweeps_a_kind_with_its_sharp_constant():
         target = inequalities.KINDS[inequalities.KINDS[kind].sweep]
         assert target.sharp is inequalities.KINDS[kind].sharp
         assert target.p2_only == inequalities.KINDS[kind].p2_only
+
+
+def test_every_sweep_kind_but_new_hardy_sweeps_itself():
+    sweeps = {kind: inequalities.KINDS[kind].sweep for kind in SWEEP_KINDS}
+    assert sweeps == {kind: kind for kind in SWEEP_KINDS} | {"new_hardy": "hardy"}
 
 
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
