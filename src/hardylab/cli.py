@@ -27,7 +27,7 @@ from .inequalities import (DEFAULT_TOLERANCE, REPORT_KINDS, RatioReport, check_t
                            ratio_evaluator)
 from .rearrange import check_norm_preservation, decreasing_rearrangement
 from .sharpness import (CUTOFF_KINDS, DEFAULT_EPS_LIST, DEFAULT_SWEEP_RESOLUTION,
-                        SWEEP_KINDS, CutoffSpec, ratio_maximize, sharpness_sweep)
+                        CutoffSpec, ratio_maximize, sharpness_sweep)
 
 REPORT_FIELDS = tuple(field.name for field in fields(RatioReport))
 _CSV_HEADER = ",".join(("index", "input_hash") + REPORT_FIELDS + ("violations",))
@@ -62,9 +62,9 @@ def build_parser() -> argparse.ArgumentParser:
                     "integral inequalities on step functions.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(cmd, kinds, tol=True, fmt=True):
+    def common(cmd, tol=True, fmt=True):
         """The evaluating commands' flags; ``--tol``/``--format`` where they are read."""
-        cmd.add_argument("--kind", choices=kinds, required=True, help="inequality kind")
+        cmd.add_argument("--kind", choices=REPORT_KINDS, required=True, help="inequality kind")
         cmd.add_argument("--p", type=float, required=True, help="Lebesgue exponent (> 1)")
         if tol:
             cmd.add_argument("--tol", type=float, default=DEFAULT_TOLERANCE,
@@ -77,14 +77,14 @@ def build_parser() -> argparse.ArgumentParser:
                          help="omit the timestamp field (byte-identical reruns)")
 
     verify = sub.add_parser("verify", help="evaluate one inequality on random or CSV input")
-    common(verify, REPORT_KINDS)
+    common(verify)
     verify.add_argument("--count", type=int, default=100, help="number of random cases")
     verify.add_argument("--seed", type=int, default=0, help="PRNG seed for the case stream")
     verify.add_argument("--input", default=None,
                         help="step-function CSV (overrides --count/--seed)")
 
     sweep = sub.add_parser("sweep", help="sharpness sweep with extrapolated limit")
-    common(sweep, SWEEP_KINDS, tol=False)
+    common(sweep, tol=False)
     sweep.add_argument("--eps", default=",".join(str(e) for e in DEFAULT_EPS_LIST),
                        help="comma-separated strictly decreasing eps values")
     sweep.add_argument("--resolution", type=int, default=DEFAULT_SWEEP_RESOLUTION,
@@ -101,7 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help="exponent for the norm-preservation printout")
 
     maximize = sub.add_parser("maximize", help="coordinate-ascent probe of a sharp constant")
-    common(maximize, REPORT_KINDS, fmt=False)
+    common(maximize, fmt=False)
     maximize.add_argument("--cells", type=int, default=32, help="grid cells")
     maximize.add_argument("--seed", type=int, default=0, help="visit-order seed")
     maximize.add_argument("--iters", type=int, default=200, help="single-cell proposals")

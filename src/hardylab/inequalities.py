@@ -18,9 +18,8 @@ rellich_chain           rellich_p together with the intermediate term built
                         from ``rellich_inner``, reported as ``middle``
 
 Each kind is one row of :data:`KINDS` (numerator, sharp constant, p = 2
-restriction, the kind its sweep evaluates); the per-kind functions
-``hardy_ratio`` ... ``improved_hardy_rellich_ratio`` are shorthands for
-:func:`ratio_evaluator`.
+restriction); the per-kind functions ``hardy_ratio`` ...
+``improved_hardy_rellich_ratio`` are shorthands for :func:`ratio_evaluator`.
 For ``new_hardy`` and ``improved_hardy_rellich`` the ``middle`` field
 carries the classical numerator on the same quadrature nodes (it is a lower
 bound for the improved one); for ``rellich_chain`` it is the intermediate
@@ -69,15 +68,12 @@ class Kind:
     without ``estimate`` (no report is built) the last two are ``None``, not
     computed, and the plain kinds' middle term is ``None`` always.
     ``sharp(p)`` is the sharp constant.
-    ``p2_only`` kinds are stated for p = 2 only.  ``sweep`` names the kind a
-    sweep of this kind evaluates (``None``: no sweep); ``new_hardy`` sweeps
-    ``hardy`` (see ``sharpness_sweep``), every other sweep kind itself.
+    ``p2_only`` kinds are stated for p = 2 only.
     """
 
     numerator: Callable
     sharp: Callable[[float], float]
     p2_only: bool = False
-    sweep: str | None = None
 
 
 DEFAULT_TOLERANCE = 1e-6  # relative; every contract check defaults to it
@@ -255,30 +251,34 @@ def _supmin(f: StepBatch, p: float, estimate: bool):
 
 
 def _hardy_sharp(p: float) -> float:
-    return (p / (p - 1.0)) ** p
+    """``(p/(p-1))^p``; above p = 4 as ``exp(-p log1p(-1/p))``, whose error does
+    not grow with p as the rounding of ``p / (p - 1)`` does."""
+    if p <= 4.0:
+        return (p / (p - 1.0)) ** p
+    return math.exp(-p * math.log1p(-1.0 / p))
 
 
 def _rellich_sharp(p: float) -> float:
     """``p^(2p) / ((p-1)^p (2p-1)^p)``; from p = 76.03, where its powers leave the
-    double range, the ratio form ``(p^2 / ((p-1)(2p-1)))^p``."""
+    double range, ``2^-p exp(-p (log1p(-1/p) + log1p(-1/(2p))))``."""
     try:
         sharp = p ** (2.0 * p) / ((p - 1.0) ** p * (2.0 * p - 1.0) ** p)
     except OverflowError:
         sharp = 0.0
     if sharp == 0.0:
-        sharp = (p * p / ((p - 1.0) * (2.0 * p - 1.0))) ** p
-    if not sharp >= _TINY:  # p * p overflows to inf from p = 1.34e154, and inf / inf is NaN
+        sharp = 2.0 ** -p * math.exp(-p * (math.log1p(-1.0 / p) + math.log1p(-0.5 / p)))
+    if not sharp >= _TINY:
         raise DoubleRangeError(f"the Rellich sharp constant at p = {p} underflows")
     return sharp
 
 
 KINDS = {
-    "hardy": Kind(_classical, _hardy_sharp, sweep="hardy"),
-    "new_hardy": Kind(_supmin, _hardy_sharp, sweep="hardy"),
-    "hardy_rellich_int": Kind(_classical, _hardy_sharp, p2_only=True, sweep="hardy_rellich_int"),
+    "hardy": Kind(_classical, _hardy_sharp),
+    "new_hardy": Kind(_supmin, _hardy_sharp),
+    "hardy_rellich_int": Kind(_classical, _hardy_sharp, p2_only=True),
     "improved_hardy_rellich": Kind(_supmin, _hardy_sharp, p2_only=True),
     "rellich_p": Kind(_rellich, _rellich_sharp),
-    "rellich_chain": Kind(_rellich_chain, _rellich_sharp, sweep="rellich_chain"),
+    "rellich_chain": Kind(_rellich_chain, _rellich_sharp),
 }
 
 # kinds accepted by ratio_evaluator / the CLI
@@ -497,7 +497,7 @@ def corollary_avg_check(f: StepFunction, p: float) -> tuple[float, float]:
             "right-hand side diverges: f must vanish on the first cell (support away from 0)"
         )
     lhs = _running_average_maxform_integral(f, p)
-    rhs = sharp_constant("hardy", p) * 2.0 ** (p - 1.0) * (
+    rhs = _hardy_sharp(p) * 2.0 ** (p - 1.0) * (
         _power_moment(f, p, -p) + _power_moment(f, p, 1.0 - 2.0 * p) / (2.0 * p - 1.0))
     if not math.isfinite(rhs):  # as in corollary_int_check
         raise DoubleRangeError("the right-hand side leaves the double range; rescale the input")

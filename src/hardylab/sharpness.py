@@ -6,15 +6,15 @@ equal to 1 on [0,1] and 0 beyond 2.  This module discretises ``f_eps`` on a
 geometric grid with cell averages (closed form below 1, the quadrature
 module's Gauss-Legendre rule on the cutoff band, all band cells in one
 pass), sweeps ``eps`` downward, and extrapolates the ratio to ``eps -> 0``
-with an affine fit.  A sweep evaluates all its profiles as one batch, with
-no refinement estimate, and its points equal those of one report per
-profile bit for bit.  A derivative-free coordinate-ascent maximizer
-provides an independent probe from the other side: it tries to push a
-ratio above its sharp constant and must fail.  It evaluates its proposals
-in lookahead batches, one pass for several, that read ratios alone (no
-estimate, no ``middle`` term), and builds one report, for its best
-function, at the end; its results equal the one-at-a-time ascent's bit for
-bit.  Both read their batches through
+with an affine fit.  A sweep of any report kind evaluates that kind, all
+its profiles as one batch with no refinement estimate, and its points equal
+those of one report per profile bit for bit.  A derivative-free
+coordinate-ascent maximizer provides an independent probe from the other
+side: it tries to push a ratio above its sharp constant and must fail.  It
+evaluates its proposals in lookahead batches, one pass for several, that
+read ratios alone (no estimate, no ``middle`` term), and builds one report,
+for its best function, at the end; its results equal the one-at-a-time
+ascent's bit for bit.  Both read their batches through
 ``inequalities._results``, so an error is the one-at-a-time loop's.
 
 The singular mass of ``f_eps`` concentrates like ``r^(eps-1)`` at the
@@ -38,11 +38,13 @@ from .grid import (MAX_SIZE, GridBatch, StepBatch, StepFunction, _real_array, ch
                    check_integer, check_real, make_graded_grid)
 from .generator import make_rng
 from .quadrature import _quadrature
-from .inequalities import KINDS, RatioReport, _results, ratio_evaluator, sharp_constant
+from .inequalities import RatioReport, _results, ratio_evaluator, sharp_constant
 
-CUTOFF_KINDS = ("quintic_smoothstep", "linear")
+# the cutoff profiles: each kind's ramp, rising from 0 to 1 on [0, 1]
+_RAMPS = {"quintic_smoothstep": lambda t: t * t * t * (10.0 + t * (-15.0 + 6.0 * t)),
+          "linear": lambda t: t}
 
-SWEEP_KINDS = tuple(kind for kind, spec in KINDS.items() if spec.sweep)
+CUTOFF_KINDS = tuple(_RAMPS)
 
 DEFAULT_EPS_LIST = (0.2, 0.1, 0.05, 0.02, 0.01, 0.005)
 
@@ -70,14 +72,11 @@ class CutoffSpec:
 
 
 def _chi(spec: CutoffSpec, r: np.ndarray) -> np.ndarray:
+    """``chi(r) = 1 - ramp(r - 1)``, the ramp of ``spec.kind`` clipped to [0, 1]."""
     if not isinstance(spec, CutoffSpec):
         raise InvalidParameterError(f"cutoff spec must be a CutoffSpec, got {type(spec).__name__}")
     t = np.clip(np.asarray(r, dtype=float) - 1.0, 0.0, 1.0)
-    if spec.kind == "quintic_smoothstep":
-        ramp = t * t * t * (10.0 + t * (-15.0 + 6.0 * t))
-    else:
-        ramp = t
-    return 1.0 - ramp
+    return 1.0 - _RAMPS[spec.kind](t)
 
 
 def cutoff_value(spec: CutoffSpec, r: float) -> float:
@@ -169,9 +168,10 @@ def sharpness_sweep(kind: str, p: float, eps_list=DEFAULT_EPS_LIST,
     The limit is the intercept of a least-squares affine fit ``ratio(eps)
     ~= c0 + c1 eps`` over the smallest half of the eps list.
 
-    The values come from the kind named by ``KINDS[kind].sweep``.  For
-    ``new_hardy`` that is ``hardy``: every ``f_eps`` is non-negative and
-    non-increasing, where ``M f = F/r`` and the two reports agree bit for bit.
+    Every report kind can be swept, the p = 2 kinds at p = 2 only.  Each
+    ``f_eps`` is non-negative and non-increasing, where ``M f = F/r``: at
+    the defaults the sup-min kinds' sweeps equal their classical twins' bit
+    for bit (elsewhere within an ulp), as ``rellich_p`` equals ``rellich_chain``.
 
     The profiles are built one eps at a time and evaluated as one batch, in
     one pass that forms no refinement estimate (a point reads none).  A
@@ -179,7 +179,8 @@ def sharpness_sweep(kind: str, p: float, eps_list=DEFAULT_EPS_LIST,
     point is bit for bit the one a report per profile gives.  All profiles
     are held at once, so memory grows with ``len(eps_list) * resolution``: a
     default sweep (6 x 2048 cells) peaks at 33.1 MB resident in a fresh
-    CPython 3.11 / numpy 2.4 process, 30.0 MB of it after the import alone.
+    CPython 3.11 / numpy 2.4 process, 30.0 MB of it after the import alone
+    (a sup-min kind's, which builds the sup-min rows, at 35.1 MB).
 
     ``resolution`` (at least 8) is checked under its own name before any
     profile is built.  At a p too large for doubles the
@@ -189,8 +190,6 @@ def sharpness_sweep(kind: str, p: float, eps_list=DEFAULT_EPS_LIST,
     that fails alone raises its error, naming its eps if it leaves the
     double range.
     """
-    if kind not in SWEEP_KINDS:
-        raise InvalidParameterError(f"sweep kind must be one of {SWEEP_KINDS}, got {kind!r}")
     p = check_exponent(p)
     try:
         eps_values = [check_real(e, "eps", 0.0, 1.0) for e in eps_list]
@@ -204,7 +203,7 @@ def sharpness_sweep(kind: str, p: float, eps_list=DEFAULT_EPS_LIST,
     sharp = sharp_constant(kind, p)
     profiles = [minimizing_function(p, eps, spec, resolution, _sweep_r_min(eps))
                 for eps in eps_values]
-    fraction = _results(StepBatch.of(profiles), KINDS[kind].sweep, p, False)
+    fraction = _results(StepBatch.of(profiles), kind, p, False)
     points = []
     for k, eps in enumerate(eps_values):
         try:

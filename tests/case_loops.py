@@ -22,10 +22,10 @@ from hardylab.errors import DoubleRangeError, FitDegenerateError, InvalidParamet
 from hardylab.generator import make_rng
 from hardylab.grid import (MAX_SIZE, Grid, StepFunction, check_exponent, check_integer,
                            check_real, make_graded_grid)
-from hardylab.inequalities import KINDS, RatioReport, sharp_constant
+from hardylab.inequalities import RatioReport, sharp_constant
 from hardylab.quadrature import _quadrature
-from hardylab.sharpness import (DEFAULT_EPS_LIST, DEFAULT_SWEEP_RESOLUTION, SWEEP_KINDS,
-                                CutoffSpec, SweepPoint, SweepResult, _chi, _sweep_r_min)
+from hardylab.sharpness import (DEFAULT_EPS_LIST, DEFAULT_SWEEP_RESOLUTION, CutoffSpec,
+                                SweepPoint, SweepResult, _chi, _sweep_r_min)
 
 REPORT_FIELDS = [field.name for field in fields(RatioReport)]
 
@@ -153,8 +153,6 @@ def sharpness_sweep(kind, p, eps_list=DEFAULT_EPS_LIST, spec=CutoffSpec(),
     profile built and evaluated to a full report (both rules) before the
     next.  The profile and the evaluator are looked up on the module when
     called, so a patched one reaches both."""
-    if kind not in SWEEP_KINDS:
-        raise InvalidParameterError(f"sweep kind must be one of {SWEEP_KINDS}, got {kind!r}")
     p = check_exponent(p)
     try:
         eps_values = [check_real(e, "eps", 0.0, 1.0) for e in eps_list]
@@ -166,7 +164,7 @@ def sharpness_sweep(kind, p, eps_list=DEFAULT_EPS_LIST, spec=CutoffSpec(),
         raise InvalidParameterError("eps values must be strictly decreasing")
     resolution = check_integer(resolution, "resolution", 8, MAX_SIZE)
     sharp = sharp_constant(kind, p)
-    evaluator = sharpness.ratio_evaluator(KINDS[kind].sweep, p)
+    evaluator = sharpness.ratio_evaluator(kind, p)
     points = []
     for eps in eps_values:
         try:

@@ -238,6 +238,13 @@ def test_a_bad_sweep_resolution_exits_2_under_its_own_name(resolution, capsys):
                    f"got {resolution}\n"), err
 
 
+def test_a_p2_kind_swept_at_p_3_exits_2(capsys):
+    assert cli.main(["sweep", "--kind", "improved_hardy_rellich", "--p", "3"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: improved_hardy_rellich is stated for p = 2 only"), err
+
+
 @pytest.mark.parametrize("args", [
     ("verify", "--p", "2"),          # missing --kind
     ("frobnicate",),                  # unknown command

@@ -96,6 +96,28 @@ class TestSharpConstant:
         for kind in ("rellich_p", "rellich_chain"):
             assert abs(sharp_constant(kind, p) - exact) <= 2e-14 * exact
 
+    def test_hardy_against_mpmath_at_log_uniform_p(self):
+        """Within 1e-15 on (1.001, 1e300].  ``(p / (p - 1))^p`` loses digits as p
+        grows, and from p = 9e15, where ``p - 1 == p``, it is 1, not about e."""
+        mp = pytest.importorskip("mpmath")
+        log_p = np.random.default_rng(32).uniform(math.log(1.001), math.log(1e300), 200)
+        for p in np.exp(log_p).tolist():
+            with mp.workdps(60):
+                q = mp.mpf(p)
+                exact = mp.exp(-q * mp.log1p(-1 / q))
+            assert abs(sharp_constant("hardy", p) - exact) <= 1e-15 * exact, p
+
+    def test_rellich_against_mpmath_at_log_uniform_p(self):
+        """Within 1e-15 on [76.03, 1024], where the log1p form applies; near
+        p = 1024 its power of 2 is subnormal."""
+        mp = pytest.importorskip("mpmath")
+        log_p = np.random.default_rng(32).uniform(math.log(76.03), math.log(1024.0), 200)
+        for p in np.exp(log_p).tolist():
+            with mp.workdps(60):
+                q = mp.mpf(p)
+                exact = q ** (2 * q) / ((q - 1) ** q * (2 * q - 1) ** q)
+            assert abs(sharp_constant("rellich_p", p) - exact) <= 1e-15 * exact, p
+
     def test_rellich_below_the_normal_range_is_a_range_error(self):
         with pytest.raises(DoubleRangeError):
             sharp_constant("rellich_p", 1100.0)

@@ -12,9 +12,9 @@ from hardylab import inequalities, sharpness
 from hardylab.errors import (DoubleRangeError, FitDegenerateError, HardyLabError,
                              InvalidParameterError, ZeroDenominatorError)
 from hardylab.grid import StepBatch, StepFunction, p_norm
-from hardylab.inequalities import rellich_chain, sharp_constant
+from hardylab.inequalities import REPORT_KINDS, rellich_chain, sharp_constant
 from hardylab.sharpness import (CUTOFF_KINDS, DEFAULT_EPS_LIST, DEFAULT_SWEEP_RESOLUTION,
-                                SWEEP_KINDS, CutoffSpec, SweepPoint, SweepResult,
+                                CutoffSpec, SweepPoint, SweepResult,
                                 cutoff_value, minimizing_function,
                                 ratio_maximize, sharpness_sweep, _sweep_r_min)
 
@@ -264,8 +264,8 @@ class TestSharpnessSweep:
         assert list(d["points"][0]) == ["eps", "ratio", "numerator", "denominator"]
 
     def test_rejects_unknown_kind(self):
-        with pytest.raises(InvalidParameterError):
-            sharpness_sweep("rellich_p", 2.0)
+        with pytest.raises(InvalidParameterError, match="^unknown inequality kind 'rellich'$"):
+            sharpness_sweep("rellich", 2.0)
 
     def test_single_eps_cannot_be_extrapolated(self):
         with pytest.raises(FitDegenerateError):
@@ -305,28 +305,30 @@ class TestSharpnessSweep:
             sharpness_sweep("rellich_chain", 1e155, (0.2, 0.1), resolution=64)
 
     def test_sweep_kinds_have_sharp_constants(self):
-        for kind in SWEEP_KINDS:
+        for kind in REPORT_KINDS:
             assert sharp_constant(kind, 2.0) > 0.0
 
 
-def test_each_sweep_kind_sweeps_a_kind_with_its_sharp_constant():
-    assert SWEEP_KINDS == ("hardy", "new_hardy", "hardy_rellich_int", "rellich_chain")
-    for kind in SWEEP_KINDS:
-        target = inequalities.KINDS[inequalities.KINDS[kind].sweep]
-        assert target.sharp is inequalities.KINDS[kind].sharp
-        assert target.p2_only == inequalities.KINDS[kind].p2_only
+# each kind with the kind whose sweep it equals: on f_eps, non-negative and
+# non-increasing, M f = F/r, and the chain's numerator is the Rellich one
+TWIN_SWEEPS = ([(kind, twin, p) for kind, twin in (("new_hardy", "hardy"),
+                                                   ("rellich_p", "rellich_chain"))
+                for p in (1.5, 2.0, 3.0)]
+               + [("improved_hardy_rellich", "hardy_rellich_int", 2.0)])
 
 
-def test_every_sweep_kind_but_new_hardy_sweeps_itself():
-    sweeps = {kind: inequalities.KINDS[kind].sweep for kind in SWEEP_KINDS}
-    assert sweeps == {kind: kind for kind in SWEEP_KINDS} | {"new_hardy": "hardy"}
+@pytest.mark.parametrize("cutoff", CUTOFF_KINDS)
+@pytest.mark.parametrize("kind, twin, p", TWIN_SWEEPS)
+def test_a_sweep_equals_its_twin_kinds_sweep(kind, twin, p, cutoff):
+    spec = CutoffSpec(cutoff)
+    res, ref = sharpness_sweep(kind, p, spec=spec), sharpness_sweep(twin, p, spec=spec)
+    assert res.kind == kind and res.sharp == ref.sharp
+    assert (res.points, res.limit) == (ref.points, ref.limit)
 
 
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
 def test_new_hardy_reports_equal_hardy_on_the_sweep_profiles(p):
-    # f_eps is non-negative and non-increasing, so M f = F/r: a new_hardy
-    # sweep evaluates hardy reports
-    assert inequalities.KINDS["new_hardy"].sweep == "hardy"
+    # f_eps is non-negative and non-increasing, so M f = F/r
     for eps in DEFAULT_EPS_LIST:
         f = minimizing_function(p, eps, CutoffSpec(), DEFAULT_SWEEP_RESOLUTION, _sweep_r_min(eps))
         new, old = inequalities.new_hardy_ratio(f, p), inequalities.hardy_ratio(f, p)
@@ -396,7 +398,7 @@ def test_chain_contract_holds_on_the_sweep_profiles(p, cutoff):
 # The batched sweep against the one-eps-at-a-time loop
 # --------------------------------------------------------------------------
 
-SWEEP_CASES = [(kind, p) for kind in SWEEP_KINDS
+SWEEP_CASES = [(kind, p) for kind in REPORT_KINDS
                for p in ((2.0,) if inequalities.KINDS[kind].p2_only else (1.5, 2.0, 3.0))]
 
 
