@@ -21,8 +21,8 @@ from pathlib import Path
 
 from .errors import HardyLabError, InvalidParameterError
 from .generator import make_rng, random_step_function
-from .grid import (MAX_SIZE, _write_texts, as_batch, check_exponent, check_integer, read_step_csv,
-                   step_csv_text)
+from .grid import (MAX_SIZE, _csv_numbers, _write_texts, as_batch, check_exponent, check_integer,
+                   read_step_csv, step_csv_text)
 from .inequalities import (DEFAULT_TOLERANCE, REPORT_KINDS, RatioReport, check_tolerance,
                            ratio_evaluator)
 from .rearrange import check_norm_preservation, decreasing_rearrangement
@@ -38,8 +38,12 @@ _CSV_CELLS = operator.itemgetter("index", "input_hash", *REPORT_FIELDS)
 _ROW_ENCODER = json.JSONEncoder(separators=(",\n    ", ": "))
 
 
-def _input_hash(csv_text: str) -> str:
-    return "sha256:" + hashlib.sha256(csv_text.encode("utf-8")).hexdigest()
+def _input_hashes(f) -> list[str]:
+    """Each function's ``sha256:`` of its CSV data-row numbers (every cell's
+    right edge and value, the origin row left out) as little-endian binary64.
+    ``%.17g`` round-trips, so the CSV text read back hashes the same."""
+    return ["sha256:" + hashlib.sha256(x.astype("<f8", copy=False)).hexdigest()
+            for x in _csv_numbers(f)]
 
 
 def _timestamp() -> str:
@@ -159,17 +163,15 @@ def cmd_verify(args) -> int:
     # one evaluator call for all cases; a case's report does not depend on
     # the batch it is evaluated in
     reports = evaluator(cases)
-    # each case's CSV text: hashed into its row, and dumped if it violates
-    texts = step_csv_text(cases)
-    for index, (text, report) in enumerate(zip(texts, reports)):
+    for index, (input_hash, report) in enumerate(zip(_input_hashes(cases), reports)):
         violations = report.violations(tol)
-        row = {"index": index, "input_hash": _input_hash(text)}
+        row = {"index": index, "input_hash": input_hash}
         if timestamp is not None:
             row["timestamp"] = timestamp
         rows.append({**row, **report.to_json_dict(), "violations": violations})
         if violations:
             dump = _sibling(args.output or "hardylab-verify", f"-violation-{index}.csv")
-            dumps.append((dump, text))
+            dumps.append((dump, step_csv_text(cases[index:index + 1])[0]))
             messages.append(f"violation in case {index}: {'; '.join(violations)} "
                             f"(function dumped to {dump})")
     body = _json_rows(rows) + "\n" if args.format == "json" else _csv_rows(rows)
@@ -213,7 +215,6 @@ def cmd_rearrange(args) -> int:
 def cmd_maximize(args) -> int:
     tol = check_tolerance(args.tol, "--tol")
     best, report = ratio_maximize(args.kind, args.p, args.cells, args.seed, args.iters)
-    best_text = step_csv_text(best)
     doc: dict = {
         "command": "maximize",
         "kind": args.kind,
@@ -221,12 +222,13 @@ def cmd_maximize(args) -> int:
         "cells": args.cells,
         "seed": args.seed,
         "iters": args.iters,
-        "best_hash": _input_hash(best_text),
+        "best_hash": _input_hashes(best)[0],
     }
     if not args.no_timestamp:
         doc["timestamp"] = _timestamp()
     doc.update(report.to_json_dict())
-    best_csv = [] if args.output is None else [(_sibling(args.output, ".best.csv"), best_text)]
+    best_csv = ([] if args.output is None else
+                [(_sibling(args.output, ".best.csv"), step_csv_text(best))])
     _emit((args.output, json.dumps(doc, indent=2) + "\n"), *best_csv)
     violations = report.violations(tol)
     if violations:

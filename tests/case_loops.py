@@ -1,7 +1,7 @@
 """Per-case and per-cell loops of the package, kept as test references.
 
-The package draws a ``verify`` case stream as one batch, formats every
-case's CSV text in one pass, encodes its JSON rows with the C encoder and
+The package draws a ``verify`` case stream as one batch, hashes every
+case's numbers in one pass, encodes its JSON rows with the C encoder and
 builds the cutoff band of a minimizing function in one quadrature pass; the
 maximize probe evaluates its proposals in lookahead batches and a sharpness
 sweep evaluates its eps profiles as one batch, without the half-order rule
@@ -13,6 +13,7 @@ reproduce their output bit for bit (``tests/test_cases.py``,
 
 import hashlib
 import json
+import struct
 from dataclasses import fields
 
 import numpy as np
@@ -48,12 +49,18 @@ def step_csv_text(f):
     return "edge,value\n0,\n" + "".join(rows)
 
 
+def input_hash(f):
+    """The SHA-256 of ``f``'s CSV data-row numbers, each cell's right edge
+    and value in turn, packed as little-endian doubles."""
+    numbers = [x for pair in zip(f.grid.edges[1:].tolist(), f.values.tolist()) for x in pair]
+    return "sha256:" + hashlib.sha256(struct.pack("<%dd" % len(numbers), *numbers)).hexdigest()
+
+
 def verify_rows(cases, reports, tol, timestamp):
     """The rows of ``verify``, one dict per case."""
     rows = []
     for index, (f, report) in enumerate(zip(cases, reports)):
-        digest = hashlib.sha256(step_csv_text(f).encode("utf-8")).hexdigest()
-        row = {"index": index, "input_hash": "sha256:" + digest}
+        row = {"index": index, "input_hash": input_hash(f)}
         if timestamp is not None:
             row["timestamp"] = timestamp
         row.update(report.to_json_dict())

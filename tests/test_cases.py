@@ -7,8 +7,9 @@ output bytes, on the passing path and on the exit-1 (violation) path.
 """
 
 import dataclasses
+import hashlib
 import json
-from itertools import accumulate
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +20,7 @@ from hypothesis import strategies as st
 import case_loops as loops
 from hardylab import StepBatch, StepFunction, cli, make_rng, random_step_function, step_function
 from hardylab.errors import InvalidParameterError
-from hardylab.grid import MAX_SIZE, GridBatch, _fixed_17g, as_batch, step_csv_text
+from hardylab.grid import MAX_SIZE, GridBatch, as_batch, read_step_csv, step_csv_text
 from hardylab.inequalities import DEFAULT_TOLERANCE, KINDS, REPORT_KINDS, ratio_evaluator
 from test_cli import run_cli
 
@@ -116,9 +117,9 @@ def test_csv_text_of_a_batch_equals_per_function_text():
         assert step_csv_text(as_batch(f)) == [loops.step_csv_text(f)]
 
 
-# Cells at the ends of the kernel's range, 0 or 1e-4 <= |x| < 1e17: the
-# first function is all inside it, the second holds the double below 1e-4
-# (9.9999999999999991e-05), so ``%`` formats it.
+# Cells at the ends of the range where ``%.17g`` is fixed notation, 0 or
+# 1e-4 <= |x| < 1e17: the first function is all inside it, the second holds
+# the double below 1e-4 (9.9999999999999991e-05).
 BOUNDARY = [
     step_function([0.0, 1e-4, 1.0, 1e16, 9.999999999999999e16],
                   [1e-4, -9.999999999999999e16, 1e16, -0.0]),
@@ -133,20 +134,28 @@ def test_kernel_and_percent_functions_in_one_batch():
         functions += [loops.random_step_function(ref_rng), special]
     functions += [loops.random_step_function(ref_rng) for _ in range(20)]
     assert step_csv_text(StepBatch.of(functions)) == [loops.step_csv_text(f) for f in functions]
+    assert cli._input_hashes(StepBatch.of(functions)) == [
+        h for f in functions for h in cli._input_hashes(f)] == [
+        loops.input_hash(f) for f in functions]
 
 
-def in_kernel_range(x):
+def test_input_hash_is_the_sha256_of_the_little_endian_numbers():
+    assert cli._input_hashes(step_function([0, 1], [1.0])) == [
+        "sha256:" + hashlib.sha256(struct.pack("<2d", 1.0, 1.0)).hexdigest()]
+
+
+def test_signed_zero_values_hash_apart():
+    zero, negative_zero = (step_function([0.0, 1.0], [x]) for x in (0.0, -0.0))
+    assert step_csv_text(zero) != step_csv_text(negative_zero)
+    assert cli._input_hashes(zero) != cli._input_hashes(negative_zero)
+
+
+def in_fixed_notation(x):
     return x == 0.0 or 1e-4 <= abs(x) < 1e17
 
 
 def assert_formatted_as_percent(numbers):
-    """Each number in the kernel's range as ``%.17g`` writes it, and each
-    function of one cell as ``%`` writes it, whichever path it takes."""
-    kernel = [x for x in numbers if in_kernel_range(x)]
-    if kernel:
-        text, ends = _fixed_17g(np.repeat(kernel, 2))
-        assert text == "".join("%.17g,%.17g\n" % (x, x) for x in kernel)
-        assert ends.tolist() == list(accumulate(len("%.17g," % x) for x in np.repeat(kernel, 2)))
+    """Each function of one cell as ``%`` writes it."""
     functions = [step_function([0.0, 1.0], [x]) for x in numbers]
     assert step_csv_text(StepBatch.of(functions)) == [
         "edge,value\n0,\n1,%.17g\n" % x for x in numbers]
@@ -177,7 +186,7 @@ FIXED_NUMBERS = (powers_of_ten_and_neighbours() + decimal_ties()
 
 def test_kernel_equals_percent_on_fixed_numbers():
     numbers = FIXED_NUMBERS + [-x for x in FIXED_NUMBERS]
-    assert sum(map(in_kernel_range, numbers)) > 300
+    assert sum(map(in_fixed_notation, numbers)) > 300
     assert_formatted_as_percent(numbers)
 
 
@@ -302,6 +311,7 @@ def test_verify_violations_exit_1_with_unchanged_output(fmt, timestamp, monkeypa
                         f"(function dumped to {dump})")
         text = (tmp_path / dump).read_text(encoding="utf-8")
         assert text == step_csv_text(cases[index]) == loops.step_csv_text(cases[index])
+        assert cli._input_hashes(read_step_csv(tmp_path / dump)) == [rows[index]["input_hash"]]
     assert sorted(p.name for p in tmp_path.iterdir()) == [
         f"hardylab-verify-violation-{index}.csv" for index in VIOLATING]
 

@@ -73,14 +73,15 @@ def test_verify_is_byte_identical_without_timestamp():
     assert first.stdout.strip(), "expected a JSON report on stdout"
 
 
-# SHA-256 of ``verify --count 1000 --seed 0 --no-timestamp`` stdout, as the
-# per-float ``%.17g`` formatting of each case's CSV text hashed it
+# SHA-256 of ``verify --count 1000 --seed 0 --no-timestamp`` stdout, each
+# ``input_hash`` the SHA-256 of its case's data-row numbers as little-endian
+# doubles
 VERIFY_PINS = {
-    ("hardy", "2", "json"): "f23709b26a26968871b17267d7c052be228977e2cef5c9ec3df431a3ddee1d25",
-    ("new_hardy", "1.5", "json"): "de42fc493cbd9dabccd228ac3b44add183998ed40c913218192afd5a2f106f1f",
+    ("hardy", "2", "json"): "bc27d3e5967e23e83a938f2b09d19b59b949bc1c983acf0698963697cc8503d1",
+    ("new_hardy", "1.5", "json"): "d2e4dc3701713f5e51e7d7ef48175e587bf724a4a5def8584efcdaac0289d1d3",
     ("rellich_chain", "3", "json"):
-        "0d4bd2df8c47a73736d8f761e239d4f7f5e3eb2be04dda25e2f623d7f3500ae9",
-    ("hardy", "2", "csv"): "a462359d0bc1b97cdfae77c2d5b1b4c2a11e3f56f9e0d82a64b61886a0e93411",
+        "3f126cf6a9f77c6c4a36ecfd99ffc549ad2e871045423443c4fe7c648add546e",
+    ("hardy", "2", "csv"): "d5938242cb858738e9cb15f7309d3baf20a9acfb3b93d9b2b0455b615f6a6efa",
 }
 
 
@@ -527,22 +528,23 @@ def test_maximize_stdout_only(tmp_path):
 
 
 # ``maximize --iters 200 --no-timestamp`` as the one-trial-at-a-time ascent
-# wrote it; ``best_hash`` is the SHA-256 of the ``.best.csv`` bytes
+# wrote it; ``best_hash`` is the SHA-256 of the best function's data-row
+# numbers as little-endian doubles, so ``.best.csv`` read back hashes to it
 MAXIMIZE_PINS = [
     {"command": "maximize", "kind": "hardy", "p": 2.0, "cells": 32, "seed": 7, "iters": 200,
-     "best_hash": "sha256:88fc55629b93607b4e3800ff1a0823e506a87788d4a78e71c2f219293af2287e",
+     "best_hash": "sha256:1ae896f61d40d20ef10a8ed763a7ccd87babfc172f0085f4a6d9fec73facaf59",
      "numerator": 4.916949099975158, "middle": None, "denominator": 1.5025697848089108,
      "sharp": 4.0, "ratio": 3.2723598928221964, "slack": 0.7276401071778036,
      "refinement_estimate": 7.076222772149034e-14},
     {"command": "maximize", "kind": "rellich_chain", "p": 3.0, "cells": 32, "seed": 2,
      "iters": 200,
-     "best_hash": "sha256:6a63db709d659fe76f93381edbfe1747d0c3f8915c9ea6c757300597413de2e1",
+     "best_hash": "sha256:e2a66b202b9d6049102bdedecb0d214fa882c4d38524c43a38680c6faf758a0d",
      "numerator": 1.46860343456069, "middle": 1.46860343456069,
      "denominator": 2.5578021281610566, "sharp": 0.729, "ratio": 0.5741661633601615,
      "slack": 0.15483383663983852, "refinement_estimate": 4.218430929542734e-14},
     {"command": "maximize", "kind": "new_hardy", "p": 1.5, "cells": 32, "seed": 11,
      "iters": 200,
-     "best_hash": "sha256:5569d374a23fc3c52416d4f93a415c6ad84fe18fa0e086e2831b2d38afe0366a",
+     "best_hash": "sha256:7fe3075e4fe063c1ab0a8d4c9fe3527d79e78252cebdd928d76990e3b032a68c",
      "numerator": 4.190401214633281, "middle": 4.16297680427205,
      "denominator": 1.0139592010690495, "sharp": 5.196152422706632,
      "ratio": 4.1327118588353535, "slack": 1.0634405638712785,
@@ -557,8 +559,7 @@ def test_maximize_output_is_pinned(tmp_path, doc):
                    str(doc["seed"]), "--iters", "200", "--output", str(out), "--no-timestamp"])
     assert rc == 0
     assert out.read_text(encoding="utf-8") == json.dumps(doc, indent=2) + "\n"
-    csv_bytes = (tmp_path / "probe.best.csv").read_bytes()
-    assert "sha256:" + hashlib.sha256(csv_bytes).hexdigest() == doc["best_hash"]
+    assert cli._input_hashes(read_step_csv(tmp_path / "probe.best.csv")) == [doc["best_hash"]]
 
 
 def test_maximize_exits_1_on_any_violation(monkeypatch, capsys):
